@@ -40,8 +40,10 @@ class BarrierOracle:
     hessian_matrix: Callable[[Vector], np.ndarray]
     direction_eigs: Callable[[Vector, Vector], Vector]
     # hessian_factor(e) returns (apply_L, solve_Lt, solve_L) for a factor
-    # H(e) = L^T L, mapping to and from local coordinates w = L x.
-    hessian_factor: Callable[[Vector], tuple] = None
+    # H(e) = L^T L, mapping to and from local coordinates w = L x.  Each
+    # closure takes a (d,) vector or a (d, k) block of columns and maps
+    # every column as it would map that column alone.
+    hessian_factor: Callable[[Vector], tuple]
 
 
 class Membership(enum.Enum):

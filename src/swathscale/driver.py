@@ -157,19 +157,13 @@ def _step_from_solution(
     alpha: float,
     mode: StepMode,
 ) -> tuple[float, float, tuple[float, float, float]]:
-    eigs = oracle.direction_eigs(e, sol.x_e)
-    p1, p2, p3, p4 = power_sums(eigs)
-    if oracle.hessian_factor is not None:
-        # The first two power sums equal <e, x>_e and ||x||_e^2; computing
-        # them through the metric factor keeps them accurate when root
-        # extraction from the restricted polynomial degrades near the
-        # cone boundary.  Higher power sums only shape the step quadratic,
-        # where a small relative error is harmless.
-        apply_L, _, _ = oracle.hessian_factor(e)
-        ehat = apply_L(e)
-        w = apply_L(sol.x_e)
-        p1 = float(np.dot(ehat, w))
-        p2 = float(np.dot(w, w))
+    # The first two power sums equal <e, x>_e and ||x||_e^2; reading them
+    # from the relaxation's local frame keeps them accurate when root
+    # extraction from the restricted polynomial degrades near the cone
+    # boundary.  Higher power sums only shape the step quadratic, where a
+    # small relative error is harmless.
+    _, _, p3, p4 = power_sums(oracle.direction_eigs(e, sol.x_e))
+    p1, p2 = sol.e_dot_x, sol.x_norm_sq
     coeffs = step_poly_coeffs(p1, p2, p3, p4, alpha, oracle.degree)
     x_norm = math.sqrt(max(p2, 0.0))
     t = step_length(coeffs[0], coeffs[1], alpha, x_norm, mode)

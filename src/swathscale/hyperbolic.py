@@ -232,27 +232,32 @@ def hp_barrier_oracle(family: HpFamily) -> BarrierOracle:
             b2 = (axis - radial) / math.sqrt(2.0)
         return t - r, t + r, b1, b2
 
-    def _lorentz_spectral_apply(e, v, power):
+    def _lorentz_spectral_apply(frame, v, power):
         """Apply H(e)^power for power in {1, 0.5, -0.5} via the closed
-        eigendecomposition, avoiding a Cholesky of the near-singular
-        dense Hessian close to the cone boundary."""
-        lo, hi, b1, b2 = _lorentz_frame(e)
+        eigendecomposition ``frame = _lorentz_frame(e)``, avoiding a
+        Cholesky of the near-singular dense Hessian close to the cone
+        boundary.  ``v`` is a ``(d,)`` vector or a ``(d, k)`` block."""
+        lo, hi, b1, b2 = frame
         v = np.asarray(v, dtype=float)
         mu_iso = (2.0 / (lo * hi)) ** power
         if not np.any(b1):
             return mu_iso * v
         mu1 = (2.0 / lo**2) ** power
         mu2 = (2.0 / hi**2) ** power
-        c1 = float(np.dot(b1, v))
-        c2 = float(np.dot(b2, v))
-        return mu_iso * (v - c1 * b1 - c2 * b2) + mu1 * c1 * b1 + mu2 * c2 * b2
+        c1 = b1 @ v
+        c2 = b2 @ v
+        outer = np.multiply.outer
+        return (
+            mu_iso * (v - outer(b1, c1) - outer(b2, c2))
+            + outer(b1, mu1 * c1) + outer(b2, mu2 * c2)
+        )
 
     def hessian_apply(e, v):
         if family.name == PRODUCT:
             e = _interior_or_raise(e)
             return np.asarray(v, dtype=float) / e**2
         if family.name == SECOND_ORDER:
-            return _lorentz_spectral_apply(e, v, 1.0)
+            return _lorentz_spectral_apply(_lorentz_frame(e), v, 1.0)
         return hessian_matrix(e) @ np.asarray(v, dtype=float)
 
     def hessian_solve(e, w):
@@ -293,27 +298,31 @@ def hp_barrier_oracle(family: HpFamily) -> BarrierOracle:
         # spectra, whose imaginary parts are of order one.
         return direction_eigs_hp(family, x, e, tol=1e-3)
 
+    # Every frame closure takes a (d,) vector or a (d, k) block of columns.
     def hessian_factor(e):
         if family.name == PRODUCT:
             e = _interior_or_raise(e)
             inv_e = 1.0 / e
 
+            # Scaling the rows of v.T scales each column of a block.
             def apply_L(v):
-                return np.asarray(v, dtype=float) * inv_e
+                return (np.asarray(v, dtype=float).T * inv_e).T
 
             def solve_any(w):
-                return np.asarray(w, dtype=float) * e
+                return (np.asarray(w, dtype=float).T * e).T
 
             return apply_L, solve_any, solve_any
 
         if family.name == SECOND_ORDER:
             # Symmetric square root from the closed eigendecomposition;
             # L = L^T, so the transposed and plain solves coincide.
+            frame = _lorentz_frame(e)
+
             def apply_L(v):
-                return _lorentz_spectral_apply(e, v, 0.5)
+                return _lorentz_spectral_apply(frame, v, 0.5)
 
             def solve_any(w):
-                return _lorentz_spectral_apply(e, w, -0.5)
+                return _lorentz_spectral_apply(frame, w, -0.5)
 
             return apply_L, solve_any, solve_any
 

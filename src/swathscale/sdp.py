@@ -8,6 +8,7 @@ product into the coordinate dot product.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,26 +31,37 @@ def mat_order(d: int) -> int:
     return n
 
 
-def svec(X: np.ndarray) -> np.ndarray:
-    """Coordinate view of a symmetric matrix; dot(svec X, svec Y) = tr(XY)."""
-    n = X.shape[0]
+@functools.lru_cache(maxsize=None)
+def _svec_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For order n: flat positions of the upper triangle in an (n, n)
+    matrix, the per-coordinate scale (sqrt 2 off the diagonal), and the
+    (n, n) map from each matrix entry to its coordinate."""
     iu, ju = np.triu_indices(n)
-    v = X[iu, ju].astype(float).copy()
-    v[iu != ju] *= _SQRT2
-    return v
+    flat = iu * n + ju
+    scale = np.where(iu == ju, 1.0, _SQRT2)
+    coord = np.empty((n, n), dtype=np.intp)
+    coord[iu, ju] = coord[ju, iu] = np.arange(iu.size)
+    for arr in (flat, scale, coord):
+        arr.flags.writeable = False  # shared by every caller
+    return flat, scale, coord
+
+
+def svec(X: np.ndarray) -> np.ndarray:
+    """Coordinate view of a symmetric matrix; dot(svec X, svec Y) = tr(XY).
+
+    Leading axes are batch axes: ``(..., n, n)`` maps to ``(..., d)``.
+    """
+    X = np.asarray(X, dtype=float)
+    n = X.shape[-1]
+    flat, scale, _ = _svec_index(n)
+    return X.reshape(*X.shape[:-2], n * n)[..., flat] * scale
 
 
 def smat(v: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`svec`."""
-    n = mat_order(v.size)
-    X = np.zeros((n, n))
-    iu, ju = np.triu_indices(n)
-    vals = np.asarray(v, dtype=float).copy()
-    off = iu != ju
-    vals[off] /= _SQRT2
-    X[iu, ju] = vals
-    X[ju, iu] = vals
-    return X
+    """Inverse of :func:`svec`, over the same leading batch axes."""
+    v = np.asarray(v, dtype=float)
+    _, scale, coord = _svec_index(mat_order(v.shape[-1]))
+    return (v / scale)[..., coord]
 
 
 def is_pd(X: np.ndarray) -> bool:
@@ -86,7 +98,7 @@ class SdpInstance:
 
     def constraint_rows(self) -> np.ndarray:
         """m x d matrix whose rows are svec(A_i)."""
-        return np.array([svec(A) for A in self.constraints])
+        return svec(np.reshape(self.constraints, (-1, self.n, self.n)))
 
     def validate(self, tol: float = 1e-8) -> None:
         """Check linear independence of the A_i, b != 0, and C off their span."""
@@ -158,13 +170,17 @@ def det_barrier_oracle(n: int) -> BarrierOracle:
         root = V @ np.diag(np.sqrt(evals)) @ V.T
         inv_root = V @ np.diag(1.0 / np.sqrt(evals)) @ V.T
 
+        def congruence(T, v):
+            # svec(T smat(v) T), one column of v at a time through a stack
+            # of matrices when v is a (d, k) block.
+            M = T @ smat(np.transpose(v)) @ T
+            return np.transpose(svec(0.5 * (M + np.swapaxes(M, -1, -2))))
+
         def apply_L(v):
-            M = inv_root @ smat(v) @ inv_root
-            return svec(0.5 * (M + M.T))
+            return congruence(inv_root, v)
 
         def solve_any(w):
-            M = root @ smat(w) @ root
-            return svec(0.5 * (M + M.T))
+            return congruence(root, w)
 
         # L is symmetric here, so L^{-T} and L^{-1} coincide.
         return apply_L, solve_any, solve_any

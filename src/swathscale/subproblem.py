@@ -37,6 +37,10 @@ class SubproblemSolution:
     lambda_mult: float | None
     gap: float | None
     status: SubStatus
+    # Read in the local frame w = L x_e: <e, x_e>_e = <L e, w> and
+    # ||x_e||_e^2 = ||w||^2, so the step needs no second factorization.
+    e_dot_x: float | None = None
+    x_norm_sq: float | None = None
 
 
 def assemble_first_order_system(
@@ -118,7 +122,7 @@ def solve_qcp(
     apply_L, solve_Lt, solve_L = oracle.hessian_factor(e)
     ehat = apply_L(e)
     chat = solve_Lt(c)
-    At_hat = np.column_stack([solve_Lt(row) for row in A])  # d x m
+    At_hat = solve_Lt(A.T)  # d x m
     Qm, R = np.linalg.qr(At_hat)
     diag_R = np.abs(np.diag(R))
     if diag_R.size == 0 or diag_R.min() <= 1e-13 * max(diag_R.max(), 1.0):
@@ -179,25 +183,28 @@ def solve_qcp(
         gdotx = u + s * v
         if gdotx > 0.0:
             continue  # wrong half-cone: needs <e, x>_e >= 0
-        x = solve_L(w0 + s * wn)
+        w = w0 + s * wn
+        x = solve_L(w)
         gap = float(np.dot(c, e - x))
         if gap <= 0.0:
             continue  # maximizer branch (positive multiplier)
         lam = (n - alpha**2) * gdotx / gap
         ytil = ytil_b - lam * ytil_c
-        candidates.append((float(np.dot(c, x)), x, ytil, lam, gap))
+        candidates.append((float(np.dot(c, x)), x, w, ytil, lam, gap))
     if not candidates:
         return SubproblemSolution(None, None, None, None, None, SubStatus.NOT_IN_SWATH)
 
-    obj, x, ytil, lam, gap = min(candidates, key=lambda cand: cand[0])
+    obj, x, w, ytil, lam, gap = min(candidates, key=lambda cand: cand[0])
     if abs(lam) <= _LAMBDA_TOL:
         raise NumericalFailure("multiplier too close to zero for dual rescaling")
     y = scipy.linalg.solve_triangular(R, ytil)
     y_e = -y / lam
-    hx = oracle.hessian_apply(e, x)
-    ip = float(np.dot(e, hx))  # <e, x>_e
+    ip = float(np.dot(ehat, w))  # <e, x>_e
     s_e = (gap / (n - alpha**2)) * oracle.hessian_apply(e, e - (alpha**2 / ip) * x)
-    return SubproblemSolution(x, y_e, s_e, lam, gap, SubStatus.SOLVED)
+    return SubproblemSolution(
+        x, y_e, s_e, lam, gap, SubStatus.SOLVED,
+        e_dot_x=ip, x_norm_sq=float(np.dot(w, w)),
+    )
 
 
 def in_swath(

@@ -1,5 +1,6 @@
 """The iteration loop: step selection, monotone progress, alpha schedule."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -142,6 +143,30 @@ class TestRun:
             assert rec.t == pytest.approx(-bq / (2 * a), rel=1e-9)
             # step exceeds the guaranteed lower bound
             assert rec.t > 0.5 * rec.alpha / rec.x_norm_e * (1 - 1e-9)
+
+    def test_one_frame_per_iterate(self, monkeypatch):
+        # One eigendecomposition and one metric factor per step taken, plus
+        # the one for the relaxation at the final, converged iterate.
+        oracle, A, b, c, e, _, _ = make_sdp(10, m=20, seed=0)
+        calls = {"eigh": 0, "hessian_factor": 0}
+        eigh, factor = np.linalg.eigh, oracle.hessian_factor
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        oracle = dataclasses.replace(
+            oracle, hessian_factor=counted("hessian_factor", factor)
+        )
+        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", eigh))
+        res = sw.run(oracle, A, b, c, e, sw.SolverConfig())
+        monkeypatch.undo()
+        assert res.status is sw.RunStatus.CONVERGED
+        steps = res.iterations - 1
+        assert calls == {"eigh": steps + 1, "hessian_factor": steps + 1}
 
     def test_config_validation(self):
         with pytest.raises(DomainError):

@@ -1,0 +1,98 @@
+"""Block-capable local frames and batched svec/smat.
+
+Every frame closure maps a ``(d, k)`` block column by column, and the
+batched vectorization maps a stack of matrices matrix by matrix.  The
+single-vector calls are the reference.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import swathscale as sw
+from swathscale.errors import DimensionMismatch
+
+FAMILIES = [
+    sw.product_family(7),
+    sw.second_order_family(7),
+    sw.determinant_family(4),
+    sw.elementary_symmetric_family(7, 4),
+]
+SEEDS = st.integers(0, 2**32 - 1)
+REL = 1e-12
+
+
+def interior_point(family, rng):
+    """A random point strictly inside the cone, at local distance < 1
+    from the family's canonical direction."""
+    oracle = sw.hp_barrier_oracle(family)
+    e0 = family.canonical_direction()
+    w = rng.standard_normal(family.d)
+    radius = rng.uniform(0.05, 0.9)
+    return e0 + (radius / math.sqrt(float(np.dot(w, oracle.hessian_apply(e0, w))))) * w
+
+
+def assert_columns_match(block_fn, single_fn, B):
+    out = block_fn(B)
+    assert out.shape == B.shape
+    for j in range(B.shape[1]):
+        ref = single_fn(B[:, j])
+        assert np.linalg.norm(out[:, j] - ref) <= REL * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
+@settings(max_examples=25, deadline=None)
+@given(seed=SEEDS, k=st.integers(1, 9))
+def test_frame_block_matches_columns(family, seed, k):
+    rng = np.random.default_rng(seed)
+    e = interior_point(family, rng)
+    B = rng.standard_normal((family.d, k))
+    for closure in sw.hp_barrier_oracle(family).hessian_factor(e):
+        assert_columns_match(closure, closure, B)
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
+@settings(max_examples=10, deadline=None)
+@given(seed=SEEDS)
+def test_frame_accepts_transposed_rows(family, seed):
+    # solve_qcp hands the frame A.T, a non-contiguous view of the rows.
+    rng = np.random.default_rng(seed)
+    e = interior_point(family, rng)
+    A = rng.standard_normal((5, family.d))
+    _, solve_Lt, _ = sw.hp_barrier_oracle(family).hessian_factor(e)
+    assert_columns_match(solve_Lt, solve_Lt, A.T)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=SEEDS, n=st.integers(1, 9), batch=st.lists(st.integers(0, 4), max_size=2))
+def test_batched_svec_smat_match_per_matrix(seed, n, batch):
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((*batch, n, n))
+    X = 0.5 * (M + np.swapaxes(M, -1, -2))
+    V = sw.svec(X)
+    assert V.shape == (*batch, sw.sym_dim(n))
+    for idx in np.ndindex(*batch):
+        np.testing.assert_array_equal(V[idx], sw.svec(X[idx]))
+    back = sw.smat(V)
+    assert back.shape == X.shape
+    for idx in np.ndindex(*batch):
+        np.testing.assert_array_equal(back[idx], sw.smat(V[idx]))
+    np.testing.assert_allclose(back, X, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(sw.svec(back), V, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("shape", [(11,), (3, 11), (2, 2, 4)])
+def test_smat_rejects_bad_length(shape):
+    with pytest.raises(DimensionMismatch):
+        sw.smat(np.zeros(shape))
+
+
+def test_constraint_rows_is_one_batched_svec():
+    inst, _ = sw.gen_central_path_sdp(6, 9, 1.0, 3)
+    rows = inst.constraint_rows()
+    assert rows.shape == (9, sw.sym_dim(6))
+    for row, A in zip(rows, inst.constraints):
+        np.testing.assert_array_equal(row, sw.svec(A))
