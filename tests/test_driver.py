@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import swathscale as sw
 from swathscale.errors import (
@@ -167,6 +168,27 @@ class TestRun:
         assert res.status is sw.RunStatus.CONVERGED
         steps = res.iterations - 1
         assert calls == {"eigh": steps + 1, "hessian_factor": steps + 1}
+
+    def test_sdp_run_gives_scipy_only_vector_solves(self, monkeypatch):
+        # numpy and scipy each bundle a BLAS with its own thread pool.  A
+        # threaded scipy call between numpy calls waits on numpy's idle
+        # workers, so the loop hands scipy single-vector solves only.
+        oracle, A, b, c, e, _, _ = make_sdp(10, m=20, seed=0)
+        rhs_ndim = []
+
+        def recorded(fn):
+            def wrapper(a, rhs, *args, **kwargs):
+                rhs_ndim.append(np.ndim(rhs))
+                return fn(a, rhs, *args, **kwargs)
+
+            return wrapper
+
+        for name in ("solve_triangular", "cho_solve"):
+            monkeypatch.setattr(scipy.linalg, name, recorded(getattr(scipy.linalg, name)))
+        res = sw.run(oracle, A, b, c, e, sw.SolverConfig())
+        monkeypatch.undo()
+        assert res.status is sw.RunStatus.CONVERGED
+        assert rhs_ndim and set(rhs_ndim) == {1}
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
