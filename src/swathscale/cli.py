@@ -3,8 +3,8 @@
 Instance files are auto-detected by suffix: ``.dat-s`` is sparse SDPA
 (with an optional ``<stem>.start.json`` sidecar carrying the interior
 start matrix), ``.json`` is the hyperbolic-program schema.  Exit codes:
-0 success, 2 start point outside the swath, 3 numerical failure, 4
-parse/input error.
+0 success, 2 start point outside the swath (or not an interior feasible
+point), 3 numerical failure or iteration limit, 4 parse/input error.
 """
 
 from __future__ import annotations
@@ -24,7 +24,13 @@ from .driver import (
     alpha_reduction_run,
     run,
 )
-from .errors import NumericalFailure, ParseError, SwathscaleError
+from .errors import (
+    DomainError,
+    NotInterior,
+    NumericalFailure,
+    ParseError,
+    SwathscaleError,
+)
 from .hyperbolic import (
     DETERMINANT,
     ELEMENTARY_SYMMETRIC,
@@ -42,7 +48,7 @@ _EXIT_PARSE = 4
 
 _STATUS_EXIT = {
     RunStatus.CONVERGED: 0,
-    RunStatus.MAX_ITERS: 0,
+    RunStatus.MAX_ITERS: _EXIT_NUMERICAL,
     RunStatus.NOT_IN_SWATH: _EXIT_NOT_IN_SWATH,
     RunStatus.NUMERICAL_FAILURE: _EXIT_NUMERICAL,
 }
@@ -125,6 +131,8 @@ def solve(file, alpha, tol, max_iters, step, trace_path, trace_format):
         result = run(oracle, A, b, c, e0, config)
     except NumericalFailure as exc:
         _fail(exc, _EXIT_NUMERICAL)
+    except (DomainError, NotInterior) as exc:
+        _fail(exc, _EXIT_NOT_IN_SWATH)
 
     if trace_path is not None:
         header = tracefile.trace_header(

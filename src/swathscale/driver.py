@@ -22,7 +22,7 @@ from .core import (
     Membership,
     QuadCone,
     dual_cone_member,
-    local_norm,
+    local_norm,  # noqa: F401  (perfbench/tracer.py rebinds this name)
     schedule_constants,
 )
 from .errors import (
@@ -231,7 +231,7 @@ def run(
             trace.append(
                 IterationRecord(
                     k=k, alpha=alpha, gap=gap, t=0.0,
-                    x_norm_e=local_norm(oracle, e, sol.x_e),
+                    x_norm_e=math.sqrt(max(sol.x_norm_sq, 0.0)),
                     primal_obj=primal, dual_obj=dual,
                     qtilde=(0.0, 0.0, 0.0),
                     wallclock=time.perf_counter() - start,
@@ -312,7 +312,7 @@ def alpha_reduction_run(
             raise NumericalFailure(
                 f"iterate left swath({alpha}) during alpha reduction"
             )
-        x_norm = local_norm(oracle, e, sol.x_e)
+        x_norm = math.sqrt(max(sol.x_norm_sq, 0.0))
         t = 0.5 * alpha / x_norm
         e = next_iterate(e, sol.x_e, t)
         alpha = alpha_schedule_next(alpha)

@@ -15,12 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dtrtri
 
 from .core import BarrierOracle
 from .errors import DimensionMismatch, DomainError, NumericalFailure
 
 _RANK_TOL = 1e-10
 _LAMBDA_TOL = 1e-12
+_RANK_DEFICIENT = "constraint map is rank-deficient at this point"
 
 
 class SubStatus(enum.Enum):
@@ -92,6 +94,29 @@ def _stable_quadratic_roots(qa: float, qb: float, qc: float) -> list[float]:
     return roots
 
 
+def _cholesky_qr2(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Thin QR factorization ``X = Q R`` of a tall block by CholeskyQR2.
+
+    Each pass factors the Gram matrix ``Q^T Q = R_k^T R_k`` and replaces
+    ``Q`` by ``Q R_k^{-1}``; the second pass restores orthogonality to
+    O(u) while cond(X) < u^{-1/2} (Fukaya, Nakatsukasa, Yanagisawa and
+    Yamamoto, 2014).  Raises NumericalFailure when a Gram matrix is not
+    numerically positive definite.
+    """
+    Q, R = X, None
+    for _ in range(2):
+        try:
+            Rk = np.linalg.cholesky(Q.T @ Q).T
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailure(_RANK_DEFICIENT) from exc
+        Rk_inv, info = dtrtri(Rk, lower=0)
+        if info != 0:
+            raise NumericalFailure(_RANK_DEFICIENT)
+        Q = Q @ Rk_inv
+        R = Rk if R is None else Rk @ R
+    return Q, R
+
+
 def solve_qcp(
     oracle: BarrierOracle,
     A: np.ndarray,
@@ -116,17 +141,22 @@ def solve_qcp(
     if np.max(np.abs(A @ e - b)) > 1e-8 * (1.0 + np.abs(b).max(initial=0.0)):
         raise DomainError("e is not feasible: A e != b")
     # Work in local coordinates w = L x with H = L^T L, where the cone is
-    # the isotropic circular cone around ehat = L e (||ehat|| = sqrt(n))
-    # and the ill-conditioning of H is confined to backward-stable
-    # triangular and QR operations.
+    # the isotropic circular cone around ehat = L e (||ehat|| = sqrt(n)).
+    # The ill-conditioning of H is confined to triangular solves and to the
+    # thin QR of At_hat.  CholeskyQR2 gives an orthonormal Qm to O(u) while
+    # cond(At_hat) < u^{-1/2} ~ 7e7.  On generated SDP (n=40, m=80) and
+    # Lorentz (d=200, m=100) instances, cond(At_hat) measured up to 5.5e4 at
+    # a 1e-8 gap ratio and 4.9e6 at 1e-12.  One Cholesky pass alone loses
+    # orthogonality as u cond(At_hat)^2: with it, 10 of 12 small SDP and
+    # Lorentz runs to a 1e-10 gap ratio ended not_in_swath at 1e-7 to 2e-10.
     apply_L, solve_Lt, solve_L = oracle.hessian_factor(e)
     ehat = apply_L(e)
     chat = solve_Lt(c)
     At_hat = solve_Lt(A.T)  # d x m
-    Qm, R = np.linalg.qr(At_hat)
+    Qm, R = _cholesky_qr2(At_hat)
     diag_R = np.abs(np.diag(R))
     if diag_R.size == 0 or diag_R.min() <= 1e-13 * max(diag_R.max(), 1.0):
-        raise NumericalFailure("constraint map is rank-deficient at this point")
+        raise NumericalFailure(_RANK_DEFICIENT)
 
     # Stationarity: (alpha^2 I - ehat ehat^T) w = lambda chat + Qm ytil,
     # inverted in closed form via J(v) = (v + <ehat,v> ehat/(alpha^2-n))

@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 
 import swathscale as sw
+import swathscale.driver
 from swathscale.errors import (
     ConvexityViolation,
     DomainError,
@@ -17,6 +18,28 @@ from swathscale.errors import (
 from conftest import diag2_problem, make_sdp
 
 SQRT7 = 2.6457513110645905905
+
+
+def count_hessian_applies(oracle, monkeypatch):
+    """The oracle with a counted ``hessian_apply``, and the counts of its
+    calls made inside and outside the driver's relaxation solves."""
+    counts = {"inside": 0, "outside": 0}
+    depth = [0]
+    apply, solve = oracle.hessian_apply, swathscale.driver.solve_qcp
+
+    def counted_apply(*args):
+        counts["inside" if depth[0] else "outside"] += 1
+        return apply(*args)
+
+    def tracked_solve(*args):
+        depth[0] += 1
+        try:
+            return solve(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(swathscale.driver, "solve_qcp", tracked_solve)
+    return dataclasses.replace(oracle, hessian_apply=counted_apply), counts
 
 
 class TestStepPolynomial:
@@ -147,8 +170,11 @@ class TestRun:
 
     def test_one_frame_per_iterate(self, monkeypatch):
         # One eigendecomposition and one metric factor per step taken, plus
-        # the one for the relaxation at the final, converged iterate.
+        # the one for the relaxation at the final, converged iterate.  Outside
+        # the relaxation the metric is applied only by the carry-over check,
+        # once per step; the norms of x_e come from the relaxation's frame.
         oracle, A, b, c, e, _, _ = make_sdp(10, m=20, seed=0)
+        oracle, applies = count_hessian_applies(oracle, monkeypatch)
         calls = {"eigh": 0, "hessian_factor": 0}
         eigh, factor = np.linalg.eigh, oracle.hessian_factor
 
@@ -168,6 +194,12 @@ class TestRun:
         assert res.status is sw.RunStatus.CONVERGED
         steps = res.iterations - 1
         assert calls == {"eigh": steps + 1, "hessian_factor": steps + 1}
+        assert applies == {"inside": steps + 1, "outside": steps}
+
+        oracle, applies = count_hessian_applies(oracle, monkeypatch)
+        _, iterations = sw.alpha_reduction_run(oracle, A, b, c, e, 0.9, 0.3)
+        monkeypatch.undo()
+        assert applies == {"inside": iterations, "outside": 0}
 
     def test_sdp_run_gives_scipy_only_vector_solves(self, monkeypatch):
         # numpy and scipy each bundle a BLAS with its own thread pool.  A
@@ -189,6 +221,21 @@ class TestRun:
         monkeypatch.undo()
         assert res.status is sw.RunStatus.CONVERGED
         assert rhs_ndim and set(rhs_ndim) == {1}
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("family", ["sdp", "lorentz"])
+    def test_tight_gap_tolerance_converges(self, family, seed):
+        # Near a 1e-10 gap ratio the frame-transformed constraint block has
+        # condition numbers up to ~1e6; the relaxation's orthogonal factor
+        # must stay accurate enough to keep every iterate in the swath.
+        if family == "sdp":
+            oracle, A, b, c, e, _, _ = make_sdp(10, m=20, seed=seed)
+        else:
+            inst, e = sw.gen_hp_instance(sw.second_order_family(30), 15, 1.0, seed)
+            oracle, A, b, c = sw.hp_barrier_oracle(inst.family), inst.A, inst.b, inst.c
+        res = sw.run(oracle, A, b, c, e, sw.SolverConfig(gap_tol=1e-10))
+        assert res.status is sw.RunStatus.CONVERGED
+        assert all(v == 0 for v in res.violations.values()), res.violations
 
     def test_config_validation(self):
         with pytest.raises(DomainError):

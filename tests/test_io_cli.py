@@ -217,6 +217,36 @@ class TestCli:
         r = CliRunner().invoke(main, ["solve", str(path)])
         assert r.exit_code == 2
 
+    def test_max_iters_exit_code(self, tmp_path):
+        runner = CliRunner()
+        out = tmp_path / "inst.dat-s"
+        runner.invoke(
+            main, ["generate", "sdp", "--n", "4", "--m", "6", "--seed", "0", "--out", str(out)]
+        )
+        r = runner.invoke(main, ["solve", str(out), "--max-iters", "2"])
+        assert "status=max_iters" in r.output
+        assert r.exit_code == 3
+
+    @pytest.mark.parametrize("start", ["infeasible", "not_interior"])
+    def test_bad_start_point_exit_code(self, tmp_path, start):
+        inst, E0 = sw.gen_central_path_sdp(4, 6, 1.0, 0)
+        if start == "infeasible":
+            E = 2.0 * E0  # positive definite, but A e != b
+        else:
+            # Feasible but indefinite: move far along a null direction of A.
+            null = np.linalg.svd(inst.constraint_rows())[2][-1]
+            D = sw.smat(null)
+            if np.linalg.eigvalsh(D)[0] >= 0.0:
+                D = -D
+            E = E0 + (2.0 * np.linalg.eigvalsh(E0)[-1] / -np.linalg.eigvalsh(D)[0]) * D
+            assert np.linalg.eigvalsh(E)[0] < 0.0
+        path = tmp_path / "bad.dat-s"
+        path.write_text(sw.write_sdpa(inst))
+        (tmp_path / "bad.start.json").write_text(sw.write_start_point(E))
+        r = CliRunner().invoke(main, ["solve", str(path)])
+        assert r.exit_code == 2, r.output
+        assert "error:" in r.output
+
     def test_reduce_alpha(self, tmp_path):
         runner = CliRunner()
         out = tmp_path / "inst.dat-s"

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import swathscale as sw
-from swathscale.errors import DimensionMismatch, DomainError
-from swathscale.subproblem import assemble_first_order_system
+from swathscale.errors import DimensionMismatch, DomainError, NumericalFailure
+from swathscale.subproblem import _cholesky_qr2, assemble_first_order_system
 
 from conftest import diag2_problem, make_sdp
 
@@ -144,3 +146,56 @@ class TestStatusAndErrors:
         oracle, A, b, c, e, _, _ = make_sdp(3, m=3, seed=0)
         with pytest.raises(DomainError):
             sw.solve_qcp(oracle, A, b + 1.0, c, e, 0.5)
+
+    def test_duplicate_constraint_is_rank_failure(self):
+        oracle, A, b, c, e, _, _ = make_sdp(4, m=5, seed=0)
+        A2, b2 = np.vstack([A, A[:1]]), np.append(b, b[0])
+        with pytest.raises(NumericalFailure):
+            sw.solve_qcp(oracle, A2, b2, c, e, 0.5)
+
+
+def spread_block(seed, d, m, log_kappa):
+    """A random d x m block whose singular values spread log-uniformly
+    over [s, s * 10^log_kappa] for a random overall scale s."""
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.standard_normal((d, m)))
+    V, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    sv = np.logspace(0.0, log_kappa, m) * 10.0 ** rng.uniform(-3.0, 3.0)
+    return (U * sv) @ V.T
+
+
+class TestCholeskyQr2:
+    """The thin QR that orthogonalizes the frame-transformed constraints."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 30),
+        extra=st.integers(0, 70),
+        log_kappa=st.floats(0.0, 6.0),
+    )
+    def test_orthonormal_factor_of_spread_block(self, seed, m, extra, log_kappa):
+        X = spread_block(seed, m + extra, m, log_kappa)
+        Q, R = _cholesky_qr2(X)
+        assert Q.shape == X.shape and R.shape == (m, m)
+        assert np.linalg.norm(Q.T @ Q - np.eye(m), 2) <= 1e-12
+        assert np.linalg.norm(Q @ R - X, 2) <= 1e-12 * np.linalg.norm(X, 2)
+        assert np.all(np.tril(R, -1) == 0.0)
+        # The column space matches Householder's to the accuracy either
+        # factorization has: u times the condition number, with margin.
+        Qh, _ = np.linalg.qr(X)
+        tol = 1e-13 * 10.0**log_kappa
+        assert np.linalg.norm(Q @ Q.T - Qh @ Qh.T, 2) <= tol
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 20),
+        extra=st.integers(0, 40),
+        data=st.data(),
+    )
+    def test_rank_deficient_block_is_numerical_failure(self, seed, m, extra, data):
+        X = spread_block(seed, m + extra, m, 0.0)
+        X[:, data.draw(st.integers(0, m - 1))] = 0.0
+        with pytest.raises(NumericalFailure):
+            _cholesky_qr2(X)
