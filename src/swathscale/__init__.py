@@ -46,7 +46,6 @@ from .hyperbolic import (
     HpFamily,
     HpInstance,
     determinant_family,
-    direction_eigs_hp,
     elementary_symmetric_family,
     hp_barrier_oracle,
     hyperbolicity_sample_check,

@@ -29,6 +29,7 @@ from .errors import (
     NotInterior,
     NumericalFailure,
     ParseError,
+    RetryExhausted,
     SwathscaleError,
 )
 from .hyperbolic import (
@@ -118,15 +119,15 @@ def main():
 def solve(file, alpha, tol, max_iters, step, trace_path, trace_format):
     """Run the solver on an instance file."""
     try:
+        config = SolverConfig(
+            alpha=alpha,
+            gap_tol=tol,
+            max_iters=max_iters,
+            step_mode=StepMode(step),
+        )
         oracle, A, b, c, e0, meta = _load_problem(file)
-    except ParseError as exc:
+    except (DomainError, ParseError) as exc:
         _fail(exc, _EXIT_PARSE)
-    config = SolverConfig(
-        alpha=alpha,
-        gap_tol=tol,
-        max_iters=max_iters,
-        step_mode=StepMode(step),
-    )
     try:
         result = run(oracle, A, b, c, e0, config)
     except NumericalFailure as exc:
@@ -183,8 +184,10 @@ def generate_cmd(kind, n, m, family, k, mu, seed, out):
                 hpjson.write_hp_json(inst, metadata={"mu": mu, "seed": seed})
             )
             click.echo(f"wrote {inst_path}")
-    except SwathscaleError as exc:
+    except (NumericalFailure, RetryExhausted) as exc:
         _fail(exc, _EXIT_NUMERICAL)
+    except SwathscaleError as exc:
+        _fail(exc, _EXIT_PARSE)
 
 
 main.add_command(generate_cmd, name="generate")
@@ -197,17 +200,19 @@ main.add_command(generate_cmd, name="generate")
 def reduce_alpha(file, alpha0, target):
     """Shrink the cone parameter on the fixed-step schedule."""
     try:
+        bound = alpha_reduction_bound(alpha0, target)
         oracle, A, b, c, e0, _ = _load_problem(file)
-    except ParseError as exc:
+    except (DomainError, ParseError) as exc:
         _fail(exc, _EXIT_PARSE)
-    bound = alpha_reduction_bound(alpha0, target)
     try:
         e_final, iterations = alpha_reduction_run(
             oracle, A, b, c, e0, alpha0, target
         )
+        ok = in_swath(oracle, A, b, c, e_final, target)
     except NumericalFailure as exc:
         _fail(exc, _EXIT_NUMERICAL)
-    ok = in_swath(oracle, A, b, c, e_final, target)
+    except (DomainError, NotInterior) as exc:
+        _fail(exc, _EXIT_NOT_IN_SWATH)
     click.echo(f"iterations={iterations} bound={bound} in_swath(target)={ok}")
     sys.exit(0 if ok else _EXIT_NOT_IN_SWATH)
 

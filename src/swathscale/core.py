@@ -28,7 +28,11 @@ class BarrierOracle:
     All callables act on ambient coordinate vectors of length ``dim``.
     ``degree`` is the degree of the underlying polynomial; the barrier is
     ``-ln p``.  ``hessian_apply`` and ``hessian_solve`` must raise
-    :class:`~swathscale.errors.NotInterior` off the cone interior.
+    :class:`~swathscale.errors.NotInterior` off the cone interior.  The
+    iteration needs the local frame (``hessian_factor``), Hessian products
+    and solves, the eigenvalues of ``x`` in direction ``e``
+    (``direction_eigs``), and ``value`` as an interiority probe;
+    ``gradient`` serves the instance generators and the diagnostics.
     """
 
     dim: int
@@ -37,7 +41,6 @@ class BarrierOracle:
     gradient: Callable[[Vector], Vector]
     hessian_apply: Callable[[Vector, Vector], Vector]
     hessian_solve: Callable[[Vector, Vector], Vector]
-    hessian_matrix: Callable[[Vector], np.ndarray]
     direction_eigs: Callable[[Vector, Vector], Vector]
     # hessian_factor(e) returns (apply_L, solve_Lt, solve_L) for a factor
     # H(e) = L^T L, mapping to and from local coordinates w = L x.  Each

@@ -56,7 +56,6 @@ class SolverConfig:
     gap_tol: float = 1e-8
     max_iters: int = 500
     step_mode: StepMode = StepMode.QTILDE_MINIMIZER
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -277,8 +276,14 @@ def alpha_schedule_next(alpha: float) -> float:
     return alpha * math.sqrt((1.0 + alpha) / 2.0)
 
 
+def _check_reduction_domain(alpha0: float, alpha_target: float) -> None:
+    if not 0.0 < alpha_target < alpha0 < 1.0:
+        raise DomainError("need 0 < alpha_target < alpha0 < 1")
+
+
 def alpha_reduction_bound(alpha0: float, alpha_target: float) -> int:
     """Iteration bound ceil(2 ln(a0/a)/ln(8/7) + ln((1-a)/(1-a0))/ln(9/8))."""
+    _check_reduction_domain(alpha0, alpha_target)
     term1 = (2.0 / math.log(8.0 / 7.0)) * math.log(alpha0 / alpha_target)
     term2 = (1.0 / math.log(9.0 / 8.0)) * math.log(
         (1.0 - alpha_target) / (1.0 - alpha0)
@@ -300,8 +305,7 @@ def alpha_reduction_run(
     Returns the point reached once the schedule value drops to the
     target, together with the number of steps taken.
     """
-    if not 0.0 < alpha_target < alpha0 < 1.0:
-        raise DomainError("need 0 < alpha_target < alpha0 < 1")
+    _check_reduction_domain(alpha0, alpha_target)
     A = np.atleast_2d(np.asarray(A, dtype=float))
     e = np.asarray(e0, dtype=float).copy()
     alpha = alpha0

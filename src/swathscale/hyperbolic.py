@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -75,15 +76,19 @@ def elementary_symmetric_family(d: int, k: int) -> HpFamily:
     return HpFamily(ELEMENTARY_SYMMETRIC, d, k, k=k)
 
 
-def _check_dim(family: HpFamily, x: np.ndarray) -> np.ndarray:
+def _check_dim(d: int, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if x.shape != (family.d,):
-        raise DimensionMismatch(f"expected vector of length {family.d}, got {x.shape}")
+    if x.shape != (d,):
+        raise DimensionMismatch(f"expected vector of length {d}, got {x.shape}")
     return x
 
 
 def _minkowski(u: np.ndarray, v: np.ndarray) -> float:
     return float(u[-1] * v[-1] - np.dot(u[:-1], v[:-1]))
+
+
+def _lorentz_interior(x: np.ndarray, tol: float = 0.0) -> bool:
+    return x[-1] > np.linalg.norm(x[:-1]) + tol
 
 
 def _esym_values(x: np.ndarray, k: int) -> np.ndarray:
@@ -93,6 +98,12 @@ def _esym_values(x: np.ndarray, k: int) -> np.ndarray:
     for xi in x:
         e[1:] = e[1:] + xi * e[:-1]
     return e
+
+
+def _esym_interior(x: np.ndarray, k: int, tol: float = 0.0) -> bool:
+    # The cone in direction 1 is cut out by the positivity of all lower
+    # elementary symmetric polynomials.
+    return bool(np.all(_esym_values(x, k)[1:] > tol))
 
 
 def _esym_deflate(e: np.ndarray, xi: float) -> np.ndarray:
@@ -106,7 +117,7 @@ def _esym_deflate(e: np.ndarray, xi: float) -> np.ndarray:
 
 def eval_p(family: HpFamily, x: np.ndarray) -> float:
     """Value of the family's polynomial at x."""
-    x = _check_dim(family, x)
+    x = _check_dim(family.d, x)
     if family.name == PRODUCT:
         return float(np.prod(x))
     if family.name == SECOND_ORDER:
@@ -116,52 +127,21 @@ def eval_p(family: HpFamily, x: np.ndarray) -> float:
     return float(_esym_values(x, family.k)[family.k])
 
 
-def _grad_hess_p(family: HpFamily, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient and Hessian of the polynomial itself (not the barrier)."""
-    d = family.d
-    if family.name == PRODUCT:
-        grad = np.array([np.prod(np.delete(x, i)) for i in range(d)])
-        hess = np.zeros((d, d))
-        for i in range(d):
-            for j in range(i + 1, d):
-                hess[i, j] = hess[j, i] = np.prod(np.delete(x, [i, j]))
-        return grad, hess
-    if family.name == SECOND_ORDER:
-        J = np.diag(np.concatenate([-np.ones(d - 1), [1.0]]))
-        return 2.0 * (J @ x), 2.0 * J
-    # elementary symmetric
-    k = family.k
-    e_full = _esym_values(x, k)
-    grad = np.zeros(d)
-    hess = np.zeros((d, d))
-    deflated = [_esym_deflate(e_full, x[i]) for i in range(d)]
-    for i in range(d):
-        grad[i] = deflated[i][k - 1]
-        for j in range(i + 1, d):
-            if k >= 2:
-                twice = _esym_deflate(deflated[i], x[j])
-                hess[i, j] = hess[j, i] = twice[k - 2]
-    return grad, hess
-
-
 def is_interior(family: HpFamily, x: np.ndarray, tol: float = 0.0) -> bool:
     """Strict membership in the open hyperbolicity cone."""
-    x = _check_dim(family, x)
+    x = _check_dim(family.d, x)
     if family.name == PRODUCT:
         return bool(np.all(x > tol))
     if family.name == SECOND_ORDER:
-        return x[-1] > np.linalg.norm(x[:-1]) + tol
+        return _lorentz_interior(x, tol)
     if family.name == DETERMINANT:
         return sdp.is_pd(sdp.smat(x))
-    # Elementary symmetric: the cone in direction 1 is cut out by the
-    # positivity of all lower elementary symmetric polynomials.
-    values = _esym_values(x, family.k)
-    return bool(np.all(values[1:] > tol))
+    return _esym_interior(x, family.k, tol)
 
 
 def is_member(family: HpFamily, x: np.ndarray, tol: float = 1e-9) -> bool:
     """Membership in the closed cone, by the family-native test."""
-    x = _check_dim(family, x)
+    x = _check_dim(family.d, x)
     if family.name == PRODUCT:
         return bool(np.all(x >= -tol))
     if family.name == SECOND_ORDER:
@@ -174,42 +154,76 @@ def is_member(family: HpFamily, x: np.ndarray, tol: float = 1e-9) -> bool:
 
 
 def hp_barrier_oracle(family: HpFamily) -> BarrierOracle:
-    """Barrier oracle ``-ln p`` with analytic gradient and Hessian.
+    """Barrier oracle ``-ln p`` of a family, built by that family's constructor.
 
-    The determinant family delegates to the SDP backend; the others use
-    their closed forms.
+    The determinant family delegates to the SDP backend.
     """
+    if family.name == PRODUCT:
+        return _product_oracle(family.d)
+    if family.name == SECOND_ORDER:
+        return _lorentz_oracle(family.d)
     if family.name == DETERMINANT:
         return sdp.det_barrier_oracle(family.degree)
+    return _esym_oracle(family.d, family.k)
 
-    d, n = family.d, family.degree
 
-    def _interior_or_raise(e):
-        e = _check_dim(family, e)
-        if not is_interior(family, e):
-            raise NotInterior(f"point outside the open {family.name} cone")
+def _interior_guard(d: int, name: str, interior: Callable[[np.ndarray], bool]):
+    """Check returning ``e`` as a float vector; NotInterior off the open cone."""
+
+    def guard(e):
+        e = _check_dim(d, e)
+        if not interior(e):
+            raise NotInterior(f"point outside the open {name} cone")
         return e
 
+    return guard
+
+
+def _product_oracle(d: int) -> BarrierOracle:
+    """Barrier ``-sum ln e_i`` of the orthant: H(e) = diag(e)^-2."""
+    guard = _interior_guard(d, PRODUCT, lambda e: np.all(e > 0.0))
+
     def value(e):
-        e = _interior_or_raise(e)
-        return float(-math.log(eval_p(family, e)))
+        # np.prod underflows to 0 for large d, and math.log(0) raises.
+        return -math.log(np.prod(guard(e)))
 
     def gradient(e):
-        e = _interior_or_raise(e)
-        if family.name == PRODUCT:
-            return -1.0 / e
-        gp, _ = _grad_hess_p(family, e)
-        return -gp / eval_p(family, e)
+        return -1.0 / guard(e)
 
-    def hessian_matrix(e):
-        e = _interior_or_raise(e)
-        if family.name == PRODUCT:
-            return np.diag(1.0 / e**2)
-        p = eval_p(family, e)
-        gp, hp = _grad_hess_p(family, e)
-        return np.outer(gp, gp) / p**2 - hp / p
+    def hessian_apply(e, v):
+        return np.asarray(v, dtype=float) / guard(e) ** 2
 
-    def _lorentz_frame(e):
+    def hessian_solve(e, w):
+        return np.asarray(w, dtype=float) * guard(e) ** 2
+
+    def direction_eigs(e, x):
+        return np.sort(np.asarray(x, dtype=float) / guard(e))
+
+    def hessian_factor(e):
+        e = guard(e)
+        inv_e = 1.0 / e
+
+        # Scaling the rows of v.T scales each column of a block.
+        def apply_L(v):
+            return (np.asarray(v, dtype=float).T * inv_e).T
+
+        def solve_any(w):
+            return (np.asarray(w, dtype=float).T * e).T
+
+        return apply_L, solve_any, solve_any
+
+    return BarrierOracle(
+        dim=d, degree=d, value=value, gradient=gradient,
+        hessian_apply=hessian_apply, hessian_solve=hessian_solve,
+        direction_eigs=direction_eigs, hessian_factor=hessian_factor,
+    )
+
+
+def _lorentz_oracle(d: int) -> BarrierOracle:
+    """Barrier ``-ln(t^2 - ||u||^2)`` on e = (u, t), all in closed form."""
+    guard = _interior_guard(d, SECOND_ORDER, _lorentz_interior)
+
+    def frame(e):
         """Spectral data of the Lorentz barrier Hessian at e.
 
         With t = e[-1] and r = ||e[:-1]||, the Hessian has eigenvalue
@@ -218,7 +232,7 @@ def hp_barrier_oracle(family: HpFamily) -> BarrierOracle:
         radial direction.  Returns (lo, hi, b1, b2) with lo = t - r,
         hi = t + r.
         """
-        e = _interior_or_raise(e)
+        e = guard(e)
         t = float(e[-1])
         r = float(np.linalg.norm(e[:-1]))
         b1 = np.zeros(d)
@@ -232,12 +246,12 @@ def hp_barrier_oracle(family: HpFamily) -> BarrierOracle:
             b2 = (axis - radial) / math.sqrt(2.0)
         return t - r, t + r, b1, b2
 
-    def _lorentz_spectral_apply(frame, v, power):
+    def spectral_apply(frame_e, v, power):
         """Apply H(e)^power for power in {1, 0.5, -0.5} via the closed
-        eigendecomposition ``frame = _lorentz_frame(e)``, avoiding a
-        Cholesky of the near-singular dense Hessian close to the cone
-        boundary.  ``v`` is a ``(d,)`` vector or a ``(d, k)`` block."""
-        lo, hi, b1, b2 = frame
+        eigendecomposition ``frame_e = frame(e)``, avoiding a Cholesky of
+        the near-singular dense Hessian close to the cone boundary.
+        ``v`` is a ``(d,)`` vector or a ``(d, k)`` block."""
+        lo, hi, b1, b2 = frame_e
         v = np.asarray(v, dtype=float)
         mu_iso = (2.0 / (lo * hi)) ** power
         if not np.any(b1):
@@ -252,83 +266,120 @@ def hp_barrier_oracle(family: HpFamily) -> BarrierOracle:
             + outer(b1, mu1 * c1) + outer(b2, mu2 * c2)
         )
 
+    def value(e):
+        e = guard(e)
+        return -math.log(_minkowski(e, e))
+
+    def gradient(e):
+        e = guard(e)
+        Je = np.concatenate([-e[:-1], e[-1:]])  # J = diag(-1, ..., -1, 1)
+        return -(2.0 * Je) / _minkowski(e, e)
+
     def hessian_apply(e, v):
-        if family.name == PRODUCT:
-            e = _interior_or_raise(e)
-            return np.asarray(v, dtype=float) / e**2
-        if family.name == SECOND_ORDER:
-            return _lorentz_spectral_apply(_lorentz_frame(e), v, 1.0)
-        return hessian_matrix(e) @ np.asarray(v, dtype=float)
+        return spectral_apply(frame(e), v, 1.0)
 
     def hessian_solve(e, w):
-        if family.name == PRODUCT:
-            e = _interior_or_raise(e)
-            return np.asarray(w, dtype=float) * e**2
-        if family.name == SECOND_ORDER:
-            # H(e)^{-1} w = e <e, w> - (p(e)/2) J w in the Minkowski form.
-            e = _interior_or_raise(e)
-            w = np.asarray(w, dtype=float)
-            Jw = np.concatenate([-w[:-1], w[-1:]])
-            return e * float(np.dot(e, w)) - 0.5 * eval_p(family, e) * Jw
-        H = hessian_matrix(e)
+        # H(e)^{-1} w = e <e, w> - (p(e)/2) J w in the Minkowski form.
+        e = guard(e)
+        w = np.asarray(w, dtype=float)
+        Jw = np.concatenate([-w[:-1], w[-1:]])
+        return e * float(np.dot(e, w)) - 0.5 * _minkowski(e, e) * Jw
+
+    def direction_eigs(e, x):
+        e = guard(e)
+        x = _check_dim(d, x)
+        # p(le - x) = A l^2 + B l + C in the Minkowski form
+        A = _minkowski(e, e)
+        B = -2.0 * _minkowski(e, x)
+        C = _minkowski(x, x)
+        disc = max(B * B - 4.0 * A * C, 0.0)
+        root = math.sqrt(disc)
+        return np.sort(np.array([(-B - root) / (2 * A), (-B + root) / (2 * A)]))
+
+    def hessian_factor(e):
+        # Symmetric square root from the closed eigendecomposition;
+        # L = L^T, so the transposed and plain solves coincide.
+        frame_e = frame(e)
+
+        def apply_L(v):
+            return spectral_apply(frame_e, v, 0.5)
+
+        def solve_any(w):
+            return spectral_apply(frame_e, w, -0.5)
+
+        return apply_L, solve_any, solve_any
+
+    return BarrierOracle(
+        dim=d, degree=2, value=value, gradient=gradient,
+        hessian_apply=hessian_apply, hessian_solve=hessian_solve,
+        direction_eigs=direction_eigs, hessian_factor=hessian_factor,
+    )
+
+
+def _esym_oracle(d: int, k: int) -> BarrierOracle:
+    """Barrier ``-ln e_k`` through the dense Hessian of e_k."""
+    guard = _interior_guard(d, ELEMENTARY_SYMMETRIC, lambda e: _esym_interior(e, k))
+
+    def p(x):
+        return float(_esym_values(x, k)[k])
+
+    def grad_hess_p(x):
+        """Gradient and Hessian of e_k itself (not the barrier)."""
+        e_full = _esym_values(x, k)
+        grad = np.zeros(d)
+        hess = np.zeros((d, d))
+        deflated = [_esym_deflate(e_full, x[i]) for i in range(d)]
+        for i in range(d):
+            grad[i] = deflated[i][k - 1]
+            for j in range(i + 1, d):
+                twice = _esym_deflate(deflated[i], x[j])
+                hess[i, j] = hess[j, i] = twice[k - 2]
+        return grad, hess
+
+    def hessian(e):
+        e = guard(e)
+        p_e = p(e)
+        gp, hp = grad_hess_p(e)
+        return np.outer(gp, gp) / p_e**2 - hp / p_e
+
+    def value(e):
+        return -math.log(p(guard(e)))
+
+    def gradient(e):
+        e = guard(e)
+        gp, _ = grad_hess_p(e)
+        return -gp / p(e)
+
+    def hessian_apply(e, v):
+        return hessian(e) @ np.asarray(v, dtype=float)
+
+    def hessian_solve(e, w):
         try:
-            L = np.linalg.cholesky(H)
+            L = np.linalg.cholesky(hessian(e))
         except np.linalg.LinAlgError:
             raise NotInterior("barrier Hessian is not positive definite")
         z = np.linalg.solve(L, np.asarray(w, dtype=float))
         return np.linalg.solve(L.T, z)
 
     def direction_eigs(e, x):
-        if family.name == PRODUCT:
-            e = _interior_or_raise(e)
-            return np.sort(np.asarray(x, dtype=float) / e)
-        if family.name == SECOND_ORDER:
-            e = _interior_or_raise(e)
-            x = _check_dim(family, x)
-            # p(le - x) = A l^2 + B l + C in the Minkowski form
-            A = _minkowski(e, e)
-            B = -2.0 * _minkowski(e, x)
-            C = _minkowski(x, x)
-            disc = max(B * B - 4.0 * A * C, 0.0)
-            root = math.sqrt(disc)
-            return np.sort(np.array([(-B - root) / (2 * A), (-B + root) / (2 * A)]))
+        """The k roots of ``l -> e_k(l e - x)``, from the companion matrix."""
+        e = guard(e)
+        roots = np.roots(_fit_restriction(p, -_check_dim(d, x), e, k)[::-1])
         # Near-coincident roots perturb into conjugate pairs with
         # imaginary parts ~ sqrt(eps * conditioning); a loose realness
         # tolerance keeps those while still rejecting genuinely complex
         # spectra, whose imaginary parts are of order one.
-        return direction_eigs_hp(family, x, e, tol=1e-3)
+        bad = np.abs(roots.imag) > 1e-3 * (1.0 + np.abs(roots.real))
+        if np.any(bad):
+            worst = np.max(np.abs(roots.imag[bad]))
+            raise NonRealEigenvalues(
+                f"imaginary residual {worst:.3e} exceeds tolerance"
+            )
+        return np.sort(roots.real)
 
-    # Every frame closure takes a (d,) vector or a (d, k) block of columns.
     def hessian_factor(e):
-        if family.name == PRODUCT:
-            e = _interior_or_raise(e)
-            inv_e = 1.0 / e
-
-            # Scaling the rows of v.T scales each column of a block.
-            def apply_L(v):
-                return (np.asarray(v, dtype=float).T * inv_e).T
-
-            def solve_any(w):
-                return (np.asarray(w, dtype=float).T * e).T
-
-            return apply_L, solve_any, solve_any
-
-        if family.name == SECOND_ORDER:
-            # Symmetric square root from the closed eigendecomposition;
-            # L = L^T, so the transposed and plain solves coincide.
-            frame = _lorentz_frame(e)
-
-            def apply_L(v):
-                return _lorentz_spectral_apply(frame, v, 0.5)
-
-            def solve_any(w):
-                return _lorentz_spectral_apply(frame, w, -0.5)
-
-            return apply_L, solve_any, solve_any
-
-        H = hessian_matrix(e)
         try:
-            U = scipy.linalg.cholesky(H, lower=False)  # H = U^T U
+            U = scipy.linalg.cholesky(hessian(e), lower=False)  # H = U^T U
         except scipy.linalg.LinAlgError:
             raise NotInterior("barrier Hessian is not positive definite")
 
@@ -348,15 +399,9 @@ def hp_barrier_oracle(family: HpFamily) -> BarrierOracle:
         return apply_L, solve_Lt, solve_L
 
     return BarrierOracle(
-        dim=d,
-        degree=n,
-        value=value,
-        gradient=gradient,
-        hessian_apply=hessian_apply,
-        hessian_solve=hessian_solve,
-        hessian_matrix=hessian_matrix,
-        direction_eigs=direction_eigs,
-        hessian_factor=hessian_factor,
+        dim=d, degree=k, value=value, gradient=gradient,
+        hessian_apply=hessian_apply, hessian_solve=hessian_solve,
+        direction_eigs=direction_eigs, hessian_factor=hessian_factor,
     )
 
 
@@ -366,11 +411,10 @@ def restricted_coeffs(family: HpFamily, x: np.ndarray, e: np.ndarray) -> np.ndar
     Product and second-order families use closed forms; the rest sample
     p at Chebyshev nodes and solve the Vandermonde system.
     """
-    x = _check_dim(family, x)
-    e = _check_dim(family, e)
+    x = _check_dim(family.d, x)
+    e = _check_dim(family.d, e)
     if eval_p(family, e) <= 0.0:
         raise NotInterior("restriction direction must have positive polynomial value")
-    n = family.degree
     if family.name == PRODUCT:
         a = np.array([1.0])
         for xi, ei in zip(x, e):
@@ -378,31 +422,19 @@ def restricted_coeffs(family: HpFamily, x: np.ndarray, e: np.ndarray) -> np.ndar
         return a
     if family.name == SECOND_ORDER:
         return np.array([_minkowski(x, x), 2.0 * _minkowski(x, e), _minkowski(e, e)])
+    return _fit_restriction(lambda y: eval_p(family, y), x, e, family.degree)
+
+
+def _fit_restriction(p, x: np.ndarray, e: np.ndarray, n: int) -> np.ndarray:
+    """Degree-n coefficients of ``t -> p(x + t e)`` from Chebyshev samples."""
     scale = 1.0 + np.linalg.norm(x) / np.linalg.norm(e)
     nodes = scale * np.cos(np.pi * (2 * np.arange(n + 1) + 1) / (2 * (n + 1)))
-    vals = np.array([eval_p(family, x + t * e) for t in nodes])
+    vals = np.array([p(x + t * e) for t in nodes])
     coeffs = np.polynomial.polynomial.polyfit(nodes, vals, n)
     resid = np.max(np.abs(np.polynomial.polynomial.polyval(nodes, coeffs) - vals))
     if resid > 1e-6 * (1.0 + np.max(np.abs(vals))):
         raise NumericalFailure(f"Vandermonde fit residual {resid:.3e} too large")
     return coeffs
-
-
-def direction_eigs_hp(
-    family: HpFamily, x: np.ndarray, e: np.ndarray, tol: float = 1e-6
-) -> np.ndarray:
-    """The n roots of ``lambda -> p(lambda e - x)`` via companion matrix.
-
-    Raises NonRealEigenvalues when imaginary parts exceed
-    ``tol * (1 + |real part|)``.
-    """
-    a = restricted_coeffs(family, -np.asarray(x, dtype=float), e)
-    roots = np.roots(a[::-1])
-    bad = np.abs(roots.imag) > tol * (1.0 + np.abs(roots.real))
-    if np.any(bad):
-        worst = np.max(np.abs(roots.imag[bad]))
-        raise NonRealEigenvalues(f"imaginary residual {worst:.3e} exceeds tolerance")
-    return np.sort(roots.real)
 
 
 def power_sums(eigs: np.ndarray) -> tuple[float, float, float, float]:

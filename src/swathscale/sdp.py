@@ -152,17 +152,6 @@ def det_barrier_oracle(n: int) -> BarrierOracle:
         M = E @ smat(w) @ E
         return svec(0.5 * (M + M.T))
 
-    def hessian_matrix(e):
-        E = smat(e)
-        L = _chol_or_raise(E)
-        Einv = scipy.linalg.cho_solve((L, True), np.eye(n))
-        H = np.empty((d, d))
-        basis = np.eye(d)
-        for j in range(d):
-            M = Einv @ smat(basis[j]) @ Einv
-            H[:, j] = svec(0.5 * (M + M.T))
-        return 0.5 * (H + H.T)
-
     def direction_eigs(e, x):
         return direction_eigs_sdp(smat(e), smat(x))
 
@@ -196,7 +185,6 @@ def det_barrier_oracle(n: int) -> BarrierOracle:
         gradient=gradient,
         hessian_apply=hessian_apply,
         hessian_solve=hessian_solve,
-        hessian_matrix=hessian_matrix,
         direction_eigs=direction_eigs,
         hessian_factor=hessian_factor,
     )

@@ -45,38 +45,6 @@ class SubproblemSolution:
     x_norm_sq: float | None = None
 
 
-def assemble_first_order_system(
-    oracle: BarrierOracle,
-    A: np.ndarray,
-    c: np.ndarray,
-    e: np.ndarray,
-    alpha: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Linear part of the stationarity system over unknowns (x, y, lambda).
-
-    Rows encode ``A x = A e`` and
-    ``0 = lambda c + A^T y + <g(e), x> g(e) - alpha^2 H(e) x``.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha={alpha} outside (0, 1)")
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    m, d = A.shape
-    if m < 1:
-        raise DimensionMismatch("at least one constraint row is required (b != 0)")
-    if d != oracle.dim or c.shape != (d,) or e.shape != (d,):
-        raise DimensionMismatch("A, c, e inconsistent with the oracle dimension")
-    g = oracle.gradient(e)
-    H = oracle.hessian_matrix(e)
-    G = np.outer(g, g) - alpha**2 * H
-    M = np.zeros((m + d, d + m + 1))
-    M[:m, :d] = A
-    M[m:, :d] = G
-    M[m:, d : d + m] = A.T
-    M[m:, d + m] = c
-    rhs = np.concatenate([A @ e, np.zeros(d)])
-    return M, rhs
-
-
 def _stable_quadratic_roots(qa: float, qb: float, qc: float) -> list[float]:
     """Real roots of qa s^2 + qb s + qc with the sign-matched formula."""
     disc = qb * qb - 4.0 * qa * qc

@@ -69,7 +69,6 @@ def trace_header(
             "gap_tol": config.gap_tol,
             "max_iters": config.max_iters,
             "step_mode": config.step_mode.value,
-            "seed": config.seed,
         },
     }
 

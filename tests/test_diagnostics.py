@@ -1,5 +1,6 @@
 """Independent oracles: trace quadratic, membership threshold, bounds."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -119,17 +120,7 @@ class TestFdCheck:
 
     def test_detects_wrong_gradient(self):
         oracle, _, _, _, e, _, _ = make_sdp(3, m=3, seed=2)
-        broken = sw.BarrierOracle(
-            dim=oracle.dim,
-            degree=oracle.degree,
-            value=oracle.value,
-            gradient=lambda x: 2.0 * oracle.gradient(x),
-            hessian_apply=oracle.hessian_apply,
-            hessian_solve=oracle.hessian_solve,
-            hessian_matrix=oracle.hessian_matrix,
-            direction_eigs=oracle.direction_eigs,
-            hessian_factor=oracle.hessian_factor,
-        )
+        broken = dataclasses.replace(oracle, gradient=lambda x: 2.0 * oracle.gradient(x))
         assert not fd_check(broken, e).passed
 
 

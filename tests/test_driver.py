@@ -275,6 +275,15 @@ class TestAlphaSchedule:
         with pytest.raises(DomainError):
             sw.alpha_reduction_run(oracle, A, b, c, e, 0.3, 0.9)
 
+    @pytest.mark.parametrize(
+        "alpha0, target", [(1.5, 0.3), (0.3, 0.9), (0.5, 0.5), (0.5, 0.0), (1.0, 0.5)]
+    )
+    def test_reduction_bound_domain(self, alpha0, target):
+        # Outside 0 < target < alpha0 < 1 the logarithms are undefined or
+        # the bound is meaningless.
+        with pytest.raises(DomainError):
+            sw.alpha_reduction_bound(alpha0, target)
+
 
 class TestDualityGap:
     def test_matches_subproblem_gap(self):

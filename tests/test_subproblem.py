@@ -9,11 +9,31 @@ from hypothesis import strategies as st
 
 import swathscale as sw
 from swathscale.errors import DimensionMismatch, DomainError, NumericalFailure
-from swathscale.subproblem import _cholesky_qr2, assemble_first_order_system
+from swathscale.subproblem import _cholesky_qr2
 
 from conftest import diag2_problem, make_sdp
 
 SQRT7 = 2.6457513110645905905
+
+
+def assemble_first_order_system(oracle, A, c, e, alpha):
+    """Linear part of the stationarity system over unknowns (x, y, lambda).
+
+    Rows encode ``A x = A e`` and
+    ``0 = lambda c + A^T y + <g(e), x> g(e) - alpha^2 H(e) x``, with the
+    dense H(e) built column by column from ``hessian_apply``: an
+    independent check on the closed-form solve, which never forms H.
+    """
+    m, d = A.shape
+    g = oracle.gradient(e)
+    H = np.column_stack([oracle.hessian_apply(e, col) for col in np.eye(d)])
+    M = np.zeros((m + d, d + m + 1))
+    M[:m, :d] = A
+    M[m:, :d] = np.outer(g, g) - alpha**2 * H
+    M[m:, d : d + m] = A.T
+    M[m:, d + m] = c
+    rhs = np.concatenate([A @ e, np.zeros(d)])
+    return M, rhs
 
 
 class TestWorkedInstance:
