@@ -4,7 +4,9 @@ Instance files are auto-detected by suffix: ``.dat-s`` is sparse SDPA
 (with an optional ``<stem>.start.json`` sidecar carrying the interior
 start matrix), ``.json`` is the hyperbolic-program schema.  Exit codes:
 0 success, 2 start point outside the swath (or not an interior feasible
-point), 3 numerical failure or iteration limit, 4 parse/input error.
+point), 3 numerical failure or iteration limit, 4 parse/input error,
+including an instance that loads but fails its checks (dependent
+constraints, a start point off ``A e0 = b``).
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ from .driver import (
     run,
 )
 from .errors import (
+    DimensionMismatch,
     DomainError,
+    InvariantViolation,
     NotInterior,
     NumericalFailure,
     ParseError,
@@ -39,13 +43,15 @@ from .hyperbolic import (
     SECOND_ORDER,
     hp_barrier_oracle,
 )
-from .sdp import det_barrier_oracle, svec
+from .sdp import det_barrier_oracle, smat, svec
 from .sdpa import parse_sdpa
 from .subproblem import in_swath
 
 _EXIT_NOT_IN_SWATH = 2
 _EXIT_NUMERICAL = 3
 _EXIT_PARSE = 4
+# Errors of the options or of the instance file, raised before any iteration.
+_INPUT_ERRORS = (DimensionMismatch, DomainError, InvariantViolation, ParseError)
 
 _STATUS_EXIT = {
     RunStatus.CONVERGED: 0,
@@ -61,7 +67,10 @@ def _start_sidecar(path: pathlib.Path) -> pathlib.Path:
 
 
 def _load_problem(path: pathlib.Path):
-    """Return (oracle, A, b, c, e0, meta) for either instance format."""
+    """Return (oracle, A, b, c, e0, meta) for either instance format.
+
+    For SDPA files ``meta["instance"]`` is the parsed ``SdpInstance``.
+    """
     text = path.read_text()
     if path.name.endswith(".dat-s"):
         inst = parse_sdpa(text)
@@ -72,7 +81,10 @@ def _load_problem(path: pathlib.Path):
         if E0.shape[0] != inst.n:
             raise ParseError("start matrix order does not match the instance")
         oracle = det_barrier_oracle(inst.n)
-        meta = {"backend": "sdp", "n": inst.n, "m": inst.m, "id": path.name}
+        meta = {
+            "backend": "sdp", "n": inst.n, "m": inst.m, "id": path.name,
+            "instance": inst,
+        }
         return oracle, inst.constraint_rows(), inst.b, svec(inst.C), svec(E0), meta
     if path.suffix == ".json":
         inst = hpjson.read_hp_json(text)
@@ -126,7 +138,7 @@ def solve(file, alpha, tol, max_iters, step, trace_path, trace_format):
             step_mode=StepMode(step),
         )
         oracle, A, b, c, e0, meta = _load_problem(file)
-    except (DomainError, ParseError) as exc:
+    except _INPUT_ERRORS as exc:
         _fail(exc, _EXIT_PARSE)
     try:
         result = run(oracle, A, b, c, e0, config)
@@ -202,7 +214,7 @@ def reduce_alpha(file, alpha0, target):
     try:
         bound = alpha_reduction_bound(alpha0, target)
         oracle, A, b, c, e0, _ = _load_problem(file)
-    except (DomainError, ParseError) as exc:
+    except _INPUT_ERRORS as exc:
         _fail(exc, _EXIT_PARSE)
     try:
         e_final, iterations = alpha_reduction_run(
@@ -230,7 +242,7 @@ def validate(file, checks, alpha):
     """Run the per-iteration diagnostic oracles at the start point."""
     try:
         oracle, A, b, c, e0, meta = _load_problem(file)
-    except ParseError as exc:
+    except _INPUT_ERRORS as exc:
         _fail(exc, _EXIT_PARSE)
 
     reports = []
@@ -238,9 +250,7 @@ def validate(file, checks, alpha):
         if checks in ("all", "fd"):
             reports.append(diagnostics.fd_check(oracle, e0))
         if meta["backend"] == "sdp":
-            from .sdp import SdpInstance, smat
-
-            inst = parse_sdpa(file.read_text())
+            inst = meta["instance"]
             E0 = smat(e0)
             n = meta["n"]
             if checks in ("all", "qscale"):

@@ -62,6 +62,8 @@ class SolverConfig:
             raise DomainError(f"alpha={self.alpha} outside (0, 1)")
         if self.gap_tol <= 0.0:
             raise DomainError("gap_tol must be positive")
+        if self.max_iters < 1:
+            raise DomainError(f"max_iters={self.max_iters} must be at least 1")
 
 
 @dataclass

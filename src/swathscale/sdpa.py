@@ -4,11 +4,18 @@ Multi-block files are concatenated into one dense symmetric block; the
 original block sizes are kept in the instance metadata so a write
 followed by a parse round-trips.  Entries with matrix number 0 populate
 the objective matrix C; numbers 1..m populate the constraint matrices.
+
+Both directions work in bulk.  The reader converts entry lines a chunk
+at a time with ``np.loadtxt`` and checks each chunk with array
+operations; only a chunk that fails to convert is rescanned line by
+line, to name the offending line.  The writer formats one matrix at a
+time from the nonzeros of its block upper triangles.
 """
 
 from __future__ import annotations
 
-import re
+import itertools
+import warnings
 
 import numpy as np
 
@@ -16,20 +23,107 @@ from .errors import InvariantViolation, ParseError
 from .sdp import SdpInstance
 
 _COMMENT_PREFIXES = ('"', "*", "#")
-_PUNCT = re.compile(r"[{}(),]")
+# Braces, parentheses and commas separate values like spaces do.
+_PUNCT = str.maketrans("{}(),", "     ")
+# Entry lines are read in pieces of about this many characters (a few
+# thousand lines), cut at line breaks, so no whole-file line list exists.
+_CHUNK_CHARS = 1 << 16
+_ENTRY = np.dtype(
+    [("mat", np.int32), ("blk", np.int32), ("i", np.int32), ("j", np.int32),
+     ("val", np.float64)]
+)
 
 
 def _tokens(line: str) -> list[str]:
-    return _PUNCT.sub(" ", line).split()
+    return line.translate(_PUNCT).split()
 
 
-def _content_lines(text: str):
-    """Yield (lineno, tokens) for non-comment, non-blank lines, 1-based."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith(_COMMENT_PREFIXES):
-            continue
-        yield lineno, _tokens(stripped)
+def _chunk_end(text: str, pos: int) -> int:
+    """Index just past the first LF, CR or CRLF at or after ``pos``."""
+    lf = text.find("\n", pos)
+    cr = text.find("\r", pos, lf if lf >= 0 else len(text))
+    if cr >= 0 and text[cr + 1 : cr + 2] != "\n":
+        return cr + 1
+    return lf + 1 if lf >= 0 else len(text)
+
+
+def _content_chunks(text: str):
+    """Yield (linenos, rows) per chunk: the stripped non-comment, non-blank
+    lines of the chunk and their 1-based line numbers in ``text``."""
+    start, lineno = 0, 1
+    while start < len(text):
+        stop = _chunk_end(text, start + _CHUNK_CHARS)
+        chunk = text[start:stop]
+        rows = list(map(str.strip, chunk.splitlines()))
+        linenos = list(range(lineno, lineno + len(rows)))
+        start, lineno = stop, lineno + len(rows)
+        # A chunk with no blank line and no comment prefix character
+        # anywhere keeps every line, and skips the per-line filter.
+        if "" in rows or any(prefix in chunk for prefix in _COMMENT_PREFIXES):
+            keep = [
+                k for k, row in enumerate(rows)
+                if row and not row.startswith(_COMMENT_PREFIXES)
+            ]
+            linenos = [linenos[k] for k in keep]
+            rows = [rows[k] for k in keep]
+        yield linenos, rows
+
+
+def _entry_error(matno, blkno, i, j, m, block_sizes) -> str | None:
+    """Message of the first check that entry (matno, blkno, i, j) fails."""
+    if not 0 <= matno <= m:
+        return f"matrix number {matno} outside 0..{m}"
+    if not 1 <= blkno <= len(block_sizes):
+        return f"block number {blkno} outside 1..{len(block_sizes)}"
+    width = abs(block_sizes[blkno - 1])
+    if not 1 <= i <= j <= width:
+        return f"indices ({i}, {j}) not upper-triangular within block size {width}"
+    if block_sizes[blkno - 1] < 0 and i != j:
+        return "diagonal block admits only diagonal entries"
+    return None
+
+
+def _raise_first_bad_entry(linenos, rows, m, block_sizes):
+    """Check a chunk line by line and raise for its first bad line.
+
+    Entry lines must be ASCII and their numbers free of underscores:
+    ``np.loadtxt`` reads only those, where Python's ``int``/``float``
+    accept more.
+    """
+    for lineno, row in zip(linenos, rows):
+        toks = _tokens(row)
+        if len(toks) != 5:
+            raise ParseError("entry lines need 'matno blkno i j value'", line=lineno)
+        try:
+            if not row.isascii() or "_" in row:
+                raise ValueError
+            matno, blkno, i, j = (int(tok) for tok in toks[:4])
+            float(toks[4])
+        except ValueError:
+            raise ParseError("malformed entry line", line=lineno)
+        message = _entry_error(matno, blkno, i, j, m, block_sizes)
+        if message is not None:
+            raise ParseError(message, line=lineno)
+    # Not reached while the checks above reject all that loadtxt does.
+    raise ParseError("malformed entry line", line=linenos[0])
+
+
+def _convert(rows: list[str]) -> np.ndarray | None:
+    """The chunk's entries as an ``_ENTRY`` array, or None if any line
+    does not convert."""
+    text = "\n".join(rows).translate(_PUNCT)
+    if not text.isascii() or "_" in text:
+        return None
+    try:
+        # Older NumPy reads "1.0" into an integer field with only a
+        # DeprecationWarning; turned into an error it is a ValueError.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            entries = np.loadtxt(text.split("\n"), dtype=_ENTRY, comments=None, ndmin=1)
+    except ValueError:
+        return None
+    # loadtxt skips rows that are blank once punctuation is removed.
+    return entries if entries.size == len(rows) else None
 
 
 def parse_sdpa(text: str) -> SdpInstance:
@@ -39,13 +133,18 @@ def parse_sdpa(text: str) -> SdpInstance:
     input and InvariantViolation when the parsed instance is degenerate
     (b = 0 or dependent constraints).
     """
-    lines = iter(_content_lines(text))
+    chunks = _content_chunks(text)
+    linenos: list[int] = []
+    rows: list[str] = []
 
     def next_line(what):
-        try:
-            return next(lines)
-        except StopIteration:
-            raise ParseError(f"unexpected end of file while reading {what}")
+        nonlocal linenos, rows
+        while not rows:
+            try:
+                linenos, rows = next(chunks)
+            except StopIteration:
+                raise ParseError(f"unexpected end of file while reading {what}")
+        return linenos.pop(0), _tokens(rows.pop(0))
 
     lineno, toks = next_line("the number of constraints")
     try:
@@ -74,8 +173,8 @@ def parse_sdpa(text: str) -> SdpInstance:
         )
     if any(size == 0 for size in block_sizes):
         raise ParseError("block sizes must be nonzero", line=lineno)
-    widths = [abs(size) for size in block_sizes]
-    offsets = np.concatenate([[0], np.cumsum(widths)])
+    sizes = np.array(block_sizes, dtype=np.int64)
+    offsets = np.concatenate([[0], np.cumsum(np.abs(sizes))])
     n = int(offsets[-1])
 
     lineno, toks = next_line("the right-hand-side vector")
@@ -86,33 +185,39 @@ def parse_sdpa(text: str) -> SdpInstance:
     if b.size != m:
         raise ParseError(f"expected {m} right-hand-side values, got {b.size}", line=lineno)
 
-    mats = [np.zeros((n, n)) for _ in range(m + 1)]
-    touched = [False] * (m + 1)
-    for lineno, toks in lines:
-        if len(toks) != 5:
-            raise ParseError("entry lines need 'matno blkno i j value'", line=lineno)
-        try:
-            matno, blkno, i, j = (int(tok) for tok in toks[:4])
-            value = float(toks[4])
-        except ValueError:
-            raise ParseError("malformed entry line", line=lineno)
-        if not 0 <= matno <= m:
-            raise ParseError(f"matrix number {matno} outside 0..{m}", line=lineno)
-        if not 1 <= blkno <= nblocks:
-            raise ParseError(f"block number {blkno} outside 1..{nblocks}", line=lineno)
-        width = widths[blkno - 1]
-        if not 1 <= i <= j <= width:
+    mats = np.zeros((m + 1, n, n))
+    flat = mats.reshape(-1)
+    touched = np.zeros(m + 1, dtype=bool)
+    for linenos, rows in itertools.chain([(linenos, rows)], chunks):
+        if not rows:
+            continue
+        entries = _convert(rows)
+        if entries is None:
+            _raise_first_bad_entry(linenos, rows, m, block_sizes)
+        mat, blk, i, j = (entries[f].astype(np.int64) for f in ("mat", "blk", "i", "j"))
+        blk0 = np.clip(blk - 1, 0, nblocks - 1)
+        bad = (
+            (mat < 0) | (mat > m) | (blk < 1) | (blk > nblocks)
+            | (i < 1) | (i > j) | (j > np.abs(sizes[blk0]))
+            | ((sizes[blk0] < 0) & (i != j))
+        )
+        if bad.any():
+            k = int(np.argmax(bad))
             raise ParseError(
-                f"indices ({i}, {j}) not upper-triangular within block size {width}",
-                line=lineno,
+                _entry_error(int(mat[k]), int(blk[k]), int(i[k]), int(j[k]), m, block_sizes),
+                line=linenos[k],
             )
-        if block_sizes[blkno - 1] < 0 and i != j:
-            raise ParseError("diagonal block admits only diagonal entries", line=lineno)
-        r = int(offsets[blkno - 1]) + i - 1
-        s = int(offsets[blkno - 1]) + j - 1
-        mats[matno][r, s] = value
-        mats[matno][s, r] = value
-        touched[matno] = True
+        r = offsets[blk0] + i - 1
+        s = offsets[blk0] + j - 1
+        upper = (mat * n + r) * n + s
+        # Fancy assignment leaves the winner among repeated indices
+        # unspecified, so keep only the last entry of each position.
+        _, last = np.unique(upper[::-1], return_index=True)
+        keep = upper.size - 1 - last
+        vals = entries["val"][keep]
+        flat[upper[keep]] = vals
+        flat[((mat * n + s) * n + r)[keep]] = vals
+        touched[mat] = True
 
     for k in range(1, m + 1):
         if not touched[k]:
@@ -120,7 +225,7 @@ def parse_sdpa(text: str) -> SdpInstance:
 
     inst = SdpInstance(
         C=mats[0],
-        constraints=mats[1:],
+        constraints=list(mats[1:]),
         b=b,
         metadata={"block_sizes": block_sizes},
     )
@@ -139,27 +244,47 @@ def write_sdpa(inst: SdpInstance) -> str:
     if sum(abs(size) for size in block_sizes) != n:
         block_sizes = [n]
     offsets = np.concatenate([[0], np.cumsum([abs(s) for s in block_sizes])])
+    mats = [inst.C, *inst.constraints]
+
+    # The positions a line may name, in file order (block, i, j >= i):
+    # each block's upper triangle, or only the diagonal of a diagonal
+    # block, whose strict upper triangle must be zero.
+    rows, cols, blks, diag_blocks = [], [], [], []
+    for blk, size in enumerate(block_sizes, start=1):
+        lo, hi = int(offsets[blk - 1]), int(offsets[blk])
+        if size < 0:
+            i = j = np.arange(hi - lo)
+            diag_blocks.append((lo, hi))
+        else:
+            i, j = np.triu_indices(hi - lo)
+        rows.append(lo + i)
+        cols.append(lo + j)
+        blks.append(np.full(i.size, blk))
+    rows, cols, blks = (np.concatenate(a) for a in (rows, cols, blks))
+    for M in mats:
+        if any(np.triu(M[lo:hi, lo:hi], 1).any() for lo, hi in diag_blocks):
+            raise InvariantViolation("off-diagonal entry inside a diagonal block")
+
+    # One "blk i j %.17g" template per position that some matrix uses.
+    used = np.zeros(rows.size, dtype=bool)
+    for M in mats:
+        used |= M[rows, cols] != 0.0
+    pos = np.flatnonzero(used)
+    templates = [
+        f"{blk} {r - lo + 1} {c - lo + 1} %.17g"
+        for blk, r, c, lo in zip(
+            blks[pos].tolist(), rows[pos].tolist(), cols[pos].tolist(),
+            offsets[blks[pos] - 1].tolist(),
+        )
+    ]
+    slot = np.cumsum(used) - 1
 
     out = [str(inst.m), str(len(block_sizes)), " ".join(str(s) for s in block_sizes)]
     out.append(" ".join(f"{v:.17g}" for v in inst.b))
-
-    def emit(matno: int, M: np.ndarray):
-        for blk, size in enumerate(block_sizes, start=1):
-            lo, hi = int(offsets[blk - 1]), int(offsets[blk])
-            for i in range(lo, hi):
-                for j in range(i, hi):
-                    if size < 0 and i != j:
-                        if M[i, j] != 0.0:
-                            raise InvariantViolation(
-                                "off-diagonal entry inside a diagonal block"
-                            )
-                        continue
-                    if M[i, j] != 0.0:
-                        out.append(
-                            f"{matno} {blk} {i - lo + 1} {j - lo + 1} {M[i, j]:.17g}"
-                        )
-
-    emit(0, inst.C)
-    for k, A in enumerate(inst.constraints, start=1):
-        emit(k, A)
+    for matno, M in enumerate(mats):
+        vals = M[rows, cols]
+        nz = np.flatnonzero(vals)
+        if nz.size:
+            body = f"\n{matno} ".join([templates[t] for t in slot[nz].tolist()])
+            out.append(f"{matno} " + body % tuple(vals[nz].tolist()))
     return "\n".join(out) + "\n"

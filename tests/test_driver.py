@@ -145,6 +145,12 @@ class TestRun:
         assert res.status is sw.RunStatus.MAX_ITERS
         assert res.iterations == 3
 
+    @pytest.mark.parametrize("max_iters", [0, -3])
+    def test_max_iters_below_one_is_domain_error(self, max_iters):
+        # Without an iteration there is no gap to report.
+        with pytest.raises(DomainError):
+            sw.SolverConfig(max_iters=max_iters)
+
     def test_not_in_swath_status(self):
         inst, E0 = sw.gen_central_path_sdp(3, 2, 1.0, 0)
         oracle = sw.det_barrier_oracle(3)

@@ -6,11 +6,13 @@ import pathlib
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import swathscale as sw
 import swathscale.generate
 from swathscale.cli import main
-from swathscale.errors import ParseError, RetryExhausted
+from swathscale.errors import InvariantViolation, ParseError, RetryExhausted
 
 SAMPLE_SDPA = """\
 "a comment line
@@ -65,6 +67,8 @@ class TestSdpaParser:
             ("0 1 2 1 1.0", 6),  # not upper triangular
             ("9 1 1 1 1.0", 6),  # matrix number out of range
             ("0 7 1 1 1.0", 6),  # block number out of range
+            ("{ }", 6),  # no values once braces count as spaces
+            ("0 1 1 1 1_0", 6),  # digit separators are not accepted
         ],
     )
     def test_entry_errors_carry_line_numbers(self, mutation, lineno):
@@ -98,6 +102,191 @@ class TestSdpaParser:
         assert np.array_equal(inst.b, again.b)
         for A1, A2 in zip(inst.constraints, again.constraints):
             assert np.array_equal(A1, A2)
+
+
+def reference_write_sdpa(inst):
+    """The entry-by-entry writer that ``write_sdpa`` must match byte for byte."""
+    n = inst.n
+    block_sizes = inst.metadata.get("block_sizes", [n])
+    if sum(abs(size) for size in block_sizes) != n:
+        block_sizes = [n]
+    offsets = np.concatenate([[0], np.cumsum([abs(s) for s in block_sizes])])
+
+    out = [str(inst.m), str(len(block_sizes)), " ".join(str(s) for s in block_sizes)]
+    out.append(" ".join(f"{v:.17g}" for v in inst.b))
+
+    def emit(matno, M):
+        for blk, size in enumerate(block_sizes, start=1):
+            lo, hi = int(offsets[blk - 1]), int(offsets[blk])
+            for i in range(lo, hi):
+                for j in range(i, hi):
+                    if size < 0 and i != j:
+                        if M[i, j] != 0.0:
+                            raise InvariantViolation(
+                                "off-diagonal entry inside a diagonal block"
+                            )
+                        continue
+                    if M[i, j] != 0.0:
+                        out.append(
+                            f"{matno} {blk} {i - lo + 1} {j - lo + 1} {M[i, j]:.17g}"
+                        )
+
+    emit(0, inst.C)
+    for k, A in enumerate(inst.constraints, start=1):
+        emit(k, A)
+    return "\n".join(out) + "\n"
+
+
+# Magnitudes up to 1e3 keep the rank tolerance of SdpInstance.validate
+# (1e-8 of the largest entry) below the pivots; the range includes -0.0
+# and subnormals.
+_ENTRY_VALUES = st.floats(-1e3, 1e3)
+_PIVOT_VALUES = st.floats(0.5, 2.0) | st.floats(-2.0, -0.5)
+
+
+@st.composite
+def sdpa_instances(draw):
+    """Valid multi-block instances with sparse matrices.
+
+    Each matrix owns a pivot position where every other matrix is zero,
+    so the constraints are independent and C lies off their span.
+    """
+    block_sizes = draw(st.lists(st.integers(-4, 4).filter(bool), min_size=1, max_size=3))
+    positions, lo = [], 0
+    for size in block_sizes:
+        width = abs(size)
+        for i in range(width):
+            positions += [(lo + i, lo + j) for j in (range(i, i + 1) if size < 0 else range(i, width))]
+        lo += width
+    n = lo
+    if len(positions) < 2:
+        block_sizes, positions, n = [2], [(0, 0), (0, 1), (1, 1)], 2
+    m = draw(st.integers(1, min(len(positions) - 1, 5)))
+    pivots = draw(st.permutations(positions))[: m + 1]
+    mats = []
+    for k in range(m + 1):
+        M = np.zeros((n, n))
+        for r, s in draw(st.lists(st.sampled_from(positions), max_size=6)):
+            M[r, s] = M[s, r] = draw(_ENTRY_VALUES)
+        for q, (r, s) in enumerate(pivots):
+            M[r, s] = M[s, r] = draw(_PIVOT_VALUES) if q == k else 0.0
+        mats.append(M)
+    b = np.array(draw(st.lists(_ENTRY_VALUES, min_size=m, max_size=m)))
+    b[draw(st.integers(0, m - 1))] = draw(_PIVOT_VALUES)
+    return sw.SdpInstance(
+        C=mats[0], constraints=mats[1:], b=b, metadata={"block_sizes": block_sizes}
+    )
+
+
+class TestSdpaBulk:
+    """The bulk reader and writer against the entry-by-entry behaviour."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(sdpa_instances())
+    def test_write_matches_reference_and_round_trips(self, inst):
+        text = sw.write_sdpa(inst)
+        assert text == reference_write_sdpa(inst)
+        again = sw.parse_sdpa(text)
+        assert again.metadata["block_sizes"] == inst.metadata["block_sizes"]
+        assert again.b.tobytes() == inst.b.tobytes()
+        for M, back in zip([inst.C, *inst.constraints], [again.C, *again.constraints]):
+            # A -0.0 entry is not written, so it reads back as +0.0.
+            assert back.tobytes() == (M + 0.0).tobytes()
+
+    def test_write_rejects_off_diagonal_in_diagonal_block(self):
+        C = np.diag([1.0, 2.0, 3.0])
+        A = np.eye(3)
+        A[1, 2] = A[2, 1] = 0.5
+        inst = sw.SdpInstance(
+            C=C, constraints=[A], b=np.array([1.0]), metadata={"block_sizes": [1, -2]}
+        )
+        with pytest.raises(InvariantViolation, match="off-diagonal"):
+            sw.write_sdpa(inst)
+
+    @pytest.mark.parametrize(
+        "first, second, message",
+        [
+            ("9 1 1 1 1.0", "0 1 1 1", "matrix number 9 outside 0..2"),
+            ("0 1 1 1", "9 1 1 1 1.0", "entry lines need"),
+            ("0 1 2 1 1.0", "x 1 1 1 1.0", r"indices \(2, 1\) not upper-triangular"),
+        ],
+        ids=["range-then-arity", "arity-then-range", "triangle-then-malformed"],
+    )
+    def test_earlier_of_two_bad_lines_is_reported(self, first, second, message):
+        lines = SAMPLE_SDPA.splitlines()
+        lines[6], lines[8] = first, second
+        with pytest.raises(ParseError, match=f"^line 7: {message}"):
+            sw.parse_sdpa("\n".join(lines))
+
+    @pytest.mark.parametrize("late_kind", ["range", "malformed"])
+    def test_earlier_bad_line_wins_across_chunks(self, late_kind):
+        # About 8.6k entry lines, so the two bad lines are chunks apart.
+        inst, _ = sw.gen_central_path_sdp(20, 40, 1.0, 0)
+        lines = sw.write_sdpa(inst).splitlines()
+        lines[99] = "0 1 3 2 1.0"
+        lines[-20] = "1.5 1 1 1 1.0" if late_kind == "malformed" else "99 1 1 1 1.0"
+        with pytest.raises(ParseError, match="^line 100: indices"):
+            sw.parse_sdpa("\n".join(lines))
+        lines[99] = "0 1 2 2 1.0"
+        message = "malformed" if late_kind == "malformed" else "matrix number 99"
+        with pytest.raises(ParseError, match=f"^line {len(lines) - 19}: {message}"):
+            sw.parse_sdpa("\n".join(lines))
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize(
+        "filler",
+        [["", '"quoted note', "* starred note", "   ", "# hashed note"], ["", "   "]],
+        ids=["comments-and-blanks", "blanks-only"],
+    )
+    def test_line_numbers_count_comment_and_blank_lines(self, filler, newline):
+        inst, _ = sw.gen_central_path_sdp(20, 40, 1.0, 0)
+        lines = sw.write_sdpa(inst).splitlines()
+        lines[4000] = "0 1 1 1 1.0 extra"
+        # Filler lines among the entries, before and within the chunk that
+        # holds the bad line.
+        for at in (3000, 10, 6, 3990):
+            lines[at:at] = filler
+        bad = lines.index("0 1 1 1 1.0 extra") + 1
+        with pytest.raises(ParseError, match=f"^line {bad}: entry lines need"):
+            sw.parse_sdpa(newline.join(lines))
+
+    def test_non_ascii_entry_is_malformed(self):
+        # NumPy's integer reader takes some non-ASCII letters for digits.
+        lines = SAMPLE_SDPA.splitlines()
+        lines[5] = "0 1 1 \u01fe 1.0"
+        with pytest.raises(ParseError, match="^line 6: malformed entry line$"):
+            sw.parse_sdpa("\n".join(lines))
+
+    def test_float_matrix_number_is_an_error(self):
+        lines = SAMPLE_SDPA.splitlines()
+        lines[7] = "1.0 1 1 1 1.0"
+        with pytest.raises(ParseError, match="^line 8: malformed entry line"):
+            sw.parse_sdpa("\n".join(lines))
+
+    def test_trailing_hash_is_not_a_comment(self):
+        lines = SAMPLE_SDPA.splitlines()
+        lines[5] += " # note"
+        with pytest.raises(ParseError, match="^line 6: entry lines need"):
+            sw.parse_sdpa("\n".join(lines))
+
+    def test_duplicate_position_keeps_last_value(self):
+        text = SAMPLE_SDPA + "0 1 1 1 7.0\n2 1 1 2 0.25\n0 1 1 1 3.0\n"
+        inst = sw.parse_sdpa(text)
+        assert inst.C[0, 0] == 3.0
+        assert inst.constraints[1][0, 1] == inst.constraints[1][1, 0] == 0.25
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_crlf_input_parses(self, newline):
+        plain = sw.parse_sdpa(SAMPLE_SDPA)
+        other = sw.parse_sdpa(SAMPLE_SDPA.replace("\n", newline))
+        for M, again in zip([plain.C, *plain.constraints], [other.C, *other.constraints]):
+            assert np.array_equal(M, again)
+        assert np.array_equal(plain.b, other.b)
+
+    def test_header_without_entries(self):
+        header = "\n".join(SAMPLE_SDPA.splitlines()[:5]) + "\n"
+        with pytest.raises(ParseError, match="^constraint matrix 1 has no entries$"):
+            sw.parse_sdpa(header)
 
 
 class TestHpJson:
@@ -270,8 +459,9 @@ class TestCli:
             ("solve", ["--tol", "-1"]),
             ("reduce-alpha", ["--alpha0", "1.5", "--target", "0.3"]),
             ("reduce-alpha", ["--alpha0", "0.3", "--target", "0.9"]),
+            ("solve", ["--max-iters", "0"]),
         ],
-        ids=["solve-alpha", "solve-tol", "reduce-alpha0", "reduce-target"],
+        ids=["solve-alpha", "solve-tol", "reduce-alpha0", "reduce-target", "solve-max-iters"],
     )
     def test_bad_option_is_input_error(self, tmp_path, command, options):
         runner = CliRunner()
@@ -280,6 +470,42 @@ class TestCli:
             main, ["generate", "sdp", "--n", "4", "--m", "6", "--seed", "0", "--out", str(out)]
         )
         r = runner.invoke(main, [command, str(out), *options])
+        assert r.exit_code == 4, r.output
+        assert "error:" in r.output
+
+    @staticmethod
+    def write_invalid_instance(tmp_path, kind):
+        """An instance file that parses but fails its instance checks."""
+        if kind == "hp-start-off-affine":
+            inst, _ = sw.gen_hp_instance(sw.second_order_family(6), 3, 1.0, 0)
+            doc = json.loads(sw.write_hp_json(inst))
+            doc["e0"] = (2.0 * inst.e0).tolist()  # A e0 = 2 b
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(doc))
+            return path
+        inst, E0 = sw.gen_central_path_sdp(3, 2, 1.0, 0)
+        dependent = sw.SdpInstance(
+            C=inst.C, constraints=[inst.constraints[0], 2.0 * inst.constraints[0]],
+            b=inst.b,
+        )
+        path = tmp_path / "bad.dat-s"
+        path.write_text(sw.write_sdpa(dependent))
+        (tmp_path / "bad.start.json").write_text(sw.write_start_point(E0))
+        return path
+
+    @pytest.mark.parametrize("kind", ["hp-start-off-affine", "sdpa-dependent"])
+    @pytest.mark.parametrize(
+        "command, options",
+        [
+            ("solve", []),
+            ("reduce-alpha", ["--alpha0", "0.9", "--target", "0.3"]),
+            ("validate", []),
+        ],
+        ids=["solve", "reduce-alpha", "validate"],
+    )
+    def test_invalid_instance_is_input_error(self, tmp_path, command, options, kind):
+        path = self.write_invalid_instance(tmp_path, kind)
+        r = CliRunner().invoke(main, [command, str(path), *options])
         assert r.exit_code == 4, r.output
         assert "error:" in r.output
 
