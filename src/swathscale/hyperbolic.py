@@ -317,7 +317,7 @@ def _lorentz_oracle(d: int) -> BarrierOracle:
 
 
 def _esym_oracle(d: int, k: int) -> BarrierOracle:
-    """Barrier ``-ln e_k`` through the dense Hessian of e_k."""
+    """Barrier ``-ln e_k`` through a Hessian factor split along ``grad p / p``."""
     guard = _interior_guard(d, ELEMENTARY_SYMMETRIC, lambda e: _esym_interior(e, k))
 
     def p(x):
@@ -336,11 +336,32 @@ def _esym_oracle(d: int, k: int) -> BarrierOracle:
                 hess[i, j] = hess[j, i] = twice[k - 2]
         return grad, hess
 
-    def hessian(e):
+    def split_factor(e):
+        """``(T, C)`` with ``H(e) = L^T L`` for ``L = C^T T^T``.
+
+        ``H = ghat ghat^T + M`` with ``ghat = grad p / p`` and
+        ``M = -hess p / p``.  T is the Householder reflector whose last
+        column is ``+-ghat / ||ghat||``, and C is the lower Cholesky factor
+        of ``T^T H T``: ``T^T M T`` plus ``||ghat||^2`` in the last diagonal
+        entry.  Off ghat, H equals M, so the ``1/p^2`` scale reaches only
+        the last pivot.  A Cholesky of the dense H (cond up to 4e16 near
+        the boundary) has a backward error that swamps the O(1) curvature
+        along e.
+        """
         e = guard(e)
         p_e = p(e)
         gp, hp = grad_hess_p(e)
-        return np.outer(gp, gp) / p_e**2 - hp / p_e
+        ghat = gp / p_e
+        norm_g = float(np.linalg.norm(ghat))
+        v = ghat / norm_g
+        v[-1] += math.copysign(1.0, v[-1])
+        T = np.eye(d) - (2.0 / np.dot(v, v)) * np.outer(v, v)
+        B = T.T @ (-hp / p_e) @ T
+        B[-1, -1] += norm_g**2
+        try:
+            return T, np.linalg.cholesky(B)
+        except np.linalg.LinAlgError:
+            raise NotInterior("barrier Hessian is not positive definite")
 
     def value(e):
         return -math.log(p(guard(e)))
@@ -351,15 +372,12 @@ def _esym_oracle(d: int, k: int) -> BarrierOracle:
         return -gp / p(e)
 
     def hessian_apply(e, v):
-        return hessian(e) @ np.asarray(v, dtype=float)
+        T, C = split_factor(e)
+        return T @ (C @ (C.T @ (T.T @ np.asarray(v, dtype=float))))
 
     def hessian_solve(e, w):
-        try:
-            L = np.linalg.cholesky(hessian(e))
-        except np.linalg.LinAlgError:
-            raise NotInterior("barrier Hessian is not positive definite")
-        z = np.linalg.solve(L, np.asarray(w, dtype=float))
-        return np.linalg.solve(L.T, z)
+        _, solve_Lt, solve_L = hessian_factor(e)
+        return solve_L(solve_Lt(w))
 
     def direction_eigs(e, x):
         """The k roots of ``l -> e_k(l e - x)``, from the companion matrix."""
@@ -378,22 +396,19 @@ def _esym_oracle(d: int, k: int) -> BarrierOracle:
         return np.sort(roots.real)
 
     def hessian_factor(e):
-        try:
-            U = scipy.linalg.cholesky(hessian(e), lower=False)  # H = U^T U
-        except scipy.linalg.LinAlgError:
-            raise NotInterior("barrier Hessian is not positive definite")
+        T, C = split_factor(e)
 
         def apply_L(v):
-            return U @ np.asarray(v, dtype=float)
+            return C.T @ (T.T @ np.asarray(v, dtype=float))
 
         def solve_Lt(v):
             return scipy.linalg.solve_triangular(
-                U, np.asarray(v, dtype=float), trans="T", lower=False
+                C, T.T @ np.asarray(v, dtype=float), lower=True
             )
 
         def solve_L(w):
-            return scipy.linalg.solve_triangular(
-                U, np.asarray(w, dtype=float), lower=False
+            return T @ scipy.linalg.solve_triangular(
+                C, np.asarray(w, dtype=float), lower=True, trans="T"
             )
 
         return apply_L, solve_Lt, solve_L

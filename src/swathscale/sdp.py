@@ -109,11 +109,17 @@ class SdpInstance:
             raise DimensionMismatch("b length must equal the number of constraints")
         if self.m == 0 or not np.any(np.abs(self.b) > tol * (1 + np.abs(self.b).max(initial=0.0))):
             raise InvariantViolation("b must be nonzero (and m >= 1)")
+
+        def rank(M):
+            return np.linalg.matrix_rank(M, tol=tol * max(1.0, np.abs(M).max()))
+
         rows = self.constraint_rows()
-        if np.linalg.matrix_rank(rows, tol=tol * max(1.0, np.abs(rows).max())) < self.m:
-            raise InvariantViolation("constraint matrices are linearly dependent")
-        stacked = np.vstack([rows, svec(self.C)])
-        if np.linalg.matrix_rank(stacked, tol=tol * max(1.0, np.abs(stacked).max())) == self.m:
+        # Singular values interlace, and the rows' tolerance is no larger, so
+        # a stacked rank of m + 1 implies row rank m: only a rejected
+        # instance pays for the second SVD, which words the error.
+        if rank(np.vstack([rows, svec(self.C)])) <= self.m:
+            if rank(rows) < self.m:
+                raise InvariantViolation("constraint matrices are linearly dependent")
             raise InvariantViolation("C lies in the span of the constraints")
 
 

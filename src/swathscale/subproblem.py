@@ -1,10 +1,11 @@
 """Closed-form solution of the quadratic-cone relaxation and its dual.
 
-The relaxation replaces the barrier cone by ``K_e(alpha)``.  Its
-first-order system is linear in ``(x, y, lambda)`` up to one quadratic
-boundary equation, so the optimum is found by intersecting the system's
-one-dimensional solution line with the boundary quadric and filtering the
-two roots.  The dual pair is recovered in closed form.
+The relaxation replaces the barrier cone by ``K_e(alpha)``.  In a local
+orthonormal frame the constraints fix the component of the solution in
+their range, and only two directions off that range matter: the parts of
+``e`` and ``c`` orthogonal to it.  In their plane the feasible set is a
+conic section, so the optimum is a root of one scalar quadratic.  The
+dual pair is recovered in closed form.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from scipy.linalg.lapack import dtrtri
 from .core import BarrierOracle
 from .errors import DimensionMismatch, DomainError, NumericalFailure
 
-_RANK_TOL = 1e-10
-_LAMBDA_TOL = 1e-12
 _RANK_DEFICIENT = "constraint map is rank-deficient at this point"
 
 
@@ -95,9 +94,9 @@ def solve_qcp(
 ) -> SubproblemSolution:
     """Optimal primal/dual pair of the quadratic-cone relaxation at e.
 
-    Returns status NOT_IN_SWATH when the boundary quadric yields no valid
-    candidate (the relaxation is unbounded); raises NumericalFailure on
-    rank or multiplier breakdown.
+    Returns status NOT_IN_SWATH when the conic section has no minimizer
+    (the relaxation is unbounded); raises NumericalFailure when the
+    constraint map is rank-deficient at e.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     m, d = A.shape
@@ -126,79 +125,50 @@ def solve_qcp(
     if diag_R.size == 0 or diag_R.min() <= 1e-13 * max(diag_R.max(), 1.0):
         raise NumericalFailure(_RANK_DEFICIENT)
 
-    # Stationarity: (alpha^2 I - ehat ehat^T) w = lambda chat + Qm ytil,
-    # inverted in closed form via J(v) = (v + <ehat,v> ehat/(alpha^2-n))
-    # / alpha^2.  Feasibility Qm^T w = R^{-T} b then pins down ytil as an
-    # affine function of lambda through the Sherman-Morrison inverse of
-    # Gm = Qm^T J Qm.
-    def apply_J(v: np.ndarray) -> np.ndarray:
-        return (v + (np.dot(ehat, v) / (alpha**2 - n)) * ehat) / alpha**2
-
-    qhat = Qm.T @ ehat
-    denom = alpha**2 - n + float(np.dot(qhat, qhat))
-    if abs(denom) <= 1e-12 * n:
-        raise NumericalFailure("first-order system is rank-deficient in y")
-
-    def solve_Gm(r: np.ndarray) -> np.ndarray:
-        return alpha**2 * (r - (np.dot(qhat, r) / denom) * qhat)
-
+    # Write w = Qm btil + u with u orthogonal to range(Qm).  Only the parts
+    # of u along f = ehat_perp and g = chat_perp move the objective or loosen
+    # the cone, so the optimum lies in their plane, where the feasible set
+    # is a conic section: bounded (an ellipse) iff ||f|| < alpha, a
+    # parabola at ||f|| = alpha.  Stationarity puts the optimum at
+    # u = beta0 (f - kappa g) / (alpha^2 - <f, f - kappa g>) for a kappa > 0
+    # that the boundary equation makes a root of one scalar quadratic.
+    # Both projections run twice so that f and g, and with them A x = b,
+    # stay orthogonal to range(Qm) to working accuracy.
     btil = scipy.linalg.solve_triangular(R, b, trans="T")
-    ce = float(np.dot(c, e))  # = <chat, ehat> without frame roundoff
-    ctil = (Qm.T @ chat + (ce / (alpha**2 - n)) * qhat) / alpha**2
-    ytil_b = solve_Gm(btil)
-    ytil_c = solve_Gm(ctil)
-    w0 = apply_J(Qm @ ytil_b)  # w(lambda) = w0 + lambda * wn
-    wn = apply_J(chat - Qm @ ytil_c)
-    # Re-project the line onto the feasible set {Qm^T w = btil} with the
-    # orthonormal factor, so every candidate below satisfies A x = b and
-    # the boundary equation simultaneously by construction.
-    w0 = w0 + Qm @ (btil - Qm.T @ w0)
-    wn = wn - Qm @ (Qm.T @ wn)
-
-    # Normalize the direction: near the optimum wn shrinks while the
-    # multiplier grows, and the raw quadratic would sink below roundoff.
-    norm_wn = float(np.linalg.norm(wn))
-    if not norm_wn > 0.0:
-        raise NumericalFailure("solution-line direction degenerated to zero")
-    wn = wn / norm_wn
-
-    u, v = -float(np.dot(ehat, w0)), -float(np.dot(ehat, wn))  # <g, x>
-    P = float(np.dot(w0, w0))
-    Q2 = float(np.dot(w0, wn))
-    # <g,x>^2 - alpha^2 ||w||^2 = 0 along w(s) = w0 + s wn, ||wn|| = 1
-    qa = v * v - alpha**2
-    qb = 2.0 * (u * v - alpha**2 * Q2)
-    qc = u * u - alpha**2 * P
-    scale = max(abs(qa), abs(qb), abs(qc))
-    if scale == 0.0 or max(abs(qa), abs(qb)) <= 1e-15 * scale:
-        raise NumericalFailure("boundary quadric degenerated along the solution line")
-
-    # Pairing the stationarity equation with x and with e gives the
-    # multiplier identity lambda * gap = (n - alpha^2) <g, x>, which is
-    # numerically far sturdier than reading lambda off the line parameter.
-    candidates = []
-    for s in _stable_quadratic_roots(qa, qb, qc):
-        gdotx = u + s * v
-        if gdotx > 0.0:
-            continue  # wrong half-cone: needs <e, x>_e >= 0
-        w = w0 + s * wn
-        x = solve_L(w)
-        gap = float(np.dot(c, e - x))
-        if gap <= 0.0:
-            continue  # maximizer branch (positive multiplier)
-        lam = (n - alpha**2) * gdotx / gap
-        ytil = ytil_b - lam * ytil_c
-        candidates.append((float(np.dot(c, x)), x, w, ytil, lam, gap))
-    if not candidates:
+    F = np.column_stack([ehat, chat])
+    QF = Qm.T @ F
+    F = F - Qm @ QF
+    F = F - Qm @ (Qm.T @ F)
+    f, g = F[:, 0], F[:, 1]
+    ff, fg, gg = float(np.dot(f, f)), float(np.dot(f, g)), float(np.dot(g, g))
+    beta0 = float(np.dot(QF[:, 0], btil))
+    rho2 = float(np.dot(btil, btil))
+    D = alpha**2 - ff
+    q = rho2 * D - beta0**2
+    roots = _stable_quadratic_roots(rho2 * fg**2 + beta0**2 * gg, 2.0 * fg * q, D * q)
+    kappas = [kap for kap in roots if kap > 0.0 and D + kap * fg > 0.0]
+    if not kappas:
+        return SubproblemSolution(None, None, None, None, None, SubStatus.NOT_IN_SWATH)
+    # One root qualifies in exact arithmetic; should rounding admit two,
+    # the lower objective is the minimizer.
+    kappa = min(kappas, key=lambda kap: (fg - kap * gg) / (D + kap * fg))
+    w = Qm @ btil + (beta0 / (D + kappa * fg)) * (f - kappa * g)
+    x = solve_L(w)
+    gap = float(np.dot(c, e - x))
+    if gap <= 0.0:
         return SubproblemSolution(None, None, None, None, None, SubStatus.NOT_IN_SWATH)
 
-    obj, x, w, ytil, lam, gap = min(candidates, key=lambda cand: cand[0])
-    if abs(lam) <= _LAMBDA_TOL:
-        raise NumericalFailure("multiplier too close to zero for dual rescaling")
-    y = scipy.linalg.solve_triangular(R, ytil)
-    y_e = -y / lam
+    # Pairing the stationarity equation with x and with e gives the
+    # multiplier identity lambda * gap = -(n - alpha^2) <e, x>_e.  The dual
+    # slack in the frame is shat = (gap / (n - alpha^2)) (ehat - (alpha^2/ip) w),
+    # and chat - shat = Qm R y gives R y = Qm^T chat - Qm^T shat.
     ip = float(np.dot(ehat, w))  # <e, x>_e
-    s_e = (gap / (n - alpha**2)) * oracle.hessian_apply(e, e - (alpha**2 / ip) * x)
+    scale = gap / (n - alpha**2)
+    lam = -ip / scale
+    y_e = scipy.linalg.solve_triangular(
+        R, QF[:, 1] - scale * (QF[:, 0] - (alpha**2 / ip) * btil)
+    )
+    s_e = scale * oracle.hessian_apply(e, e - (alpha**2 / ip) * x)
     return SubproblemSolution(
         x, y_e, s_e, lam, gap, SubStatus.SOLVED,
         e_dot_x=ip, x_norm_sq=float(np.dot(w, w)),

@@ -414,33 +414,42 @@ def test_criterion_13_hyperbolic_oracles():
 def test_criterion_14_hp_end_to_end():
     start = time.perf_counter()
     ok = True
-    for make in (sw.product_family, sw.second_order_family):
-        for d in (6, 12, 20):
-            fam = make(d)
-            n = fam.degree
-            bound = sw.schedule_constants(0.5, n).ratio_bound
-            hbound = halving_bound(n)
-            for seed in range(3):
-                inst, e0 = sw.gen_hp_instance(fam, d // 2, 1.0, seed)
-                res = sw.run(
-                    sw.hp_barrier_oracle(fam), inst.A, inst.b, inst.c, e0,
-                    sw.SolverConfig(alpha=0.5, gap_tol=1e-8),
-                )
-                if res.status is not sw.RunStatus.CONVERGED:
-                    ok = False
-                    continue
-                if any(v != 0 for v in res.violations.values()):
-                    ok = False
-                if not contraction_ok(res.gaps, bound):
-                    ok = False
-                if not halving_ok(res.gaps, hbound):
-                    ok = False
-                primal = np.array([rec.primal_obj for rec in res.trace])
-                if not np.all(np.diff(primal) < 0):
-                    ok = False
+    families = [
+        fam
+        for d in (6, 12, 20)
+        for fam in (
+            sw.product_family(d),
+            sw.second_order_family(d),
+            sw.elementary_symmetric_family(d, 3),
+            sw.elementary_symmetric_family(d, 4),
+        )
+    ]
+    for fam in families:
+        n = fam.degree
+        bound = sw.schedule_constants(0.5, n).ratio_bound
+        hbound = halving_bound(n)
+        for seed in range(3):
+            inst, e0 = sw.gen_hp_instance(fam, fam.d // 2, 1.0, seed)
+            res = sw.run(
+                sw.hp_barrier_oracle(fam), inst.A, inst.b, inst.c, e0,
+                sw.SolverConfig(alpha=0.5, gap_tol=1e-8),
+            )
+            if res.status is not sw.RunStatus.CONVERGED:
+                ok = False
+                continue
+            if any(v != 0 for v in res.violations.values()):
+                ok = False
+            if not contraction_ok(res.gaps, bound):
+                ok = False
+            if not halving_ok(res.gaps, hbound):
+                ok = False
+            primal = np.array([rec.primal_obj for rec in res.trace])
+            if not np.all(np.diff(primal) < 0):
+                ok = False
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 60.0
     record_criterion(
-        14, "product and Lorentz families meet criteria 1-4", ok, f"{elapsed:.1f}s"
+        14, "product, Lorentz and elementary-symmetric families meet criteria 1-4",
+        ok, f"{elapsed:.1f}s",
     )
     assert ok

@@ -126,6 +126,17 @@ class TestRun:
         assert gaps[-1] <= 1e-8 * gaps[0]
         assert np.all(np.diff(gaps) < 0)
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 0.9])
+    def test_worked_instance_reaches_objective_two(self, alpha):
+        # The second iterate at alpha = 0.5 is a parabolic point of the
+        # relaxation (||ehat_perp|| = alpha), which the solve must pass.
+        oracle, A, b, c, e = diag2_problem()
+        res = sw.run(oracle, A, b, c, e, sw.SolverConfig(alpha=alpha))
+        assert res.status is sw.RunStatus.CONVERGED
+        assert all(v == 0 for v in res.violations.values())
+        assert float(np.dot(c, res.final_e)) == pytest.approx(2.0, abs=1e-7)
+        assert np.dot(b, res.final_y) <= np.dot(c, res.final_e)
+
     def test_fixed_step_converges(self):
         oracle, A, b, c, e, _, _ = make_sdp(4, seed=1)
         res = sw.run(

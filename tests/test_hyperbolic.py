@@ -268,6 +268,23 @@ class TestHyperbolicitySampling:
         assert report.failures == 0
 
 
+class TestEsymSplitFrame:
+    def test_frame_and_weak_duality_at_last_iterate(self):
+        # Generator seed 662040669 through the HP JSON round trip.  A
+        # Cholesky of the dense Hessian left ||L e||^2 - n = +0.835 at the
+        # last iterate and a dual vector with b.y > c.e by 1.9e-7.
+        fam = sw.elementary_symmetric_family(30, 4)
+        inst, _ = sw.gen_hp_instance(fam, 15, seed=662040669)
+        inst = sw.read_hp_json(sw.write_hp_json(inst))
+        oracle = sw.hp_barrier_oracle(inst.family)
+        res = sw.run(oracle, inst.A, inst.b, inst.c, inst.e0, sw.SolverConfig())
+        assert res.status is sw.RunStatus.CONVERGED
+        apply_L, _, _ = oracle.hessian_factor(res.final_e)
+        ehat = apply_L(res.final_e)
+        assert abs(float(np.dot(ehat, ehat)) - fam.degree) <= 1e-5
+        assert np.dot(inst.b, res.final_y) <= np.dot(inst.c, res.final_e)
+
+
 class TestHpInstanceValidate:
     def test_generated_instance_passes(self):
         inst, _ = sw.gen_hp_instance(sw.product_family(6), 3, 1.0, 0)

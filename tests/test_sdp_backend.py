@@ -146,12 +146,12 @@ class TestSdpInstanceValidate:
             constraints=[np.eye(2), 2.0 * np.eye(2)],
             b=np.array([2.0, 4.0]),
         )
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(InvariantViolation, match="linearly dependent"):
             inst.validate()
 
     def test_rejects_objective_in_constraint_span(self):
         inst = sw.SdpInstance(
             C=3.0 * np.eye(2), constraints=[np.eye(2)], b=np.array([2.0])
         )
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(InvariantViolation, match="span of the constraints"):
             inst.validate()

@@ -87,12 +87,29 @@ class TestFirstOrderSystem:
         assert np.allclose(rhs[:m], A @ e)
 
 
+def kkt_input(seed):
+    """(oracle, A, b, c, e, alpha) of one TestKktIdentities case: a
+    generated instance at its start point, or the named parabolic point."""
+    if seed == "diag2-parabolic":
+        # The worked instance's second iterate at alpha = 0.5,
+        # E1 = diag(1 + sqrt7/7, 1 - sqrt7/7).  There ||ehat_perp||^2 =
+        # n - (tr E1^-1)^2 / tr E1^-2 = alpha^2, so the feasible slice of
+        # the relaxation is a parabola.
+        oracle, A, b, c, _ = diag2_problem()
+        E1 = np.diag([1.0 + SQRT7 / 7.0, 1.0 - SQRT7 / 7.0])
+        inv = np.linalg.inv(E1)
+        assert np.trace(inv) ** 2 / np.trace(inv @ inv) == pytest.approx(2.0 - 0.25)
+        return oracle, A, b, c, sw.svec(E1), 0.5
+    n = 3 + seed % 4
+    oracle, A, b, c, e, _, _ = make_sdp(n, m=n, seed=seed)
+    return oracle, A, b, c, e, 0.3 + 0.1 * (seed % 5)
+
+
 class TestKktIdentities:
-    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("seed", [*range(8), "diag2-parabolic"])
     def test_random_instances(self, seed):
-        n = 3 + seed % 4
-        oracle, A, b, c, e, _, _ = make_sdp(n, m=n, seed=seed)
-        alpha = 0.3 + 0.1 * (seed % 5)
+        oracle, A, b, c, e, alpha = kkt_input(seed)
+        n = oracle.degree
         sol = sw.solve_qcp(oracle, A, b, c, e, alpha)
         assert sol.status is sw.SubStatus.SOLVED
         gap = sol.gap
