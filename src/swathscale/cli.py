@@ -3,10 +3,10 @@
 Instance files are auto-detected by suffix: ``.dat-s`` is sparse SDPA
 (with an optional ``<stem>.start.json`` sidecar carrying the interior
 start matrix), ``.json`` is the hyperbolic-program schema.  Exit codes:
-0 success, 2 start point outside the swath (or not an interior feasible
-point), 3 numerical failure or iteration limit, 4 parse/input error,
-including an instance that loads but fails its checks (dependent
-constraints, a start point off ``A e0 = b``).
+0 success, 2 start point outside the swath, 3 numerical failure or
+iteration limit, 4 parse/input error, including an instance that loads
+but fails its checks (dependent constraints, a start point off
+``A e0 = b`` or outside the open cone).
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .hyperbolic import (
     SECOND_ORDER,
     hp_barrier_oracle,
 )
-from .sdp import det_barrier_oracle, smat, svec
+from .sdp import det_barrier_oracle, is_pd, smat, svec
 from .sdpa import parse_sdpa
 from .subproblem import in_swath
 
@@ -80,12 +80,18 @@ def _load_problem(path: pathlib.Path):
         E0 = hpjson.read_start_point(sidecar.read_text())
         if E0.shape[0] != inst.n:
             raise ParseError("start matrix order does not match the instance")
+        A, e0 = inst.constraint_rows(), svec(E0)
+        # HpInstance.validate checks HP JSON start points to the same tolerance.
+        if np.max(np.abs(A @ e0 - inst.b)) > 1e-9 * (1.0 + np.abs(inst.b).max()):
+            raise InvariantViolation("start point violates A e0 = b")
+        if not is_pd(E0):
+            raise InvariantViolation("start point is not positive definite")
         oracle = det_barrier_oracle(inst.n)
         meta = {
             "backend": "sdp", "n": inst.n, "m": inst.m, "id": path.name,
             "instance": inst,
         }
-        return oracle, inst.constraint_rows(), inst.b, svec(inst.C), svec(E0), meta
+        return oracle, A, inst.b, svec(inst.C), e0, meta
     if path.suffix == ".json":
         inst = hpjson.read_hp_json(text)
         oracle = hp_barrier_oracle(inst.family)

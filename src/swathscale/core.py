@@ -49,6 +49,33 @@ class BarrierOracle:
     hessian_factor: Callable[[Vector], tuple]
 
 
+def point_cache(build: Callable[[Vector], tuple]) -> Callable[[Vector], tuple]:
+    """One-entry cache of ``build(e)``, keyed on the bytes of ``e``.
+
+    An iteration visits each point several times (frame, dual slack,
+    step, interiority probe, carry-over check), so each oracle factors a
+    point once and reads every quantity from that factor.  A hit returns
+    exactly what a rebuild would.  A failing build (``NotInterior``) is
+    not stored and leaves the cached entry in place.  The cached arrays
+    are made read-only, since every later caller shares them.
+    """
+    key = None
+    entry = None
+
+    def cached(e):
+        nonlocal key, entry
+        e = np.asarray(e, dtype=float)
+        probe = (e.shape, e.tobytes())
+        if probe != key:
+            built = build(e)
+            for arr in built:
+                arr.flags.writeable = False
+            key, entry = probe, built
+        return entry
+
+    return cached
+
+
 class Membership(enum.Enum):
     INTERIOR = "interior"
     BOUNDARY = "boundary"

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from . import sdp
-from .core import BarrierOracle
+from .core import BarrierOracle, point_cache
 from .errors import (
     DegenerateLeadingCoefficient,
     DimensionMismatch,
@@ -362,6 +362,10 @@ def _esym_oracle(d: int, k: int) -> BarrierOracle:
             return T, np.linalg.cholesky(B)
         except np.linalg.LinAlgError:
             raise NotInterior("barrier Hessian is not positive definite")
+
+    # The frame, the dual slack and the carry-over check all read the
+    # factor at a point; each point's Hessian is built once.
+    split_factor = point_cache(split_factor)
 
     def value(e):
         return -math.log(p(guard(e)))

@@ -12,9 +12,8 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
-from .core import BarrierOracle
+from .core import BarrierOracle, point_cache
 from .errors import DimensionMismatch, InvariantViolation, NotInterior
 
 _SQRT2 = np.sqrt(2.0)
@@ -32,35 +31,41 @@ def mat_order(d: int) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _svec_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _svec_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """For order n: flat positions of the upper triangle in an (n, n)
-    matrix, the per-coordinate scale (sqrt 2 off the diagonal), and the
-    (n, n) map from each matrix entry to its coordinate."""
+    matrix and of its mirror image in the lower triangle, the
+    per-coordinate scale (sqrt 2 off the diagonal), and the (n, n) map
+    from each matrix entry to its coordinate."""
     iu, ju = np.triu_indices(n)
-    flat = iu * n + ju
+    upper = iu * n + ju
+    lower = ju * n + iu
     scale = np.where(iu == ju, 1.0, _SQRT2)
     coord = np.empty((n, n), dtype=np.intp)
     coord[iu, ju] = coord[ju, iu] = np.arange(iu.size)
-    for arr in (flat, scale, coord):
+    for arr in (upper, lower, scale, coord):
         arr.flags.writeable = False  # shared by every caller
-    return flat, scale, coord
+    return upper, lower, scale, coord
 
 
 def svec(X: np.ndarray) -> np.ndarray:
-    """Coordinate view of a symmetric matrix; dot(svec X, svec Y) = tr(XY).
+    """Coordinate view of the symmetric part of a matrix:
+    ``0.5 (X_ij + X_ji)`` times the scale, so dot(svec X, svec Y) = tr(XY)
+    for symmetric X, Y.  On a symmetric matrix this is exactly its upper
+    triangle times the scale; callers need not symmetrize first.
 
     Leading axes are batch axes: ``(..., n, n)`` maps to ``(..., d)``.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[-1]
-    flat, scale, _ = _svec_index(n)
-    return X.reshape(*X.shape[:-2], n * n)[..., flat] * scale
+    upper, lower, scale, _ = _svec_index(n)
+    flat = X.reshape(*X.shape[:-2], n * n)
+    return (0.5 * (flat[..., upper] + flat[..., lower])) * scale
 
 
 def smat(v: np.ndarray) -> np.ndarray:
     """Inverse of :func:`svec`, over the same leading batch axes."""
     v = np.asarray(v, dtype=float)
-    _, scale, coord = _svec_index(mat_order(v.shape[-1]))
+    _, _, scale, coord = _svec_index(mat_order(v.shape[-1]))
     return (v / scale)[..., coord]
 
 
@@ -130,50 +135,52 @@ def det_barrier_oracle(n: int) -> BarrierOracle:
         raise DimensionMismatch(f"matrix order must be >= 2, got {n}")
     d = sym_dim(n)
 
-    def value(e):
-        E = smat(e)
-        L = _chol_or_raise(E)
-        return float(-2.0 * np.sum(np.log(np.diag(L))))
-
-    def gradient(e):
-        E = smat(e)
-        L = _chol_or_raise(E)
-        Einv = scipy.linalg.cho_solve((L, True), np.eye(n))
-        return -svec(0.5 * (Einv + Einv.T))
-
-    # hessian_apply and direction_eigs run every iteration, so they use
-    # numpy's LAPACK only.  numpy and scipy each bundle an OpenBLAS with
-    # its own thread pool; with two BLAS threads, a threaded scipy call
-    # between numpy calls waits on numpy's spinning workers, which made
-    # an n=40 iteration 3.5 times slower on two cores.
-    def hessian_apply(e, v):
-        Linv = np.linalg.inv(_chol_or_raise(smat(e)))
-        Einv = Linv.T @ Linv
-        M = Einv @ smat(v) @ Einv
-        return svec(0.5 * (M + M.T))
-
-    def hessian_solve(e, w):
-        E = smat(e)
-        _chol_or_raise(E)
-        M = E @ smat(w) @ E
-        return svec(0.5 * (M + M.T))
-
-    def direction_eigs(e, x):
-        return direction_eigs_sdp(smat(e), smat(x))
-
-    def hessian_factor(e):
-        E = smat(e)
-        evals, V = np.linalg.eigh(E)
+    # Every callable reads the point from one eigendecomposition
+    # E = V diag(lam) V^T, taken once per point: an iteration probes e_next
+    # with value(), and the carry-over check and the next relaxation reuse
+    # that factor.  Only numpy's LAPACK runs here.  numpy and scipy each
+    # bundle an OpenBLAS with its own thread pool; with two BLAS threads, a
+    # threaded scipy call between numpy calls waits on numpy's spinning
+    # workers, which made an n=40 iteration 3.5 times slower on two cores.
+    def build(e):
+        """(lam, E^{1/2}, E^{-1/2}, E^{-1}) at e."""
+        evals, V = np.linalg.eigh(smat(e))
         if evals[0] <= 0.0:
             raise NotInterior("matrix is not strictly positive definite")
-        root = V @ np.diag(np.sqrt(evals)) @ V.T
-        inv_root = V @ np.diag(1.0 / np.sqrt(evals)) @ V.T
+        root = np.sqrt(evals)
+        scaled = V * (1.0 / root)
+        return evals, (V * root) @ V.T, scaled @ V.T, scaled @ scaled.T
+
+    factor = point_cache(build)
+
+    def value(e):
+        evals, _, _, _ = factor(e)
+        return -float(np.sum(np.log(evals)))
+
+    def gradient(e):
+        _, _, _, Einv = factor(e)
+        return -svec(Einv)
+
+    def hessian_apply(e, v):
+        _, _, _, Einv = factor(e)
+        return svec(Einv @ smat(v) @ Einv)
+
+    def hessian_solve(e, w):
+        factor(e)  # interiority
+        E = smat(e)
+        return svec(E @ smat(w) @ E)
+
+    def direction_eigs(e, x):
+        _, _, inv_root, _ = factor(e)
+        return np.linalg.eigvalsh(inv_root @ smat(x) @ inv_root)
+
+    def hessian_factor(e):
+        _, root, inv_root, _ = factor(e)
 
         def congruence(T, v):
             # svec(T smat(v) T), one column of v at a time through a stack
             # of matrices when v is a (d, k) block.
-            M = T @ smat(np.transpose(v)) @ T
-            return np.transpose(svec(0.5 * (M + np.swapaxes(M, -1, -2))))
+            return np.transpose(svec(T @ smat(np.transpose(v)) @ T))
 
         def apply_L(v):
             return congruence(inv_root, v)

@@ -61,27 +61,37 @@ def _stable_quadratic_roots(qa: float, qb: float, qc: float) -> list[float]:
     return roots
 
 
-def _cholesky_qr2(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Thin QR factorization ``X = Q R`` of a tall block by CholeskyQR2.
+def _gram_factor(Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Upper triangle ``R`` of ``Q^T Q = R^T R`` and its inverse."""
+    try:
+        R = np.linalg.cholesky(Q.T @ Q).T
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(_RANK_DEFICIENT) from exc
+    R_inv, info = dtrtri(R, lower=0)
+    if info != 0:
+        raise NumericalFailure(_RANK_DEFICIENT)
+    return R, R_inv
+
+
+def _cholesky_qr2(
+    X: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Thin QR factorization ``X = Q R`` of a tall block by CholeskyQR2,
+    returned in factored form ``(Q1, R1, R2, R2^{-1})``.
 
     Each pass factors the Gram matrix ``Q^T Q = R_k^T R_k`` and replaces
     ``Q`` by ``Q R_k^{-1}``; the second pass restores orthogonality to
     O(u) while cond(X) < u^{-1/2} (Fukaya, Nakatsukasa, Yanagisawa and
-    Yamamoto, 2014).  Raises NumericalFailure when a Gram matrix is not
+    Yamamoto, 2014).  The second replacement and the product of the
+    triangles are left to the caller: ``Q = Q1 R2^{-1}`` and
+    ``R = R2 R1``, which a caller that applies them to a few vectors
+    never forms.  Raises NumericalFailure when a Gram matrix is not
     numerically positive definite.
     """
-    Q, R = X, None
-    for _ in range(2):
-        try:
-            Rk = np.linalg.cholesky(Q.T @ Q).T
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailure(_RANK_DEFICIENT) from exc
-        Rk_inv, info = dtrtri(Rk, lower=0)
-        if info != 0:
-            raise NumericalFailure(_RANK_DEFICIENT)
-        Q = Q @ Rk_inv
-        R = Rk if R is None else Rk @ R
-    return Q, R
+    R1, R1_inv = _gram_factor(X)
+    Q1 = X @ R1_inv
+    R2, R2_inv = _gram_factor(Q1)
+    return Q1, R1, R2, R2_inv
 
 
 def solve_qcp(
@@ -110,18 +120,28 @@ def solve_qcp(
     # Work in local coordinates w = L x with H = L^T L, where the cone is
     # the isotropic circular cone around ehat = L e (||ehat|| = sqrt(n)).
     # The ill-conditioning of H is confined to triangular solves and to the
-    # thin QR of At_hat.  CholeskyQR2 gives an orthonormal Qm to O(u) while
-    # cond(At_hat) < u^{-1/2} ~ 7e7.  On generated SDP (n=40, m=80) and
+    # thin QR of At_hat = Qm R.  CholeskyQR2 gives an orthonormal Qm to O(u)
+    # while cond(At_hat) < u^{-1/2} ~ 7e7.  On generated SDP (n=40, m=80) and
     # Lorentz (d=200, m=100) instances, cond(At_hat) measured up to 5.5e4 at
     # a 1e-8 gap ratio and 4.9e6 at 1e-12.  One Cholesky pass alone loses
     # orthogonality as u cond(At_hat)^2: with it, 10 of 12 small SDP and
     # Lorentz runs to a 1e-10 gap ratio ended not_in_swath at 1e-7 to 2e-10.
+    # Qm = Q1 R2^{-1} and R = R2 R1 stay factored: Qm is applied to one or
+    # two columns at a time, as Qm v = Q1 (R2^{-1} v) and
+    # Qm^T v = R2^{-T} (Q1^T v), and R only through triangular solves.
     apply_L, solve_Lt, solve_L = oracle.hessian_factor(e)
     ehat = apply_L(e)
     chat = solve_Lt(c)
     At_hat = solve_Lt(A.T)  # d x m
-    Qm, R = _cholesky_qr2(At_hat)
-    diag_R = np.abs(np.diag(R))
+    Q1, R1, R2, R2_inv = _cholesky_qr2(At_hat)
+
+    def Qm(v):
+        return Q1 @ (R2_inv @ v)
+
+    def Qm_t(v):
+        return R2_inv.T @ (Q1.T @ v)
+
+    diag_R = np.abs(np.diag(R2) * np.diag(R1))
     if diag_R.size == 0 or diag_R.min() <= 1e-13 * max(diag_R.max(), 1.0):
         raise NumericalFailure(_RANK_DEFICIENT)
 
@@ -134,11 +154,11 @@ def solve_qcp(
     # that the boundary equation makes a root of one scalar quadratic.
     # Both projections run twice so that f and g, and with them A x = b,
     # stay orthogonal to range(Qm) to working accuracy.
-    btil = scipy.linalg.solve_triangular(R, b, trans="T")
+    btil = R2_inv.T @ scipy.linalg.solve_triangular(R1, b, trans="T")
     F = np.column_stack([ehat, chat])
-    QF = Qm.T @ F
-    F = F - Qm @ QF
-    F = F - Qm @ (Qm.T @ F)
+    QF = Qm_t(F)
+    F = F - Qm(QF)
+    F = F - Qm(Qm_t(F))
     f, g = F[:, 0], F[:, 1]
     ff, fg, gg = float(np.dot(f, f)), float(np.dot(f, g)), float(np.dot(g, g))
     beta0 = float(np.dot(QF[:, 0], btil))
@@ -152,7 +172,7 @@ def solve_qcp(
     # One root qualifies in exact arithmetic; should rounding admit two,
     # the lower objective is the minimizer.
     kappa = min(kappas, key=lambda kap: (fg - kap * gg) / (D + kap * fg))
-    w = Qm @ btil + (beta0 / (D + kappa * fg)) * (f - kappa * g)
+    w = Qm(btil) + (beta0 / (D + kappa * fg)) * (f - kappa * g)
     x = solve_L(w)
     gap = float(np.dot(c, e - x))
     if gap <= 0.0:
@@ -166,7 +186,7 @@ def solve_qcp(
     scale = gap / (n - alpha**2)
     lam = -ip / scale
     y_e = scipy.linalg.solve_triangular(
-        R, QF[:, 1] - scale * (QF[:, 0] - (alpha**2 / ip) * btil)
+        R1, R2_inv @ (QF[:, 1] - scale * (QF[:, 0] - (alpha**2 / ip) * btil))
     )
     s_e = scale * oracle.hessian_apply(e, e - (alpha**2 / ip) * x)
     return SubproblemSolution(

@@ -1,4 +1,5 @@
-"""Local-metric geometry: inner products, cone membership, schedule scalars."""
+"""Local-metric geometry: inner products, cone membership, schedule scalars,
+and the per-point factor cache the oracles share."""
 
 import math
 
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 
 import swathscale as sw
-from swathscale.errors import DomainError
+from swathscale.core import point_cache
+from swathscale.errors import DomainError, NotInterior
 
 from conftest import make_sdp
 
@@ -131,3 +133,44 @@ class TestScheduleConstants:
             sw.schedule_constants(1.0, 5)
         with pytest.raises(DomainError):
             sw.schedule_constants(0.5, 1)
+
+
+class TestPointCache:
+    @staticmethod
+    def reciprocal_cache():
+        """A cached ``e -> (1 / e,)`` on the open orthant, with its builds."""
+        builds = []
+
+        def build(e):
+            builds.append(e.copy())
+            if np.any(e <= 0.0):
+                raise NotInterior("outside the orthant")
+            return (1.0 / e,)
+
+        return point_cache(build), builds
+
+    def test_equal_bytes_hit_and_mutation_misses(self):
+        cached, builds = self.reciprocal_cache()
+        e = np.array([1.0, 2.0, 4.0])
+        first = cached(e)
+        assert cached(e.copy()) is first
+        assert len(builds) == 1
+        e[1] = 8.0  # the same array, mutated in place
+        second = cached(e)
+        assert len(builds) == 2
+        np.testing.assert_array_equal(second[0], [1.0, 0.125, 0.25])
+
+    def test_failed_build_keeps_the_cached_entry(self):
+        cached, builds = self.reciprocal_cache()
+        e = np.array([1.0, 2.0])
+        entry = cached(e)
+        with pytest.raises(NotInterior):
+            cached(np.array([1.0, -2.0]))
+        assert cached(e) is entry
+        assert len(builds) == 2
+
+    def test_cached_arrays_are_read_only(self):
+        cached, _ = self.reciprocal_cache()
+        (inv,) = cached(np.array([1.0, 2.0]))
+        with pytest.raises(ValueError):
+            inv[0] = 0.0

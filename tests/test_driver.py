@@ -9,6 +9,7 @@ import scipy.linalg
 
 import swathscale as sw
 import swathscale.driver
+import swathscale.hyperbolic
 from swathscale.errors import (
     ConvexityViolation,
     DomainError,
@@ -217,6 +218,52 @@ class TestRun:
         _, iterations = sw.alpha_reduction_run(oracle, A, b, c, e, 0.9, 0.3)
         monkeypatch.undo()
         assert applies == {"inside": iterations, "outside": 0}
+
+    def test_one_factorization_per_point(self, monkeypatch):
+        # Each point is factored once and every oracle call at it reads that
+        # factor: the SDP oracle takes one eigh per point, the relaxation's
+        # CholeskyQR2 two Cholesky factors, and nothing inverts a matrix.
+        oracle, A, b, c, e, _, _ = make_sdp(10, m=20, seed=0)
+        calls = {"solve_qcp": 0, "eigh": 0, "cholesky": 0, "inv": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            swathscale.driver, "solve_qcp",
+            counted("solve_qcp", swathscale.driver.solve_qcp),
+        )
+        for name in ("eigh", "cholesky", "inv"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        res = sw.run(oracle, A, b, c, e, sw.SolverConfig())
+        monkeypatch.undo()
+        assert res.status is sw.RunStatus.CONVERGED
+        solves = calls["solve_qcp"]
+        assert solves == res.iterations
+        assert calls == {"solve_qcp": solves, "eigh": solves, "cholesky": 2 * solves, "inv": 0}
+
+        # The esym oracle builds its split Hessian factor once per point.
+        builds = []
+        point_cache = swathscale.hyperbolic.point_cache
+
+        def recording_cache(build):
+            def recorded(e):
+                builds.append(e.tobytes())
+                return build(e)
+
+            return point_cache(recorded)
+
+        inst, e = sw.gen_hp_instance(sw.elementary_symmetric_family(8, 3), 4, 1.0, 0)
+        monkeypatch.setattr(swathscale.hyperbolic, "point_cache", recording_cache)
+        oracle = sw.hp_barrier_oracle(inst.family)
+        monkeypatch.undo()
+        res = sw.run(oracle, inst.A, inst.b, inst.c, e, sw.SolverConfig())
+        assert res.status is sw.RunStatus.CONVERGED
+        assert len(builds) == len(set(builds)) == res.iterations
 
     def test_sdp_run_gives_scipy_only_vector_solves(self, monkeypatch):
         # numpy and scipy each bundle a BLAS with its own thread pool.  A

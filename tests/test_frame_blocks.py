@@ -82,6 +82,12 @@ def test_batched_svec_smat_match_per_matrix(seed, n, batch):
         np.testing.assert_array_equal(back[idx], sw.smat(V[idx]))
     np.testing.assert_allclose(back, X, rtol=0, atol=1e-14)
     np.testing.assert_allclose(sw.svec(back), V, rtol=0, atol=1e-14)
+    # svec reads the symmetric part: the upper triangle of a symmetric
+    # matrix exactly, and of 0.5 (M + M^T) for any M.
+    iu, ju = np.triu_indices(n)
+    scale = np.where(iu == ju, 1.0, math.sqrt(2.0))
+    np.testing.assert_array_equal(V, X[..., iu, ju] * scale)
+    np.testing.assert_array_equal(sw.svec(M), V)
 
 
 @pytest.mark.parametrize("shape", [(11,), (3, 11), (2, 2, 4)])

@@ -417,41 +417,6 @@ class TestCli:
         assert "status=max_iters" in r.output
         assert r.exit_code == 3
 
-    @staticmethod
-    def write_bad_start(tmp_path, start):
-        """An SDP instance whose start point is infeasible or not interior."""
-        inst, E0 = sw.gen_central_path_sdp(4, 6, 1.0, 0)
-        if start == "infeasible":
-            E = 2.0 * E0  # positive definite, but A e != b
-        else:
-            # Feasible but indefinite: move far along a null direction of A.
-            null = np.linalg.svd(inst.constraint_rows())[2][-1]
-            D = sw.smat(null)
-            if np.linalg.eigvalsh(D)[0] >= 0.0:
-                D = -D
-            E = E0 + (2.0 * np.linalg.eigvalsh(E0)[-1] / -np.linalg.eigvalsh(D)[0]) * D
-            assert np.linalg.eigvalsh(E)[0] < 0.0
-        path = tmp_path / "bad.dat-s"
-        path.write_text(sw.write_sdpa(inst))
-        (tmp_path / "bad.start.json").write_text(sw.write_start_point(E))
-        return path
-
-    @pytest.mark.parametrize("start", ["infeasible", "not_interior"])
-    def test_bad_start_point_exit_code(self, tmp_path, start):
-        path = self.write_bad_start(tmp_path, start)
-        r = CliRunner().invoke(main, ["solve", str(path)])
-        assert r.exit_code == 2, r.output
-        assert "error:" in r.output
-
-    @pytest.mark.parametrize("start", ["infeasible", "not_interior"])
-    def test_reduce_alpha_bad_start_point_exit_code(self, tmp_path, start):
-        path = self.write_bad_start(tmp_path, start)
-        r = CliRunner().invoke(
-            main, ["reduce-alpha", str(path), "--alpha0", "0.9", "--target", "0.3"]
-        )
-        assert r.exit_code == 2, r.output
-        assert "error:" in r.output
-
     @pytest.mark.parametrize(
         "command, options",
         [
@@ -483,17 +448,33 @@ class TestCli:
             path = tmp_path / "bad.json"
             path.write_text(json.dumps(doc))
             return path
-        inst, E0 = sw.gen_central_path_sdp(3, 2, 1.0, 0)
-        dependent = sw.SdpInstance(
-            C=inst.C, constraints=[inst.constraints[0], 2.0 * inst.constraints[0]],
-            b=inst.b,
-        )
+        if kind == "sdpa-dependent":
+            inst, E = sw.gen_central_path_sdp(3, 2, 1.0, 0)
+            inst = sw.SdpInstance(
+                C=inst.C, constraints=[inst.constraints[0], 2.0 * inst.constraints[0]],
+                b=inst.b,
+            )
+        else:
+            inst, E0 = sw.gen_central_path_sdp(4, 6, 1.0, 0)
+            if kind == "sdpa-start-off-affine":
+                E = 2.0 * E0  # positive definite, but A e = 2 b
+            else:
+                # On A e = b but indefinite: far along a null direction of A.
+                null = np.linalg.svd(inst.constraint_rows())[2][-1]
+                D = sw.smat(null)
+                if np.linalg.eigvalsh(D)[0] >= 0.0:
+                    D = -D
+                E = E0 + (2.0 * np.linalg.eigvalsh(E0)[-1] / -np.linalg.eigvalsh(D)[0]) * D
+                assert np.linalg.eigvalsh(E)[0] < 0.0
         path = tmp_path / "bad.dat-s"
-        path.write_text(sw.write_sdpa(dependent))
-        (tmp_path / "bad.start.json").write_text(sw.write_start_point(E0))
+        path.write_text(sw.write_sdpa(inst))
+        (tmp_path / "bad.start.json").write_text(sw.write_start_point(E))
         return path
 
-    @pytest.mark.parametrize("kind", ["hp-start-off-affine", "sdpa-dependent"])
+    @pytest.mark.parametrize(
+        "kind",
+        ["hp-start-off-affine", "sdpa-dependent", "sdpa-start-off-affine", "sdpa-start-not-pd"],
+    )
     @pytest.mark.parametrize(
         "command, options",
         [
