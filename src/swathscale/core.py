@@ -50,14 +50,17 @@ class BarrierOracle:
 
 
 def point_cache(build: Callable[[Vector], tuple]) -> Callable[[Vector], tuple]:
-    """One-entry cache of ``build(e)``, keyed on the bytes of ``e``.
+    """One-entry cache of ``build(e)``, keyed on the shape and bytes of the
+    array ``e``: a point or any other input that recurs between calls.
 
     An iteration visits each point several times (frame, dual slack,
     step, interiority probe, carry-over check), so each oracle factors a
-    point once and reads every quantity from that factor.  A hit returns
-    exactly what a rebuild would.  A failing build (``NotInterior``) is
-    not stored and leaves the cached entry in place.  The cached arrays
-    are made read-only, since every later caller shares them.
+    point once and reads every quantity from that factor; the SDP oracle
+    also keeps the matrix stack of the constraint block it maps at every
+    iterate.  A hit returns exactly what a rebuild would, and an input
+    changed in place misses.  A failing build (``NotInterior``) is not
+    stored and leaves the cached entry in place.  The cached arrays are
+    made read-only, since every later caller shares them.
     """
     key = None
     entry = None

@@ -66,19 +66,33 @@ def read_hp_json(text: str) -> HpInstance:
     return inst
 
 
+# The writers put one field, and one matrix row, on a line.  Each piece is
+# encoded without indentation, which json does in C; indent=2 falls back to
+# the pure-Python encoder, which took 1.7 times as long on a d=200, m=100
+# instance.
+def _rows(M: np.ndarray) -> str:
+    """A matrix as a JSON array of rows, one row per line."""
+    return "[\n" + ",\n".join("    " + json.dumps(row) for row in M.tolist()) + "\n  ]"
+
+
+def _document(fields: dict[str, str]) -> str:
+    """A JSON object from already-encoded field values, one field per line."""
+    body = ",\n".join(f"  {json.dumps(key)}: {text}" for key, text in fields.items())
+    return "{\n" + body + "\n}\n"
+
+
 def write_hp_json(inst: HpInstance, metadata: dict | None = None) -> str:
     fam: dict = {"name": inst.family.name, "d": inst.family.d}
     if inst.family.k is not None:
         fam["k"] = inst.family.k
-    doc = {
-        "family": fam,
-        "c": inst.c.tolist(),
-        "A": inst.A.tolist(),
-        "b": inst.b.tolist(),
-        "e0": inst.e0.tolist(),
-        "metadata": metadata or {},
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return _document({
+        "family": json.dumps(fam),
+        "c": json.dumps(inst.c.tolist()),
+        "A": _rows(inst.A),
+        "b": json.dumps(inst.b.tolist()),
+        "e0": json.dumps(inst.e0.tolist()),
+        "metadata": json.dumps(metadata or {}),
+    })
 
 
 def read_start_point(text: str) -> np.ndarray:
@@ -94,4 +108,4 @@ def read_start_point(text: str) -> np.ndarray:
 
 
 def write_start_point(E0: np.ndarray) -> str:
-    return json.dumps({"E0": np.asarray(E0, dtype=float).tolist()}, indent=2) + "\n"
+    return _document({"E0": _rows(np.asarray(E0, dtype=float))})

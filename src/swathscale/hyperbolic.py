@@ -323,18 +323,20 @@ def _esym_oracle(d: int, k: int) -> BarrierOracle:
     def p(x):
         return float(_esym_values(x, k)[k])
 
-    def grad_hess_p(x):
-        """Gradient and Hessian of e_k itself (not the barrier)."""
+    def deflations(x):
+        """Row i holds e_0..e_k of x with x_i removed; column k - 1 is the
+        gradient of e_k itself (not the barrier)."""
         e_full = _esym_values(x, k)
-        grad = np.zeros(d)
+        return np.array([_esym_deflate(e_full, xi) for xi in x])
+
+    def hess_p(x, deflated):
+        """Hessian of e_k itself, from the rows of ``deflations(x)``."""
         hess = np.zeros((d, d))
-        deflated = [_esym_deflate(e_full, x[i]) for i in range(d)]
         for i in range(d):
-            grad[i] = deflated[i][k - 1]
             for j in range(i + 1, d):
                 twice = _esym_deflate(deflated[i], x[j])
                 hess[i, j] = hess[j, i] = twice[k - 2]
-        return grad, hess
+        return hess
 
     def split_factor(e):
         """``(T, C)`` with ``H(e) = L^T L`` for ``L = C^T T^T``.
@@ -350,8 +352,9 @@ def _esym_oracle(d: int, k: int) -> BarrierOracle:
         """
         e = guard(e)
         p_e = p(e)
-        gp, hp = grad_hess_p(e)
-        ghat = gp / p_e
+        deflated = deflations(e)
+        hp = hess_p(e, deflated)
+        ghat = deflated[:, k - 1] / p_e
         norm_g = float(np.linalg.norm(ghat))
         v = ghat / norm_g
         v[-1] += math.copysign(1.0, v[-1])
@@ -372,8 +375,7 @@ def _esym_oracle(d: int, k: int) -> BarrierOracle:
 
     def gradient(e):
         e = guard(e)
-        gp, _ = grad_hess_p(e)
-        return -gp / p(e)
+        return -deflations(e)[:, k - 1] / p(e)
 
     def hessian_apply(e, v):
         T, C = split_factor(e)

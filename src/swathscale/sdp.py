@@ -174,13 +174,25 @@ def det_barrier_oracle(n: int) -> BarrierOracle:
         _, _, inv_root, _ = factor(e)
         return np.linalg.eigvalsh(inv_root @ smat(x) @ inv_root)
 
+    # The constraint block is mapped at every iterate, so its (k, n, n)
+    # matrix stack is built once, keyed on the block's bytes.  It is made
+    # C-contiguous: smat's gather returns a stack with no unit stride, which
+    # numpy's matmul cannot hand straight to BLAS.
+    upper, _, scale, _ = _svec_index(n)
+    block_stack = point_cache(lambda rows: (np.ascontiguousarray(smat(rows)),))
+
     def hessian_factor(e):
         _, root, inv_root, _ = factor(e)
 
         def congruence(T, v):
-            # svec(T smat(v) T), one column of v at a time through a stack
-            # of matrices when v is a (d, k) block.
-            return np.transpose(svec(T @ smat(np.transpose(v)) @ T))
+            # svec(T smat(v) T) for a vector v, and for each column of a
+            # (d, k) block.  Single vectors bypass the stack cache, so they
+            # never evict the block.  T S T is symmetric, so its upper
+            # triangle is its svec.
+            if np.ndim(v) == 1:
+                return svec(T @ smat(v) @ T)
+            (S,) = block_stack(np.transpose(v))
+            return np.transpose((T @ S @ T).reshape(-1, n * n)[:, upper] * scale)
 
         def apply_L(v):
             return congruence(inv_root, v)

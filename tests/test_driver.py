@@ -10,6 +10,7 @@ import scipy.linalg
 import swathscale as sw
 import swathscale.driver
 import swathscale.hyperbolic
+import swathscale.sdp
 from swathscale.errors import (
     ConvexityViolation,
     DomainError,
@@ -264,6 +265,24 @@ class TestRun:
         res = sw.run(oracle, inst.A, inst.b, inst.c, e, sw.SolverConfig())
         assert res.status is sw.RunStatus.CONVERGED
         assert len(builds) == len(set(builds)) == res.iterations
+
+    def test_constraint_block_stack_built_once_per_run(self, monkeypatch):
+        # The frame maps the constraint block at every iterate from one
+        # cached matrix stack, so smat sees the block once per run; single
+        # vectors still go through smat each time.
+        oracle, A, b, c, e, _, _ = make_sdp(10, m=20, seed=0)
+        ndims = []
+        smat = swathscale.sdp.smat
+
+        def recorded(v):
+            ndims.append(np.ndim(v))
+            return smat(v)
+
+        monkeypatch.setattr(swathscale.sdp, "smat", recorded)
+        res = sw.run(oracle, A, b, c, e, sw.SolverConfig())
+        monkeypatch.undo()
+        assert res.status is sw.RunStatus.CONVERGED and res.iterations > 1
+        assert ndims.count(2) == 1
 
     def test_sdp_run_gives_scipy_only_vector_solves(self, monkeypatch):
         # numpy and scipy each bundle a BLAS with its own thread pool.  A

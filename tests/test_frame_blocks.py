@@ -66,6 +66,31 @@ def test_frame_accepts_transposed_rows(family, seed):
     assert_columns_match(solve_Lt, solve_Lt, A.T)
 
 
+def test_sdp_block_cache_follows_block_contents():
+    # The SDP frame keeps the matrix stack of the last block it mapped,
+    # keyed on the block's bytes: another block of the same shape, or the
+    # same block changed in place, is mapped from its own contents.
+    n = 5
+    rng = np.random.default_rng(0)
+    e = interior_point(sw.determinant_family(n), rng)
+    oracle = sw.det_barrier_oracle(n)
+    first, second = (rng.standard_normal((oracle.dim, 4)) for _ in range(2))
+
+    def check(B):
+        fresh = sw.det_barrier_oracle(n).hessian_factor(e)
+        for closure, reference in zip(oracle.hessian_factor(e), fresh):
+            np.testing.assert_array_equal(closure(B), reference(B))
+
+    for B in (first, second, first):
+        check(B)
+    first[3, 1] += 1.0
+    check(first)
+    rows = rng.standard_normal((4, oracle.dim))
+    check(rows.T)
+    rows[:, 0] *= 2.0
+    check(rows.T)
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=SEEDS, n=st.integers(1, 9), batch=st.lists(st.integers(0, 4), max_size=2))
 def test_batched_svec_smat_match_per_matrix(seed, n, batch):

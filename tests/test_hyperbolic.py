@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import swathscale as sw
+import swathscale.hyperbolic
 from swathscale.errors import (
     DegenerateLeadingCoefficient,
     DomainError,
@@ -130,6 +131,31 @@ class TestBarrierIdentities:
         assert np.allclose(
             oracle.hessian_solve(e, oracle.hessian_apply(e, v)), v, atol=1e-7
         )
+
+    @pytest.mark.parametrize("d, k", [(5, 3), (9, 4)])
+    def test_esym_gradient_takes_single_deflations(self, d, k, rng, monkeypatch):
+        # The gradient needs e_{k-1} with one coordinate removed, one
+        # deflation per coordinate; the d(d-1)/2 pair deflations of the
+        # Hessian are left to the frame.
+        family = sw.elementary_symmetric_family(d, k)
+        oracle = sw.hp_barrier_oracle(family)
+        e = interior_point(family, rng)
+        calls = [0]
+        deflate = swathscale.hyperbolic._esym_deflate
+
+        def counted(*args):
+            calls[0] += 1
+            return deflate(*args)
+
+        monkeypatch.setattr(swathscale.hyperbolic, "_esym_deflate", counted)
+        g = oracle.gradient(e)
+        monkeypatch.undo()
+        assert calls[0] == d
+        p = eval_p(family, e)
+        for i in range(d):
+            rest = np.delete(e, i)
+            minor = sum(math.prod(c) for c in itertools.combinations(rest, k - 1))
+            assert g[i] == pytest.approx(-minor / p, rel=1e-12)
 
     def test_gradient_raises_off_cone(self):
         fam = sw.product_family(3)

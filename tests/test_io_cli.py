@@ -292,7 +292,16 @@ class TestSdpaBulk:
 class TestHpJson:
     def test_roundtrip_bit_exact(self):
         inst, _ = sw.gen_hp_instance(sw.elementary_symmetric_family(6, 3), 3, 1.0, 1)
-        again = sw.read_hp_json(sw.write_hp_json(inst, metadata={"tag": 1}))
+        text = sw.write_hp_json(inst, metadata={"tag": 1})
+        doc = json.loads(text)
+        for key in ("c", "A", "b", "e0"):
+            assert np.array_equal(np.array(doc[key]), getattr(inst, key))
+        assert doc["metadata"] == {"tag": 1}
+        # One row of A per line.
+        lines = text.splitlines()
+        for row in inst.A:
+            assert sum(line.strip().rstrip(",") == json.dumps(row.tolist()) for line in lines) == 1
+        again = sw.read_hp_json(text)
         assert again.family == inst.family
         assert np.array_equal(again.c, inst.c)
         assert np.array_equal(again.A, inst.A)
@@ -307,7 +316,9 @@ class TestHpJson:
 
     def test_start_point_roundtrip(self):
         _, E0 = sw.gen_central_path_sdp(3, 2, 1.0, 0)
-        again = sw.read_start_point(sw.write_start_point(E0))
+        text = sw.write_start_point(E0)
+        assert np.array_equal(np.array(json.loads(text)["E0"]), E0)
+        again = sw.read_start_point(text)
         assert np.allclose(again, E0, atol=0)
 
 
