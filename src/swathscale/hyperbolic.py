@@ -224,47 +224,44 @@ def _lorentz_oracle(d: int) -> BarrierOracle:
     guard = _interior_guard(d, SECOND_ORDER, _lorentz_interior)
 
     def frame(e):
-        """Spectral data of the Lorentz barrier Hessian at e.
+        """Spectral frame of the Lorentz barrier Hessian at e.
 
         With t = e[-1] and r = ||e[:-1]||, the Hessian has eigenvalue
         2/(t-r)^2 on b1, 2/(t+r)^2 on b2, and 2/((t-r)(t+r)) on the
         orthogonal complement, where b1, b2 mix the last axis with the
-        radial direction.  Returns (lo, hi, b1, b2) with lo = t - r,
-        hi = t + r.
+        radial direction.  Returns ``(mu, B)``: ``mu`` holds those three
+        eigenvalues, complement first, and ``B = [b1 b2]`` is ``(d, 2)``
+        (zero at r = 0, where the three eigenvalues coincide).
         """
         e = guard(e)
         t = float(e[-1])
         r = float(np.linalg.norm(e[:-1]))
-        b1 = np.zeros(d)
-        b2 = np.zeros(d)
+        lo, hi = t - r, t + r
+        mu = np.array([2.0 / (lo * hi), 2.0 / lo**2, 2.0 / hi**2])
+        B = np.zeros((d, 2))
         if r > 0.0:
-            radial = np.zeros(d)
-            radial[:-1] = -e[:-1] / r
-            axis = np.zeros(d)
-            axis[-1] = 1.0
-            b1 = (axis + radial) / math.sqrt(2.0)
-            b2 = (axis - radial) / math.sqrt(2.0)
-        return t - r, t + r, b1, b2
+            B[-1, :] = 1.0 / math.sqrt(2.0)
+            radial = (e[:-1] / r) / math.sqrt(2.0)
+            B[:-1, 0] = -radial
+            B[:-1, 1] = radial
+        return mu, B
+
+    # The relaxation's frame, the dual slack and the carry-over check all
+    # read H at a point; each point's frame is built once.
+    frame = point_cache(frame)
 
     def spectral_apply(frame_e, v, power):
         """Apply H(e)^power for power in {1, 0.5, -0.5} via the closed
         eigendecomposition ``frame_e = frame(e)``, avoiding a Cholesky of
         the near-singular dense Hessian close to the cone boundary.
-        ``v`` is a ``(d,)`` vector or a ``(d, k)`` block."""
-        lo, hi, b1, b2 = frame_e
+        ``v`` is a ``(d,)`` vector or a ``(d, k)`` block:
+        ``mu_iso (v - B C) + B (mu_B C)`` with ``C = B^T v``."""
+        mu, B = frame_e
+        mu = mu**power
         v = np.asarray(v, dtype=float)
-        mu_iso = (2.0 / (lo * hi)) ** power
-        if not np.any(b1):
-            return mu_iso * v
-        mu1 = (2.0 / lo**2) ** power
-        mu2 = (2.0 / hi**2) ** power
-        c1 = b1 @ v
-        c2 = b2 @ v
-        outer = np.multiply.outer
-        return (
-            mu_iso * (v - outer(b1, c1) - outer(b2, c2))
-            + outer(b1, mu1 * c1) + outer(b2, mu2 * c2)
-        )
+        C = B.T @ v
+        # Scaling the rows of C.T scales each column of a (2, k) block.
+        return mu[0] * (v - B @ C) + B @ (C.T * mu[1:]).T
 
     def value(e):
         e = guard(e)

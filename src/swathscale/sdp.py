@@ -9,6 +9,7 @@ product into the coordinate dot product.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +25,7 @@ def sym_dim(n: int) -> int:
 
 
 def mat_order(d: int) -> int:
-    n = int(round((np.sqrt(8 * d + 1) - 1) / 2))
+    n = (math.isqrt(8 * d + 1) - 1) // 2
     if sym_dim(n) != d:
         raise DimensionMismatch(f"{d} is not a symmetric-matrix coordinate length")
     return n
@@ -66,7 +67,7 @@ def smat(v: np.ndarray) -> np.ndarray:
     """Inverse of :func:`svec`, over the same leading batch axes."""
     v = np.asarray(v, dtype=float)
     _, _, scale, coord = _svec_index(mat_order(v.shape[-1]))
-    return (v / scale)[..., coord]
+    return np.take(v / scale, coord, axis=-1)
 
 
 def is_pd(X: np.ndarray) -> bool:
@@ -175,11 +176,11 @@ def det_barrier_oracle(n: int) -> BarrierOracle:
         return np.linalg.eigvalsh(inv_root @ smat(x) @ inv_root)
 
     # The constraint block is mapped at every iterate, so its (k, n, n)
-    # matrix stack is built once, keyed on the block's bytes.  It is made
-    # C-contiguous: smat's gather returns a stack with no unit stride, which
-    # numpy's matmul cannot hand straight to BLAS.
+    # matrix stack is built once, keyed on the block's bytes.  smat's
+    # np.take returns it C-contiguous, so numpy's matmul hands it straight
+    # to BLAS.
     upper, _, scale, _ = _svec_index(n)
-    block_stack = point_cache(lambda rows: (np.ascontiguousarray(smat(rows)),))
+    block_stack = point_cache(lambda rows: (smat(rows),))
 
     def hessian_factor(e):
         _, root, inv_root, _ = factor(e)

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg.lapack import dtrtri
 
 from .core import BarrierOracle
@@ -75,23 +74,24 @@ def _gram_factor(Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _cholesky_qr2(
     X: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Thin QR factorization ``X = Q R`` of a tall block by CholeskyQR2,
-    returned in factored form ``(Q1, R1, R2, R2^{-1})``.
+    returned in factored form ``(Q1, R1, R1^{-1}, R2, R2^{-1})``.
 
     Each pass factors the Gram matrix ``Q^T Q = R_k^T R_k`` and replaces
     ``Q`` by ``Q R_k^{-1}``; the second pass restores orthogonality to
     O(u) while cond(X) < u^{-1/2} (Fukaya, Nakatsukasa, Yanagisawa and
     Yamamoto, 2014).  The second replacement and the product of the
     triangles are left to the caller: ``Q = Q1 R2^{-1}`` and
-    ``R = R2 R1``, which a caller that applies them to a few vectors
-    never forms.  Raises NumericalFailure when a Gram matrix is not
-    numerically positive definite.
+    ``R = R2 R1``, with ``R^{-1} = R1^{-1} R2^{-1}``, which a caller
+    that applies them to a few vectors never forms.  Raises
+    NumericalFailure when a Gram matrix is not numerically positive
+    definite.
     """
     R1, R1_inv = _gram_factor(X)
     Q1 = X @ R1_inv
     R2, R2_inv = _gram_factor(Q1)
-    return Q1, R1, R2, R2_inv
+    return Q1, R1, R1_inv, R2, R2_inv
 
 
 def solve_qcp(
@@ -128,12 +128,14 @@ def solve_qcp(
     # Lorentz runs to a 1e-10 gap ratio ended not_in_swath at 1e-7 to 2e-10.
     # Qm = Q1 R2^{-1} and R = R2 R1 stay factored: Qm is applied to one or
     # two columns at a time, as Qm v = Q1 (R2^{-1} v) and
-    # Qm^T v = R2^{-T} (Q1^T v), and R only through triangular solves.
+    # Qm^T v = R2^{-T} (Q1^T v), and R only through the two explicit
+    # triangular inverses that CholeskyQR2 forms anyway, as
+    # R^{-T} v = R2^{-T} (R1^{-T} v) and R^{-1} v = R1^{-1} (R2^{-1} v).
     apply_L, solve_Lt, solve_L = oracle.hessian_factor(e)
     ehat = apply_L(e)
     chat = solve_Lt(c)
     At_hat = solve_Lt(A.T)  # d x m
-    Q1, R1, R2, R2_inv = _cholesky_qr2(At_hat)
+    Q1, R1, R1_inv, R2, R2_inv = _cholesky_qr2(At_hat)
 
     def Qm(v):
         return Q1 @ (R2_inv @ v)
@@ -154,7 +156,7 @@ def solve_qcp(
     # that the boundary equation makes a root of one scalar quadratic.
     # Both projections run twice so that f and g, and with them A x = b,
     # stay orthogonal to range(Qm) to working accuracy.
-    btil = R2_inv.T @ scipy.linalg.solve_triangular(R1, b, trans="T")
+    btil = R2_inv.T @ (R1_inv.T @ b)
     F = np.column_stack([ehat, chat])
     QF = Qm_t(F)
     F = F - Qm(QF)
@@ -185,8 +187,8 @@ def solve_qcp(
     ip = float(np.dot(ehat, w))  # <e, x>_e
     scale = gap / (n - alpha**2)
     lam = -ip / scale
-    y_e = scipy.linalg.solve_triangular(
-        R1, R2_inv @ (QF[:, 1] - scale * (QF[:, 0] - (alpha**2 / ip) * btil))
+    y_e = R1_inv @ (
+        R2_inv @ (QF[:, 1] - scale * (QF[:, 0] - (alpha**2 / ip) * btil))
     )
     s_e = scale * oracle.hessian_apply(e, e - (alpha**2 / ip) * x)
     return SubproblemSolution(

@@ -247,24 +247,26 @@ class TestRun:
         assert solves == res.iterations
         assert calls == {"solve_qcp": solves, "eigh": solves, "cholesky": 2 * solves, "inv": 0}
 
-        # The esym oracle builds its split Hessian factor once per point.
-        builds = []
+        # The esym oracle builds its split Hessian factor, and the Lorentz
+        # oracle its spectral frame, once per point.
         point_cache = swathscale.hyperbolic.point_cache
+        for family in (sw.elementary_symmetric_family(8, 3), sw.second_order_family(30)):
+            builds = []
 
-        def recording_cache(build):
-            def recorded(e):
-                builds.append(e.tobytes())
-                return build(e)
+            def recording_cache(build):
+                def recorded(e):
+                    builds.append(e.tobytes())
+                    return build(e)
 
-            return point_cache(recorded)
+                return point_cache(recorded)
 
-        inst, e = sw.gen_hp_instance(sw.elementary_symmetric_family(8, 3), 4, 1.0, 0)
-        monkeypatch.setattr(swathscale.hyperbolic, "point_cache", recording_cache)
-        oracle = sw.hp_barrier_oracle(inst.family)
-        monkeypatch.undo()
-        res = sw.run(oracle, inst.A, inst.b, inst.c, e, sw.SolverConfig())
-        assert res.status is sw.RunStatus.CONVERGED
-        assert len(builds) == len(set(builds)) == res.iterations
+            inst, e = sw.gen_hp_instance(family, family.d // 2, 1.0, 0)
+            monkeypatch.setattr(swathscale.hyperbolic, "point_cache", recording_cache)
+            oracle = sw.hp_barrier_oracle(inst.family)
+            monkeypatch.undo()
+            res = sw.run(oracle, inst.A, inst.b, inst.c, e, sw.SolverConfig())
+            assert res.status is sw.RunStatus.CONVERGED
+            assert len(builds) == len(set(builds)) == res.iterations, family.name
 
     def test_constraint_block_stack_built_once_per_run(self, monkeypatch):
         # The frame maps the constraint block at every iterate from one
@@ -284,26 +286,31 @@ class TestRun:
         assert res.status is sw.RunStatus.CONVERGED and res.iterations > 1
         assert ndims.count(2) == 1
 
-    def test_sdp_run_gives_scipy_only_vector_solves(self, monkeypatch):
+    def test_sdp_and_lorentz_runs_make_no_scipy_solves(self, monkeypatch):
         # numpy and scipy each bundle a BLAS with its own thread pool.  A
         # threaded scipy call between numpy calls waits on numpy's idle
-        # workers, so the loop hands scipy single-vector solves only.
-        oracle, A, b, c, e, _, _ = make_sdp(10, m=20, seed=0)
-        rhs_ndim = []
+        # workers, so the loop applies every triangle through numpy, from
+        # the explicit inverses that CholeskyQR2's dtrtri returns.
+        inst, e_lor = sw.gen_hp_instance(sw.second_order_family(30), 15, 1.0, 0)
+        runs = [
+            make_sdp(10, m=20, seed=0)[:5],
+            (sw.hp_barrier_oracle(inst.family), inst.A, inst.b, inst.c, e_lor),
+        ]
+        calls = []
 
-        def recorded(fn):
-            def wrapper(a, rhs, *args, **kwargs):
-                rhs_ndim.append(np.ndim(rhs))
-                return fn(a, rhs, *args, **kwargs)
+        def recorded(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
 
             return wrapper
 
         for name in ("solve_triangular", "cho_solve"):
-            monkeypatch.setattr(scipy.linalg, name, recorded(getattr(scipy.linalg, name)))
-        res = sw.run(oracle, A, b, c, e, sw.SolverConfig())
+            monkeypatch.setattr(scipy.linalg, name, recorded(name, getattr(scipy.linalg, name)))
+        results = [sw.run(*args, sw.SolverConfig()) for args in runs]
         monkeypatch.undo()
-        assert res.status is sw.RunStatus.CONVERGED
-        assert rhs_ndim and set(rhs_ndim) == {1}
+        assert all(res.status is sw.RunStatus.CONVERGED for res in results)
+        assert calls == []
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("family", ["sdp", "lorentz"])

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
 import swathscale as sw
 from swathscale.errors import DimensionMismatch, InvariantViolation, NotInterior
@@ -40,6 +42,15 @@ class TestVectorization:
         assert sw.mat_order(10) == 4
         with pytest.raises(DimensionMismatch):
             sw.mat_order(11)
+
+    @given(n=st.integers(2, 10**6))
+    def test_mat_order_inverts_sym_dim(self, n):
+        # Integer square roots stay exact where a float sqrt would round.
+        d = sw.sym_dim(n)
+        assert sw.mat_order(d) == n
+        for off in (d - 1, d + 1):
+            with pytest.raises(DimensionMismatch):
+                sw.mat_order(off)
 
     def test_identity_svec(self):
         # [TRIVIAL] diagonal entries pass through unscaled.

@@ -213,9 +213,11 @@ class TestCholeskyQr2:
     )
     def test_orthonormal_factor_of_spread_block(self, seed, m, extra, log_kappa):
         X = spread_block(seed, m + extra, m, log_kappa)
-        Q1, R1, R2, R2_inv = _cholesky_qr2(X)
+        Q1, R1, R1_inv, R2, R2_inv = _cholesky_qr2(X)
         # solve_qcp applies these factored; the bounds hold for the products.
         Q, R = Q1 @ R2_inv, R2 @ R1
+        # It applies R^{-1} = R1^{-1} R2^{-1} through the explicit inverses.
+        assert np.linalg.norm(R1 @ R1_inv - np.eye(m), 2) <= 1e-13 * np.linalg.cond(R1)
         assert Q.shape == X.shape and R.shape == (m, m)
         assert np.linalg.norm(Q.T @ Q - np.eye(m), 2) <= 1e-12
         assert np.linalg.norm(Q @ R - X, 2) <= 1e-12 * np.linalg.norm(X, 2)
