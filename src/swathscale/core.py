@@ -30,9 +30,11 @@ class BarrierOracle:
     ``-ln p``.  ``hessian_apply`` and ``hessian_solve`` must raise
     :class:`~swathscale.errors.NotInterior` off the cone interior.  The
     iteration needs the local frame (``hessian_factor``), Hessian products
-    and solves, the eigenvalues of ``x`` in direction ``e``
-    (``direction_eigs``), and ``value`` as an interiority probe;
-    ``gradient`` serves the instance generators and the diagnostics.
+    and solves, the first four power sums of the eigenvalues of ``x`` in
+    direction ``e`` (``direction_power_sums``), and ``value`` as an
+    interiority probe; ``gradient`` serves the instance generators and the
+    diagnostics, and ``direction_eigs``, the eigenvalues themselves, the
+    tests and the diagnostics.
     """
 
     dim: int
@@ -42,6 +44,9 @@ class BarrierOracle:
     hessian_apply: Callable[[Vector, Vector], Vector]
     hessian_solve: Callable[[Vector, Vector], Vector]
     direction_eigs: Callable[[Vector, Vector], Vector]
+    # direction_power_sums(e, x) returns (p1, p2, p3, p4), p_j the sum of
+    # the j-th powers of direction_eigs(e, x), without extracting roots.
+    direction_power_sums: Callable[[Vector, Vector], tuple]
     # hessian_factor(e) returns (apply_L, solve_Lt, solve_L) for a factor
     # H(e) = L^T L, mapping to and from local coordinates w = L x.  Each
     # closure takes a (d,) vector or a (d, k) block of columns and maps

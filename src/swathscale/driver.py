@@ -32,7 +32,6 @@ from .errors import (
     NumericalFailure,
     StepBoundViolation,
 )
-from .hyperbolic import power_sums
 from .subproblem import SubproblemSolution, SubStatus, solve_qcp
 
 _RATIO_SLACK = 1e-9
@@ -159,11 +158,12 @@ def _step_from_solution(
     mode: StepMode,
 ) -> tuple[float, float, tuple[float, float, float]]:
     # The first two power sums equal <e, x>_e and ||x||_e^2; reading them
-    # from the relaxation's local frame keeps them accurate when root
-    # extraction from the restricted polynomial degrades near the cone
+    # from the relaxation's local frame keeps them accurate near the cone
     # boundary.  Higher power sums only shape the step quadratic, where a
-    # small relative error is harmless.
-    _, _, p3, p4 = power_sums(oracle.direction_eigs(e, sol.x_e))
+    # small relative error is harmless.  The oracle forms them without
+    # extracting roots: near convergence x ~ e, the eigenvalues cluster, and
+    # a k-fold root moves by the k-th root of a rounding-level perturbation.
+    _, _, p3, p4 = oracle.direction_power_sums(e, sol.x_e)
     p1, p2 = sol.e_dot_x, sol.x_norm_sq
     coeffs = step_poly_coeffs(p1, p2, p3, p4, alpha, oracle.degree)
     x_norm = math.sqrt(max(p2, 0.0))

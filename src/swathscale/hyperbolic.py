@@ -199,6 +199,9 @@ def _product_oracle(d: int) -> BarrierOracle:
     def direction_eigs(e, x):
         return np.sort(np.asarray(x, dtype=float) / guard(e))
 
+    def direction_power_sums(e, x):
+        return power_sums(np.asarray(x, dtype=float) / guard(e))
+
     def hessian_factor(e):
         e = guard(e)
         inv_e = 1.0 / e
@@ -215,7 +218,8 @@ def _product_oracle(d: int) -> BarrierOracle:
     return BarrierOracle(
         dim=d, degree=d, value=value, gradient=gradient,
         hessian_apply=hessian_apply, hessian_solve=hessian_solve,
-        direction_eigs=direction_eigs, hessian_factor=hessian_factor,
+        direction_eigs=direction_eigs, direction_power_sums=direction_power_sums,
+        hessian_factor=hessian_factor,
     )
 
 
@@ -293,6 +297,9 @@ def _lorentz_oracle(d: int) -> BarrierOracle:
         root = math.sqrt(disc)
         return np.sort(np.array([(-B - root) / (2 * A), (-B + root) / (2 * A)]))
 
+    def direction_power_sums(e, x):
+        return power_sums(direction_eigs(e, x))
+
     def hessian_factor(e):
         # Symmetric square root from the closed eigendecomposition;
         # L = L^T, so the transposed and plain solves coincide.
@@ -309,7 +316,8 @@ def _lorentz_oracle(d: int) -> BarrierOracle:
     return BarrierOracle(
         dim=d, degree=2, value=value, gradient=gradient,
         hessian_apply=hessian_apply, hessian_solve=hessian_solve,
-        direction_eigs=direction_eigs, hessian_factor=hessian_factor,
+        direction_eigs=direction_eigs, direction_power_sums=direction_power_sums,
+        hessian_factor=hessian_factor,
     )
 
 
@@ -398,6 +406,12 @@ def _esym_oracle(d: int, k: int) -> BarrierOracle:
             )
         return np.sort(roots.real)
 
+    def direction_power_sums(e, x):
+        # Newton's identities on the coefficients: no root extraction, so
+        # clustered eigenvalues cost no accuracy.
+        e = guard(e)
+        return power_sums_from_coeffs(_fit_restriction(p, _check_dim(d, x), e, k))
+
     def hessian_factor(e):
         T, C = split_factor(e)
 
@@ -419,7 +433,8 @@ def _esym_oracle(d: int, k: int) -> BarrierOracle:
     return BarrierOracle(
         dim=d, degree=k, value=value, gradient=gradient,
         hessian_apply=hessian_apply, hessian_solve=hessian_solve,
-        direction_eigs=direction_eigs, hessian_factor=hessian_factor,
+        direction_eigs=direction_eigs, direction_power_sums=direction_power_sums,
+        hessian_factor=hessian_factor,
     )
 
 

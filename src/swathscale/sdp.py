@@ -175,6 +175,17 @@ def det_barrier_oracle(n: int) -> BarrierOracle:
         _, _, inv_root, _ = factor(e)
         return np.linalg.eigvalsh(inv_root @ smat(x) @ inv_root)
 
+    def direction_power_sums(e, x):
+        # Traces of W = E^{-1/2} X E^{-1/2} and of its powers, read as
+        # tr W, <W, W>, <W, W^2> and <W^2, W^2> with W symmetric.
+        _, _, inv_root, _ = factor(e)
+        W = inv_root @ smat(x) @ inv_root
+        W2 = W @ W
+        return (
+            float(np.trace(W)), float(np.vdot(W, W)),
+            float(np.vdot(W, W2)), float(np.vdot(W2, W2)),
+        )
+
     # The constraint block is mapped at every iterate, so its (k, n, n)
     # matrix stack is built once, keyed on the block's bytes.  smat's
     # np.take returns it C-contiguous, so numpy's matmul hands it straight
@@ -212,6 +223,7 @@ def det_barrier_oracle(n: int) -> BarrierOracle:
         hessian_apply=hessian_apply,
         hessian_solve=hessian_solve,
         direction_eigs=direction_eigs,
+        direction_power_sums=direction_power_sums,
         hessian_factor=hessian_factor,
     )
 

@@ -60,6 +60,11 @@ def _stable_quadratic_roots(qa: float, qb: float, qc: float) -> list[float]:
     return roots
 
 
+# u^{-1/4} for the unit roundoff u, about 9.7e3: up to this condition number
+# one Gram pass and one correction step reach O(u) (see solve_qcp).
+_ONE_PASS_COND = (np.finfo(float).eps / 2.0) ** -0.25
+
+
 def _gram_factor(Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Upper triangle ``R`` of ``Q^T Q = R^T R`` and its inverse."""
     try:
@@ -72,26 +77,47 @@ def _gram_factor(Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return R, R_inv
 
 
-def _cholesky_qr2(
+def _range_basis(
     X: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Thin QR factorization ``X = Q R`` of a tall block by CholeskyQR2,
-    returned in factored form ``(Q1, R1, R1^{-1}, R2, R2^{-1})``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Basis ``B`` and upper triangle ``T`` with ``B T`` spanning ``range(X)``,
+    orthonormal up to the error one correction step removes.
 
-    Each pass factors the Gram matrix ``Q^T Q = R_k^T R_k`` and replaces
-    ``Q`` by ``Q R_k^{-1}``; the second pass restores orthogonality to
-    O(u) while cond(X) < u^{-1/2} (Fukaya, Nakatsukasa, Yanagisawa and
-    Yamamoto, 2014).  The second replacement and the product of the
-    triangles are left to the caller: ``Q = Q1 R2^{-1}`` and
-    ``R = R2 R1``, with ``R^{-1} = R1^{-1} R2^{-1}``, which a caller
-    that applies them to a few vectors never forms.  Raises
-    NumericalFailure when a Gram matrix is not numerically positive
-    definite.
+    One Gram pass factors ``X^T X = R1^T R1``.  When
+    ``cond_1(R1) <= u^{-1/4}`` it returns ``(X, R1^{-1}, None)``.
+    Otherwise it runs CholeskyQR2's second pass on ``Q1 = X R1^{-1}``
+    (Fukaya, Nakatsukasa, Yanagisawa and Yamamoto, 2014), formed
+    explicitly, and returns ``(Q1, R2^{-1}, R1^{-1})``: there ``X = Q1 R1``,
+    so ``R1^{-1}`` maps coefficients in ``Q1`` back to coefficients in
+    ``X``.  Raises NumericalFailure when a Gram matrix is not numerically
+    positive definite or the triangle ``R`` of ``X = (B T) R`` has a
+    negligible pivot.
     """
     R1, R1_inv = _gram_factor(X)
-    Q1 = X @ R1_inv
-    R2, R2_inv = _gram_factor(Q1)
-    return Q1, R1, R1_inv, R2, R2_inv
+    if np.linalg.norm(R1, 1) * np.linalg.norm(R1_inv, 1) <= _ONE_PASS_COND:
+        B, T, to_x, diag_R = X, R1_inv, None, np.abs(np.diag(R1))
+    else:
+        B = X @ R1_inv
+        R2, T = _gram_factor(B)
+        to_x, diag_R = R1_inv, np.abs(np.diag(R2) * np.diag(R1))
+    if diag_R.size == 0 or diag_R.min() <= 1e-13 * max(diag_R.max(), 1.0):
+        raise NumericalFailure(_RANK_DEFICIENT)
+    return B, T, to_x
+
+
+def _split_off_range(
+    B: np.ndarray, T: np.ndarray, F: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(Z, F - B Z)`` with ``B Z`` the projection of ``F`` on ``range(B T)``.
+
+    The projection ``B T T^T B^T`` runs twice and the coefficients of both
+    runs are summed, so the remainder is orthogonal to the range to
+    working accuracy.
+    """
+    Z = T @ (T.T @ (B.T @ F))
+    F = F - B @ Z
+    Z2 = T @ (T.T @ (B.T @ F))
+    return Z + Z2, F - B @ Z2
 
 
 def solve_qcp(
@@ -120,51 +146,41 @@ def solve_qcp(
     # Work in local coordinates w = L x with H = L^T L, where the cone is
     # the isotropic circular cone around ehat = L e (||ehat|| = sqrt(n)).
     # The ill-conditioning of H is confined to triangular solves and to the
-    # thin QR of At_hat = Qm R.  CholeskyQR2 gives an orthonormal Qm to O(u)
-    # while cond(At_hat) < u^{-1/2} ~ 7e7.  On generated SDP (n=40, m=80) and
-    # Lorentz (d=200, m=100) instances, cond(At_hat) measured up to 5.5e4 at
-    # a 1e-8 gap ratio and 4.9e6 at 1e-12.  One Cholesky pass alone loses
-    # orthogonality as u cond(At_hat)^2: with it, 10 of 12 small SDP and
-    # Lorentz runs to a 1e-10 gap ratio ended not_in_swath at 1e-7 to 2e-10.
-    # Qm = Q1 R2^{-1} and R = R2 R1 stay factored: Qm is applied to one or
-    # two columns at a time, as Qm v = Q1 (R2^{-1} v) and
-    # Qm^T v = R2^{-T} (Q1^T v), and R only through the two explicit
-    # triangular inverses that CholeskyQR2 forms anyway, as
-    # R^{-T} v = R2^{-T} (R1^{-T} v) and R^{-1} v = R1^{-1} (R2^{-1} v).
+    # range of At_hat = L^{-T} A^T, which a basis B T from _range_basis
+    # spans.  One Cholesky pass of the Gram matrix leaves that basis
+    # orthonormal to about u cond(At_hat)^2, and the least-norm solution and
+    # the projections below each take one correction step, which squares
+    # that error to about u while cond(At_hat) <= u^{-1/4} ~ 9.7e3.  Beyond
+    # it the second CholeskyQR2 pass runs, which restores orthogonality to
+    # O(u) while cond(At_hat) < u^{-1/2} ~ 7e7.  On generated SDP (n=40,
+    # m=80) and Lorentz (d=200, m=100) instances, cond(At_hat) measured up
+    # to 5.5e4 at a 1e-8 gap ratio and 4.9e6 at 1e-12; one pass everywhere,
+    # even with the correction steps, lost Lorentz runs to a 1e-12 ratio.
     apply_L, solve_Lt, solve_L = oracle.hessian_factor(e)
     ehat = apply_L(e)
     chat = solve_Lt(c)
     At_hat = solve_Lt(A.T)  # d x m
-    Q1, R1, R1_inv, R2, R2_inv = _cholesky_qr2(At_hat)
+    B, T, to_x = _range_basis(At_hat)
 
-    def Qm(v):
-        return Q1 @ (R2_inv @ v)
-
-    def Qm_t(v):
-        return R2_inv.T @ (Q1.T @ v)
-
-    diag_R = np.abs(np.diag(R2) * np.diag(R1))
-    if diag_R.size == 0 or diag_R.min() <= 1e-13 * max(diag_R.max(), 1.0):
-        raise NumericalFailure(_RANK_DEFICIENT)
-
-    # Write w = Qm btil + u with u orthogonal to range(Qm).  Only the parts
-    # of u along f = ehat_perp and g = chat_perp move the objective or loosen
-    # the cone, so the optimum lies in their plane, where the feasible set
-    # is a conic section: bounded (an ellipse) iff ||f|| < alpha, a
-    # parabola at ||f|| = alpha.  Stationarity puts the optimum at
+    # Write w = w0 + u with w0 the least-norm solution of At_hat^T w = b,
+    # which lies in range(B), and u orthogonal to it.  In the basis B the
+    # constraints read B^T w = b_B, with b_B = R1^{-T} b after the second
+    # pass (At_hat = B R1).  Only the parts of u along f = ehat_perp and
+    # g = chat_perp move the objective or loosen the cone, so the optimum
+    # lies in their plane, where the feasible set is a conic section:
+    # bounded (an ellipse) iff ||f|| < alpha, a parabola at ||f|| = alpha.
+    # Stationarity puts the optimum at
     # u = beta0 (f - kappa g) / (alpha^2 - <f, f - kappa g>) for a kappa > 0
     # that the boundary equation makes a root of one scalar quadratic.
-    # Both projections run twice so that f and g, and with them A x = b,
-    # stay orthogonal to range(Qm) to working accuracy.
-    btil = R2_inv.T @ (R1_inv.T @ b)
-    F = np.column_stack([ehat, chat])
-    QF = Qm_t(F)
-    F = F - Qm(QF)
-    F = F - Qm(Qm_t(F))
+    b_B = b if to_x is None else to_x.T @ b
+    z0 = T @ (T.T @ b_B)
+    z0 = z0 + T @ (T.T @ (b_B - B.T @ (B @ z0)))
+    w0 = B @ z0
+    Z, F = _split_off_range(B, T, np.column_stack([ehat, chat]))
     f, g = F[:, 0], F[:, 1]
     ff, fg, gg = float(np.dot(f, f)), float(np.dot(f, g)), float(np.dot(g, g))
-    beta0 = float(np.dot(QF[:, 0], btil))
-    rho2 = float(np.dot(btil, btil))
+    beta0 = float(np.dot(ehat, w0))
+    rho2 = float(np.dot(w0, w0))
     D = alpha**2 - ff
     q = rho2 * D - beta0**2
     roots = _stable_quadratic_roots(rho2 * fg**2 + beta0**2 * gg, 2.0 * fg * q, D * q)
@@ -174,7 +190,7 @@ def solve_qcp(
     # One root qualifies in exact arithmetic; should rounding admit two,
     # the lower objective is the minimizer.
     kappa = min(kappas, key=lambda kap: (fg - kap * gg) / (D + kap * fg))
-    w = Qm(btil) + (beta0 / (D + kappa * fg)) * (f - kappa * g)
+    w = w0 + (beta0 / (D + kappa * fg)) * (f - kappa * g)
     x = solve_L(w)
     gap = float(np.dot(c, e - x))
     if gap <= 0.0:
@@ -183,13 +199,14 @@ def solve_qcp(
     # Pairing the stationarity equation with x and with e gives the
     # multiplier identity lambda * gap = -(n - alpha^2) <e, x>_e.  The dual
     # slack in the frame is shat = (gap / (n - alpha^2)) (ehat - (alpha^2/ip) w),
-    # and chat - shat = Qm R y gives R y = Qm^T chat - Qm^T shat.
+    # and chat - shat = At_hat y lies in range(B): its coefficients in B are
+    # those of chat and shat, and R1^{-1} maps them to y after the second pass.
     ip = float(np.dot(ehat, w))  # <e, x>_e
     scale = gap / (n - alpha**2)
     lam = -ip / scale
-    y_e = R1_inv @ (
-        R2_inv @ (QF[:, 1] - scale * (QF[:, 0] - (alpha**2 / ip) * btil))
-    )
+    y_e = Z[:, 1] - scale * (Z[:, 0] - (alpha**2 / ip) * z0)
+    if to_x is not None:
+        y_e = to_x @ y_e
     s_e = scale * oracle.hessian_apply(e, e - (alpha**2 / ip) * x)
     return SubproblemSolution(
         x, y_e, s_e, lam, gap, SubStatus.SOLVED,

@@ -238,6 +238,23 @@ class TestDirectionEigs:
                 sw.local_inner(oracle, e, e, x), rel=1e-7, abs=1e-9
             )
 
+    def test_power_sums_match_eigs(self, rng):
+        # direction_power_sums forms the sums without extracting roots; at
+        # points where the roots are well separated it agrees with the
+        # power sums of direction_eigs.
+        families = [*ALL_FAMILIES, sw.determinant_family(6),
+                    sw.elementary_symmetric_family(8, 4)]
+        for fam in families:
+            oracle = sw.hp_barrier_oracle(fam)
+            for _ in range(10):
+                e = interior_point(fam, rng)
+                x = rng.standard_normal(fam.d)
+                lam = oracle.direction_eigs(e, x)
+                sums = oracle.direction_power_sums(e, x)
+                for j, (got, ref) in enumerate(zip(sums, sw.power_sums(lam)), 1):
+                    scale = float(np.sum(np.abs(lam) ** j))
+                    assert abs(got - ref) <= 1e-9 * scale, (fam.name, j, got, ref)
+
 
 class TestRestrictedCoeffs:
     def test_product_matches_numpy_polynomial(self, rng):

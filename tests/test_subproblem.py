@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.linalg
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import swathscale as sw
 from swathscale.errors import DimensionMismatch, DomainError, NumericalFailure
-from swathscale.subproblem import _cholesky_qr2
+from swathscale.subproblem import _range_basis, _split_off_range
 
 from conftest import diag2_problem, make_sdp
 
@@ -201,32 +202,71 @@ def spread_block(seed, d, m, log_kappa):
     return (U * sv) @ V.T
 
 
+# u^{-1/4} for the unit roundoff u = 2^-53: above this cond_1(R1) one
+# Cholesky pass is not accurate enough and CholeskyQR2's second pass runs.
+ONE_PASS_COND = 2.0**13.25
+
+spread_blocks = given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 30),
+    extra=st.integers(0, 70),
+    log_kappa=st.floats(0.0, 6.0),
+)
+
+
 class TestCholeskyQr2:
-    """The thin QR that orthogonalizes the frame-transformed constraints."""
+    """The basis of the frame-transformed constraints' range: one Gram
+    pass, or CholeskyQR2 when one pass is not accurate enough."""
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        m=st.integers(1, 30),
-        extra=st.integers(0, 70),
-        log_kappa=st.floats(0.0, 6.0),
-    )
+    @spread_blocks
+    def test_second_pass_iff_one_pass_too_coarse(self, seed, m, extra, log_kappa):
+        X = spread_block(seed, m + extra, m, log_kappa)
+        B, T, to_x = _range_basis(X)
+        R1 = np.linalg.cholesky(X.T @ X).T
+        two_pass = np.linalg.cond(R1, 1) > ONE_PASS_COND
+        assert (to_x is not None) == two_pass
+        if not two_pass:
+            assert B is X
+            assert np.linalg.norm(T @ R1 - np.eye(m), 2) <= 1e-13 * np.linalg.cond(R1)
+
+    @settings(max_examples=60, deadline=None)
+    @spread_blocks
+    @example(seed=0, m=12, extra=30, log_kappa=6.0)
     def test_orthonormal_factor_of_spread_block(self, seed, m, extra, log_kappa):
         X = spread_block(seed, m + extra, m, log_kappa)
-        Q1, R1, R1_inv, R2, R2_inv = _cholesky_qr2(X)
-        # solve_qcp applies these factored; the bounds hold for the products.
-        Q, R = Q1 @ R2_inv, R2 @ R1
-        # It applies R^{-1} = R1^{-1} R2^{-1} through the explicit inverses.
+        B, T, R1_inv = _range_basis(X)
+        if R1_inv is None:
+            return  # one pass; the projection test covers it
+        # Two passes: B = Q1 = X R1^{-1}, T = R2^{-1}, and X = Q R with
+        # Q = Q1 R2^{-1}, R = R2 R1.
+        R1 = np.linalg.cholesky(X.T @ X).T
         assert np.linalg.norm(R1 @ R1_inv - np.eye(m), 2) <= 1e-13 * np.linalg.cond(R1)
+        Q, R = B @ T, scipy.linalg.solve_triangular(T, R1)
         assert Q.shape == X.shape and R.shape == (m, m)
         assert np.linalg.norm(Q.T @ Q - np.eye(m), 2) <= 1e-12
         assert np.linalg.norm(Q @ R - X, 2) <= 1e-12 * np.linalg.norm(X, 2)
         assert np.all(np.tril(R, -1) == 0.0)
-        # The column space matches Householder's to the accuracy either
-        # factorization has: u times the condition number, with margin.
+
+    @settings(max_examples=60, deadline=None)
+    @spread_blocks
+    def test_projection_matches_householder(self, seed, m, extra, log_kappa):
+        # For every condition number, the twice-applied projection onto the
+        # range matches Householder's to the accuracy either factorization
+        # has: u times the condition number, with margin.
+        X = spread_block(seed, m + extra, m, log_kappa)
+        B, T, _ = _range_basis(X)
+        v = np.random.default_rng([seed, 1]).standard_normal(m + extra)
+        v /= np.linalg.norm(v)
+        Z, rest = _split_off_range(B, T, v[:, None])
+        assert Z.shape == (m, 1) and rest.shape == (m + extra, 1)
         Qh, _ = np.linalg.qr(X)
         tol = 1e-13 * 10.0**log_kappa
-        assert np.linalg.norm(Q @ Q.T - Qh @ Qh.T, 2) <= tol
+        assert np.linalg.norm((v - rest[:, 0]) - Qh @ (Qh.T @ v)) <= tol
+        # Projecting twice leaves the remainder orthogonal to the range to
+        # about u times the condition number; one projection alone leaves
+        # up to u cond^2 on a one-pass basis.
+        assert np.linalg.norm(Qh.T @ rest) <= 0.1 * tol
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -239,4 +279,4 @@ class TestCholeskyQr2:
         X = spread_block(seed, m + extra, m, 0.0)
         X[:, data.draw(st.integers(0, m - 1))] = 0.0
         with pytest.raises(NumericalFailure):
-            _cholesky_qr2(X)
+            _range_basis(X)
