@@ -207,6 +207,13 @@ def run(
         except NumericalFailure:
             status = RunStatus.NUMERICAL_FAILURE
             break
+        except DomainError:
+            # At k = 0 the caller's e0 is off A e0 = b; later, an iterate
+            # has drifted off it by rounding.
+            if k == 0:
+                raise
+            status = RunStatus.NUMERICAL_FAILURE
+            break
         if sol.status is not SubStatus.SOLVED:
             status = RunStatus.NOT_IN_SWATH
             break

@@ -4,7 +4,7 @@ A family is a closed enumeration: coordinate product, second-order
 (Lorentz) form, symmetric determinant on svec coordinates, and the
 elementary symmetric polynomial e_k.  Eigenvalues of ``x`` in direction
 ``e`` are the roots of ``lambda -> p(lambda e - x)``; power sums of those
-roots feed the step polynomial of the driver.
+roots feed the step polynomial of the driver; no coefficient is fitted.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .errors import (
     DomainError,
     NonRealEigenvalues,
     NotInterior,
-    NumericalFailure,
 )
 
 PRODUCT = "product"
@@ -87,8 +86,8 @@ def _minkowski(u: np.ndarray, v: np.ndarray) -> float:
     return float(u[-1] * v[-1] - np.dot(u[:-1], v[:-1]))
 
 
-def _lorentz_interior(x: np.ndarray, tol: float = 0.0) -> bool:
-    return x[-1] > np.linalg.norm(x[:-1]) + tol
+def _lorentz_interior(x: np.ndarray) -> bool:
+    return x[-1] > np.linalg.norm(x[:-1])
 
 
 def _esym_values(x: np.ndarray, k: int) -> np.ndarray:
@@ -100,19 +99,42 @@ def _esym_values(x: np.ndarray, k: int) -> np.ndarray:
     return e
 
 
-def _esym_interior(x: np.ndarray, k: int, tol: float = 0.0) -> bool:
+def _esym_interior(x: np.ndarray, k: int) -> bool:
     # The cone in direction 1 is cut out by the positivity of all lower
     # elementary symmetric polynomials.
-    return bool(np.all(_esym_values(x, k)[1:] > tol))
+    return bool(np.all(_esym_values(x, k)[1:] > 0.0))
 
 
-def _esym_deflate(e: np.ndarray, xi: float) -> np.ndarray:
-    """From e_j(x) recover e_j(x with one coordinate xi removed)."""
-    f = np.zeros_like(e)
-    f[0] = 1.0
-    for j in range(1, len(e)):
-        f[j] = e[j] - xi * f[j - 1]
-    return f
+def _esym_deflations(x: np.ndarray, k: int) -> np.ndarray:
+    """``D[i, j] = e_j(x without x_i)`` for j = 0..k, in k vector steps; column
+    k - 1 is the gradient of e_k itself (not the barrier)."""
+    e_full = _esym_values(x, k)
+    D = np.ones((x.size, k + 1))
+    for j in range(1, k + 1):
+        D[:, j] = e_full[j] - x * D[:, j - 1]
+    return D
+
+
+def _esym_pairs(x: np.ndarray, D: np.ndarray, k: int) -> np.ndarray:
+    """Hessian ``e_{k-2}(x without x_i, x_j)`` of e_k, from ``D`` in k - 2 steps;
+    the upper triangle (row i deflated by x_j) is mirrored."""
+    G = np.ones((x.size, x.size))
+    for j in range(1, k - 1):
+        G = D[:, j, None] - x[None, :] * G
+    G = np.triu(G, 1)
+    return G + G.T
+
+
+def _esym_restriction(x: np.ndarray, e: np.ndarray, k: int) -> np.ndarray:
+    """Ascending coefficients of ``t -> e_k(x + t e)``: the recurrence of
+    ``_esym_values`` with row j of E holding e_j as a polynomial in t."""
+    E = np.zeros((k + 1, k + 1))
+    E[0, 0] = 1.0
+    for xi, ei in zip(x, e):
+        step = xi * E[:-1]
+        step[:, 1:] += ei * E[:-1, :-1]
+        E[1:] += step
+    return E[k]
 
 
 def eval_p(family: HpFamily, x: np.ndarray) -> float:
@@ -127,16 +149,16 @@ def eval_p(family: HpFamily, x: np.ndarray) -> float:
     return float(_esym_values(x, family.k)[family.k])
 
 
-def is_interior(family: HpFamily, x: np.ndarray, tol: float = 0.0) -> bool:
+def is_interior(family: HpFamily, x: np.ndarray) -> bool:
     """Strict membership in the open hyperbolicity cone."""
     x = _check_dim(family.d, x)
     if family.name == PRODUCT:
-        return bool(np.all(x > tol))
+        return bool(np.all(x > 0.0))
     if family.name == SECOND_ORDER:
-        return _lorentz_interior(x, tol)
+        return _lorentz_interior(x)
     if family.name == DETERMINANT:
         return sdp.is_pd(sdp.smat(x))
-    return _esym_interior(x, family.k, tol)
+    return _esym_interior(x, family.k)
 
 
 def is_member(family: HpFamily, x: np.ndarray, tol: float = 1e-9) -> bool:
@@ -328,21 +350,6 @@ def _esym_oracle(d: int, k: int) -> BarrierOracle:
     def p(x):
         return float(_esym_values(x, k)[k])
 
-    def deflations(x):
-        """Row i holds e_0..e_k of x with x_i removed; column k - 1 is the
-        gradient of e_k itself (not the barrier)."""
-        e_full = _esym_values(x, k)
-        return np.array([_esym_deflate(e_full, xi) for xi in x])
-
-    def hess_p(x, deflated):
-        """Hessian of e_k itself, from the rows of ``deflations(x)``."""
-        hess = np.zeros((d, d))
-        for i in range(d):
-            for j in range(i + 1, d):
-                twice = _esym_deflate(deflated[i], x[j])
-                hess[i, j] = hess[j, i] = twice[k - 2]
-        return hess
-
     def split_factor(e):
         """``(T, C)`` with ``H(e) = L^T L`` for ``L = C^T T^T``.
 
@@ -357,8 +364,8 @@ def _esym_oracle(d: int, k: int) -> BarrierOracle:
         """
         e = guard(e)
         p_e = p(e)
-        deflated = deflations(e)
-        hp = hess_p(e, deflated)
+        deflated = _esym_deflations(e, k)
+        hp = _esym_pairs(e, deflated, k)
         ghat = deflated[:, k - 1] / p_e
         norm_g = float(np.linalg.norm(ghat))
         v = ghat / norm_g
@@ -380,7 +387,7 @@ def _esym_oracle(d: int, k: int) -> BarrierOracle:
 
     def gradient(e):
         e = guard(e)
-        return -deflations(e)[:, k - 1] / p(e)
+        return -_esym_deflations(e, k)[:, k - 1] / p(e)
 
     def hessian_apply(e, v):
         T, C = split_factor(e)
@@ -391,9 +398,12 @@ def _esym_oracle(d: int, k: int) -> BarrierOracle:
         return solve_L(solve_Lt(w))
 
     def direction_eigs(e, x):
-        """The k roots of ``l -> e_k(l e - x)``, from the companion matrix."""
+        """The k roots of ``l -> e_k(l e - x)``: ``c = <e, x>_e / k`` plus the
+        companion-matrix roots of the centred ``s -> e_k((s + c) e - x)``."""
         e = guard(e)
-        roots = np.roots(_fit_restriction(p, -_check_dim(d, x), e, k)[::-1])
+        x = _check_dim(d, x)
+        c = -float(np.dot(gradient(e), x)) / k
+        roots = np.roots(_esym_restriction(c * e - x, e, k)[::-1]) + c
         # Near-coincident roots perturb into conjugate pairs with
         # imaginary parts ~ sqrt(eps * conditioning); a loose realness
         # tolerance keeps those while still rejecting genuinely complex
@@ -410,7 +420,7 @@ def _esym_oracle(d: int, k: int) -> BarrierOracle:
         # Newton's identities on the coefficients: no root extraction, so
         # clustered eigenvalues cost no accuracy.
         e = guard(e)
-        return power_sums_from_coeffs(_fit_restriction(p, _check_dim(d, x), e, k))
+        return power_sums_from_coeffs(_esym_restriction(_check_dim(d, x), e, k))
 
     def hessian_factor(e):
         T, C = split_factor(e)
@@ -441,33 +451,21 @@ def _esym_oracle(d: int, k: int) -> BarrierOracle:
 def restricted_coeffs(family: HpFamily, x: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Coefficients a_0..a_n of ``t -> p(x + t e)``, ascending.
 
-    Product and second-order families use closed forms; the rest sample
-    p at Chebyshev nodes and solve the Vandermonde system.
+    The second-order family uses a closed form, the determinant ``det E``
+    times the characteristic polynomial of ``-E^{-1} X``, and e_k (the
+    product of coordinates is e_d) the exact recurrence of
+    ``_esym_restriction``.
     """
     x = _check_dim(family.d, x)
     e = _check_dim(family.d, e)
     if eval_p(family, e) <= 0.0:
         raise NotInterior("restriction direction must have positive polynomial value")
-    if family.name == PRODUCT:
-        a = np.array([1.0])
-        for xi, ei in zip(x, e):
-            a = np.convolve(a, [xi, ei])
-        return a
     if family.name == SECOND_ORDER:
         return np.array([_minkowski(x, x), 2.0 * _minkowski(x, e), _minkowski(e, e)])
-    return _fit_restriction(lambda y: eval_p(family, y), x, e, family.degree)
-
-
-def _fit_restriction(p, x: np.ndarray, e: np.ndarray, n: int) -> np.ndarray:
-    """Degree-n coefficients of ``t -> p(x + t e)`` from Chebyshev samples."""
-    scale = 1.0 + np.linalg.norm(x) / np.linalg.norm(e)
-    nodes = scale * np.cos(np.pi * (2 * np.arange(n + 1) + 1) / (2 * (n + 1)))
-    vals = np.array([p(x + t * e) for t in nodes])
-    coeffs = np.polynomial.polynomial.polyfit(nodes, vals, n)
-    resid = np.max(np.abs(np.polynomial.polynomial.polyval(nodes, coeffs) - vals))
-    if resid > 1e-6 * (1.0 + np.max(np.abs(vals))):
-        raise NumericalFailure(f"Vandermonde fit residual {resid:.3e} too large")
-    return coeffs
+    if family.name == DETERMINANT:
+        E = sdp.smat(e)
+        return np.linalg.det(E) * np.poly(-np.linalg.solve(E, sdp.smat(x)))[::-1]
+    return _esym_restriction(x, e, family.degree)
 
 
 def power_sums(eigs: np.ndarray) -> tuple[float, float, float, float]:

@@ -26,7 +26,6 @@ _RANK_DEFICIENT = "constraint map is rank-deficient at this point"
 class SubStatus(enum.Enum):
     SOLVED = "solved"
     NOT_IN_SWATH = "not_in_swath"
-    NUMERICAL_FAILURE = "numerical_failure"
 
 
 @dataclass

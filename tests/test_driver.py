@@ -175,6 +175,27 @@ class TestRun:
         )
         assert res.status is sw.RunStatus.NOT_IN_SWATH
 
+    def test_drifted_iterate_is_numerical_failure(self, monkeypatch):
+        # The third iterate leaves A e = b by 1e-6 relative, past the
+        # relaxation's 1e-8 feasibility check: the run ends with a status.
+        oracle, A, b, c, e, _, _ = make_sdp(5, seed=0)
+        r = np.zeros(b.size)
+        r[0] = 1e-6 * (1.0 + np.max(np.abs(b)))
+        drift = A.T @ np.linalg.solve(A @ A.T, r)
+        step, calls = swathscale.driver.next_iterate, [0]
+
+        def drifting(*args):
+            calls[0] += 1
+            return step(*args) + (drift if calls[0] == 2 else 0.0)
+
+        monkeypatch.setattr(swathscale.driver, "next_iterate", drifting)
+        res = sw.run(oracle, A, b, c, e, sw.SolverConfig())
+        assert res.status is sw.RunStatus.NUMERICAL_FAILURE
+        assert res.iterations == 2
+        # An infeasible start is the caller's error, not a run outcome.
+        with pytest.raises(DomainError):
+            sw.run(oracle, A, b, c, e + drift, sw.SolverConfig())
+
     def test_trace_records_are_consistent(self):
         oracle, A, b, c, e, _, _ = make_sdp(4, seed=3)
         res = sw.run(oracle, A, b, c, e, sw.SolverConfig())

@@ -2,9 +2,12 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import swathscale as sw
 import swathscale.hyperbolic
@@ -134,28 +137,58 @@ class TestBarrierIdentities:
 
     @pytest.mark.parametrize("d, k", [(5, 3), (9, 4)])
     def test_esym_gradient_takes_single_deflations(self, d, k, rng, monkeypatch):
-        # The gradient needs e_{k-1} with one coordinate removed, one
-        # deflation per coordinate; the d(d-1)/2 pair deflations of the
-        # Hessian are left to the frame.
+        # The gradient needs e_{k-1} with one coordinate removed, a column of
+        # the single-deflation table; the pair table of the Hessian is left
+        # to the frame.
         family = sw.elementary_symmetric_family(d, k)
         oracle = sw.hp_barrier_oracle(family)
         e = interior_point(family, rng)
         calls = [0]
-        deflate = swathscale.hyperbolic._esym_deflate
+        pairs = swathscale.hyperbolic._esym_pairs
 
         def counted(*args):
             calls[0] += 1
-            return deflate(*args)
+            return pairs(*args)
 
-        monkeypatch.setattr(swathscale.hyperbolic, "_esym_deflate", counted)
+        monkeypatch.setattr(swathscale.hyperbolic, "_esym_pairs", counted)
         g = oracle.gradient(e)
+        assert calls[0] == 0
+        oracle.hessian_apply(e, e)  # the frame does build it, once
+        assert calls[0] == 1
         monkeypatch.undo()
-        assert calls[0] == d
         p = eval_p(family, e)
         for i in range(d):
             rest = np.delete(e, i)
             minor = sum(math.prod(c) for c in itertools.combinations(rest, k - 1))
             assert g[i] == pytest.approx(-minor / p, rel=1e-12)
+
+    @pytest.mark.parametrize("d, k", [(5, 2), (6, 3), (9, 4), (10, 7)])
+    def test_esym_tables_match_combinations(self, d, k, rng):
+        # [DERIVED] oracle: explicit sums over index subsets, and bit for bit
+        # the scalar deflation recurrence that each row and pair runs.
+        hyp = swathscale.hyperbolic
+        x = rng.uniform(0.5, 2.0, d)
+        D = hyp._esym_deflations(x, k)
+        P = hyp._esym_pairs(x, D, k)
+        assert np.array_equal(P, P.T) and np.all(np.diag(P) == 0.0)
+        e_full = hyp._esym_values(x, k)
+        for i in range(d):
+            rest = np.delete(x, i)
+            row = [1.0]
+            for j in range(1, k + 1):
+                row.append(e_full[j] - x[i] * row[-1])
+            assert D[i].tolist() == row
+            for j in range(k + 1):
+                ref = sum(math.prod(c) for c in itertools.combinations(rest, j))
+                assert D[i, j] == pytest.approx(ref, rel=1e-12)
+            for j in range(i + 1, d):
+                twice = 1.0
+                for m in range(1, k - 1):
+                    twice = D[i, m] - x[j] * twice
+                assert P[i, j] == twice
+                rest = np.delete(x, [i, j])
+                ref = sum(math.prod(c) for c in itertools.combinations(rest, k - 2))
+                assert P[i, j] == pytest.approx(ref, rel=1e-12)
 
     def test_gradient_raises_off_cone(self):
         fam = sw.product_family(3)
@@ -280,6 +313,42 @@ class TestRestrictedCoeffs:
         fam = sw.product_family(3)
         with pytest.raises(NotInterior):
             sw.restricted_coeffs(fam, np.ones(3), np.array([1.0, -1.0, 1.0]))
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.name)
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_coeffs_reproduce_polynomial(self, family, seed):
+        # sum_j a_j t^j = p(x + t e) at several t; the scale bounds |p(y)|
+        # for each family, so the tolerance is relative to the terms summed.
+        rng = np.random.default_rng(seed)
+        e = interior_point(family, rng)
+        x = rng.standard_normal(family.d)
+        a = sw.restricted_coeffs(family, x, e)
+        for t in (-2.0, -0.5, 0.0, 0.7, 3.0):
+            y = x + t * e
+            scale = (1.0 + np.sum(np.abs(y))) ** family.degree
+            got = np.polynomial.polynomial.polyval(t, a)
+            assert abs(got - eval_p(family, y)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("d, k", [(12, 4), (30, 4), (20, 7)])
+    def test_esym_coeffs_match_exact_arithmetic(self, d, k, rng):
+        # [DERIVED] oracle: the coefficient of s^k in prod_i (1 + s (x_i + t e_i)),
+        # expanded in rationals.  Sampling p and fitting the coefficients
+        # left errors of 3e-14 (d=30) to 6e-13 (d=20, k=7) of the largest one.
+        fam = sw.elementary_symmetric_family(d, k)
+        for _ in range(10):
+            e = 1.0 + 0.5 * rng.uniform(-1.0, 1.0, d)
+            x = rng.standard_normal(d)
+            E = [[Fraction(0)] * (k + 1) for _ in range(k + 1)]
+            E[0][0] = Fraction(1)
+            for xi, ei in zip(map(Fraction, x), map(Fraction, e)):
+                for j in range(k, 0, -1):
+                    for m in range(j + 1):
+                        shifted = ei * E[j - 1][m - 1] if m else 0
+                        E[j][m] += xi * E[j - 1][m] + shifted
+            ref = np.array([float(v) for v in E[k]])
+            got = sw.restricted_coeffs(fam, x, e)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 class TestPowerSums:
