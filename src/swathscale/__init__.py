@@ -58,7 +58,6 @@ from .hyperbolic import (
 from .sdp import (
     SdpInstance,
     det_barrier_oracle,
-    direction_eigs_sdp,
     is_pd,
     mat_order,
     smat,

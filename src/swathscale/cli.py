@@ -18,6 +18,7 @@ import click
 import numpy as np
 
 from . import diagnostics, generate, hpjson, sdpa, tracefile
+from .core import schedule_constants
 from .driver import (
     RunStatus,
     SolverConfig,
@@ -258,26 +259,19 @@ def validate(file, checks, alpha):
         if meta["backend"] == "sdp":
             inst = meta["instance"]
             E0 = smat(e0)
-            n = meta["n"]
             if checks in ("all", "qscale"):
                 reports.append(diagnostics.q_scaling_check(inst, E0, alpha))
             if checks in ("all", "equiv"):
-                beta = alpha * np.sqrt((1 + alpha) / 2)
+                beta = schedule_constants(alpha, meta["n"]).beta
                 grid = np.linspace(-0.5, 3.0, 25)
                 reports.append(
                     diagnostics.membership_equiv_check(inst, E0, alpha, beta, grid)
                 )
             if checks in ("all", "bound"):
-                rng = np.random.default_rng(0)
-                V = 0.5 * (lambda M: M + M.T)(rng.standard_normal((n, n)))
-                Einv = np.linalg.inv(E0)
-                V -= (np.trace(Einv @ V) / n) * E0
-                lam = np.linalg.eigvalsh(
-                    np.linalg.cholesky(Einv).T @ V @ np.linalg.cholesky(Einv)
+                X, v_norm = diagnostics.boundary_point(
+                    E0, alpha, np.random.default_rng(0)
                 )
-                sigma = np.sqrt((n * n - alpha**2 * n) / (alpha**2 * np.sum(lam**2)))
-                X = E0 + sigma * V
-                grid = np.linspace(1e-3, alpha / np.sqrt(np.sum((sigma * lam) ** 2)), 20)
+                grid = np.linspace(1e-3, alpha / v_norm, 20)
                 reports.append(diagnostics.decrease_bound_check(E0, X, alpha, grid))
         elif checks in ("qscale", "equiv", "bound"):
             click.echo("requested check applies to SDP instances only", err=True)

@@ -34,7 +34,7 @@ class BarrierOracle:
     direction ``e`` (``direction_power_sums``), and ``value`` as an
     interiority probe; ``gradient`` serves the instance generators and the
     diagnostics, and ``direction_eigs``, the eigenvalues themselves, the
-    tests and the diagnostics.
+    tests.
     """
 
     dim: int
@@ -123,28 +123,28 @@ class QuadCone:
         return math.sqrt(self.oracle.degree - self.alpha**2)
 
 
-def primal_cone_member(cone: QuadCone, x: Vector, tol: float = 1e-9) -> Membership:
-    """Classify ``x`` against ``K_e(alpha)`` with a relative tol band.
+def primal_cone_member(cone: QuadCone, x: Vector) -> Membership:
+    """Classify ``x`` against ``K_e(alpha)`` with a relative band of 1e-9.
 
     The band scales with ``||x||_e`` so classification is invariant under
     positive rescaling of ``x`` (cones are scale-invariant sets).
-    Boundary means ``|<e,x>_e - alpha ||x||_e| <= tol * ||x||_e``.
+    Boundary means ``|<e,x>_e - alpha ||x||_e| <= 1e-9 ||x||_e``.
     """
     hx = cone.oracle.hessian_apply(cone.e, x)
     proj = float(np.dot(cone.e, hx))
     norm = math.sqrt(max(float(np.dot(x, hx)), 0.0))
     slack = proj - cone.alpha * norm
-    band = tol * norm
+    band = 1e-9 * norm
     if abs(slack) <= band:
         return Membership.BOUNDARY
     return Membership.INTERIOR if slack > 0 else Membership.OUTSIDE
 
 
-def dual_cone_member(cone: QuadCone, s: Vector, tol: float = 1e-9) -> Membership:
+def dual_cone_member(cone: QuadCone, s: Vector) -> Membership:
     """Classify ``s`` against ``K_e(alpha)* = H(e) K_e(sqrt(n - alpha^2))``."""
     pulled = cone.oracle.hessian_solve(cone.e, s)
     dual = QuadCone(cone.oracle, cone.e, cone.dual_alpha)
-    return primal_cone_member(dual, pulled, tol)
+    return primal_cone_member(dual, pulled)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,14 @@
 """Independent oracles tying the solver back to its per-iteration identities.
 
-Everything here recomputes a quantity along a second, unrelated path
-(direct trace evaluation, finite differences, closed-form bounds) and
-compares.  Checks aggregate into :class:`CheckReport`; nothing is cached
-between checks.
+Each check takes a quantity as the solver's oracle gives it and compares
+it against a second, unrelated path (direct trace evaluation, finite
+differences, closed-form bounds).  Checks aggregate into
+:class:`CheckReport`; nothing is cached between checks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,10 +18,11 @@ from .core import (
     Membership,
     QuadCone,
     dual_cone_member,
+    local_inner,
+    local_norm,
 )
 from .errors import DomainError, NotInterior
-from .hyperbolic import power_sums
-from .sdp import SdpInstance, det_barrier_oracle, direction_eigs_sdp, is_pd, smat, svec
+from .sdp import SdpInstance, det_barrier_oracle, is_pd, smat, svec
 from .subproblem import SubStatus, solve_qcp
 from .driver import step_poly_coeffs
 
@@ -53,25 +55,23 @@ def _solve_sdp_relaxation(sdp_inst: SdpInstance, E: np.ndarray, alpha: float):
     return oracle, sol
 
 
-def q_scaling_check(
-    sdp_inst: SdpInstance, E: np.ndarray, alpha: float, t_samples: int = 11
-) -> CheckReport:
+def q_scaling_check(sdp_inst: SdpInstance, E: np.ndarray, alpha: float) -> CheckReport:
     """Compare the trace quadratic against the eigenvalue-coefficient form.
 
     With S normalized by the gap, ``tr(((E+tX)S)^2)`` must equal the step
-    quadratic divided by ``((n - alpha^2) sum(lambda))^2`` on a grid
-    spanning [0, 2 t_min].
+    quadratic divided by ``((n - alpha^2) sum(lambda))^2`` at 11 points
+    spanning [0, 2 t_min], with the power sums read as the solver's step
+    reads them, from the oracle's ``direction_power_sums``.
     """
     n = sdp_inst.n
-    _, sol = _solve_sdp_relaxation(sdp_inst, E, alpha)
+    oracle, sol = _solve_sdp_relaxation(sdp_inst, E, alpha)
     X = smat(sol.x_e)
     S = smat(sol.s_e) / sol.gap
-    lam = direction_eigs_sdp(E, X)
-    p1, p2, p3, p4 = power_sums(lam)
+    p1, p2, p3, p4 = oracle.direction_power_sums(svec(E), sol.x_e)
     a, b, c = step_poly_coeffs(p1, p2, p3, p4, alpha, n)
     t_min = -b / (2.0 * a)
     denom = ((n - alpha**2) * p1) ** 2
-    grid = np.linspace(0.0, 2.0 * t_min, t_samples)
+    grid = np.linspace(0.0, 2.0 * t_min, 11)
     max_abs = max_rel = 0.0
     for t in grid:
         lhs = trace_q(E, X, S, t)
@@ -79,7 +79,7 @@ def q_scaling_check(
         err = abs(lhs - rhs)
         max_abs = max(max_abs, err)
         max_rel = max(max_rel, err / max(abs(lhs), abs(rhs), 1e-300))
-    return CheckReport("q_scaling", max_abs, max_rel, t_samples, 1e-8)
+    return CheckReport("q_scaling", max_abs, max_rel, grid.size, 1e-8)
 
 
 def membership_equiv_check(
@@ -88,13 +88,12 @@ def membership_equiv_check(
     alpha: float,
     beta: float,
     t_grid: np.ndarray,
-    band: float = 1e-9,
 ) -> CheckReport:
     """Positive-definiteness plus dual-cone membership at E(t) must agree
     with the quadratic inequality q(t) < 1/(n - beta^2).
 
-    Grid points inside the tol band around the threshold are skipped;
-    max_rel_err is the disagreement count (0 or more).
+    Grid points within 1e-9 of the threshold are skipped; max_rel_err is
+    the disagreement count (0 or more).
     """
     if not 0.0 < beta < 1.0:
         raise DomainError("beta must lie in (0, 1)")
@@ -109,7 +108,7 @@ def membership_equiv_check(
         if t <= -1.0:
             continue
         q_val = trace_q(E, X, S, t)
-        if abs(q_val - threshold) <= band:
+        if abs(q_val - threshold) <= 1e-9:
             continue
         used += 1
         rhs = q_val < threshold
@@ -124,6 +123,21 @@ def membership_equiv_check(
     return CheckReport(
         "membership_equiv", float(disagreements), float(disagreements), used, 0.0
     )
+
+
+def boundary_point(
+    E: np.ndarray, alpha: float, rng: np.random.Generator
+) -> tuple[np.ndarray, float]:
+    """``(X, ||sigma V||_E)`` for a random ``X = E + sigma V`` on the boundary
+    of ``K_E(alpha)``: V is the symmetric part of one ``(n, n)`` normal draw,
+    made locally orthogonal to E, and ``||X||_E = n / alpha``."""
+    n = E.shape[0]
+    oracle, e = det_barrier_oracle(n), svec(E)
+    v = svec(rng.standard_normal((n, n)))
+    v -= (local_inner(oracle, e, e, v) / n) * e
+    v_norm = local_norm(oracle, e, v)
+    sigma = math.sqrt(n * (n - alpha**2)) / (alpha * v_norm)
+    return E + sigma * smat(v), sigma * v_norm
 
 
 def boundary_dual_point(E: np.ndarray, X: np.ndarray, alpha: float) -> np.ndarray:
@@ -146,8 +160,7 @@ def decrease_bound_check(
     """
     n = E.shape[0]
     S = boundary_dual_point(E, X, alpha)
-    lam = direction_eigs_sdp(E, X)
-    x_norm = float(np.sqrt(np.sum(lam**2)))
+    x_norm = local_norm(det_barrier_oracle(n), svec(E), svec(X))
     worst = -np.inf
     used = 0
     for t in t_grid:
@@ -164,11 +177,11 @@ def decrease_bound_check(
     return CheckReport("decrease_bound", violation, violation, used, 0.0)
 
 
-def fd_check(oracle: BarrierOracle, x: np.ndarray, h: float | None = None) -> CheckReport:
-    """Central-difference gradient and Hessian-vector check at x."""
+def fd_check(oracle: BarrierOracle, x: np.ndarray) -> CheckReport:
+    """Central-difference gradient and Hessian-vector check at x, with
+    step ``1e-5 (1 + ||x||)``."""
     x = np.asarray(x, dtype=float)
-    if h is None:
-        h = 1e-5 * (1.0 + float(np.linalg.norm(x)))
+    h = 1e-5 * (1.0 + float(np.linalg.norm(x)))
     d = oracle.dim
     g = oracle.gradient(x)
     max_abs = max_rel = 0.0

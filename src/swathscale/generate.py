@@ -80,17 +80,14 @@ def gen_hp_instance(
     m: int,
     mu: float = 1.0,
     seed: int = 0,
-    radius: float = 0.5,
 ) -> tuple[HpInstance, np.ndarray]:
     """Random HP planted at a perturbation of the canonical direction.
 
     The start point is the canonical direction moved by a random vector
-    of local norm ``radius`` (< 1 keeps it inside the Dikin ball, hence
+    of local norm 0.5 (< 1 keeps it inside the Dikin ball, hence
     interior).  The determinant family delegates to the SDP generator so
     both backends see the identical instance under vectorization.
     """
-    if not 0.0 <= radius < 1.0:
-        raise InvariantViolation("radius must lie in [0, 1)")
     if family.name == DETERMINANT:
         sdp_inst, E0 = gen_central_path_sdp(family.degree, m, mu, seed)
         e0 = svec(E0)
@@ -112,12 +109,9 @@ def gen_hp_instance(
     oracle = hp_barrier_oracle(family)
 
     e_can = family.canonical_direction()
-    if radius == 0.0:
-        e0 = e_can
-    else:
-        w = rng.standard_normal(d)
-        norm = float(np.sqrt(np.dot(w, oracle.hessian_apply(e_can, w))))
-        e0 = e_can + (radius / norm) * w
+    w = rng.standard_normal(d)
+    norm = float(np.sqrt(np.dot(w, oracle.hessian_apply(e_can, w))))
+    e0 = e_can + (0.5 / norm) * w
     g0 = oracle.gradient(e0)
 
     for _ in range(_MAX_RETRIES):

@@ -52,7 +52,11 @@ def read_hp_json(text: str) -> HpInstance:
         raise ParseError(f"bad instance JSON: {exc}")
     try:
         fam = doc["family"]
-        family = family_from_tag(fam["name"], int(fam["d"]), fam.get("k"))
+        d, k = fam["d"], fam.get("k")
+        # int() would truncate d = 5.7, and k = 2.5 would pass the range check.
+        if not all(isinstance(v, int) for v in (d, k) if v is not None):
+            raise ParseError(f"family d and k must be integers, got {d!r}, {k!r}")
+        family = family_from_tag(fam["name"], d, k)
         inst = HpInstance(
             family=family,
             c=np.array(doc["c"], dtype=float),
@@ -104,6 +108,8 @@ def read_start_point(text: str) -> np.ndarray:
         raise ParseError(f"malformed start-point document: {exc}")
     if E0.ndim != 2 or E0.shape[0] != E0.shape[1]:
         raise ParseError("start point must be a square matrix")
+    if not np.all(np.isfinite(E0)):
+        raise ParseError("start point entries must be finite")
     return 0.5 * (E0 + E0.T)
 
 

@@ -22,6 +22,7 @@ from .errors import (
     DegenerateLeadingCoefficient,
     DimensionMismatch,
     DomainError,
+    InvariantViolation,
     NonRealEigenvalues,
     NotInterior,
 )
@@ -84,6 +85,11 @@ def _check_dim(d: int, x: np.ndarray) -> np.ndarray:
 
 def _minkowski(u: np.ndarray, v: np.ndarray) -> float:
     return float(u[-1] * v[-1] - np.dot(u[:-1], v[:-1]))
+
+
+def _lorentz_restriction(x: np.ndarray, e: np.ndarray) -> tuple[float, float, float]:
+    """Ascending coefficients of ``t -> p(x + t e)`` for the Minkowski form."""
+    return _minkowski(x, x), 2.0 * _minkowski(x, e), _minkowski(e, e)
 
 
 def _lorentz_interior(x: np.ndarray) -> bool:
@@ -311,13 +317,11 @@ def _lorentz_oracle(d: int) -> BarrierOracle:
     def direction_eigs(e, x):
         e = guard(e)
         x = _check_dim(d, x)
-        # p(le - x) = A l^2 + B l + C in the Minkowski form
-        A = _minkowski(e, e)
-        B = -2.0 * _minkowski(e, x)
-        C = _minkowski(x, x)
+        # p(x + t e) = C + B t + A t^2, so p(le - x) = A l^2 - B l + C.
+        C, B, A = _lorentz_restriction(x, e)
         disc = max(B * B - 4.0 * A * C, 0.0)
         root = math.sqrt(disc)
-        return np.sort(np.array([(-B - root) / (2 * A), (-B + root) / (2 * A)]))
+        return np.sort(np.array([(B - root) / (2 * A), (B + root) / (2 * A)]))
 
     def direction_power_sums(e, x):
         return power_sums(direction_eigs(e, x))
@@ -461,7 +465,7 @@ def restricted_coeffs(family: HpFamily, x: np.ndarray, e: np.ndarray) -> np.ndar
     if eval_p(family, e) <= 0.0:
         raise NotInterior("restriction direction must have positive polynomial value")
     if family.name == SECOND_ORDER:
-        return np.array([_minkowski(x, x), 2.0 * _minkowski(x, e), _minkowski(e, e)])
+        return np.array(_lorentz_restriction(x, e))
     if family.name == DETERMINANT:
         E = sdp.smat(e)
         return np.linalg.det(E) * np.poly(-np.linalg.solve(E, sdp.smat(x)))[::-1]
@@ -505,9 +509,10 @@ class HyperbolicityReport:
 
 
 def hyperbolicity_sample_check(
-    family: HpFamily, e: np.ndarray, trials: int, seed: int, tol: float = 1e-6
+    family: HpFamily, e: np.ndarray, trials: int, seed: int
 ) -> HyperbolicityReport:
-    """Sample Gaussian points and verify all direction eigenvalues are real."""
+    """Sample Gaussian points and verify all direction eigenvalues are real:
+    a trial fails when a root's imaginary part exceeds ``1e-6 (1 + |real|)``."""
     if trials < 1:
         raise DomainError("trials must be >= 1")
     rng = np.random.default_rng(seed)
@@ -519,7 +524,7 @@ def hyperbolicity_sample_check(
         roots = np.roots(a[::-1])
         resid = float(np.max(np.abs(roots.imag) / (1.0 + np.abs(roots.real))))
         worst = max(worst, resid)
-        if resid > tol:
+        if resid > 1e-6:
             failures += 1
     return HyperbolicityReport(trials=trials, failures=failures, max_imag_residual=worst)
 
@@ -534,17 +539,19 @@ class HpInstance:
     b: np.ndarray
     e0: np.ndarray
 
-    def validate(self, tol: float = 1e-9) -> None:
-        from .errors import InvariantViolation
-
+    def validate(self) -> None:
+        """Check that the entries are finite, b != 0, A e0 = b (relative 1e-9),
+        A has full row rank, e0 is interior, and c lies off A's rows."""
         d = self.family.d
         if self.A.shape[1] != d or self.c.shape != (d,) or self.e0.shape != (d,):
             raise DimensionMismatch("instance arrays inconsistent with ambient dim")
         m = self.A.shape[0]
         if self.b.shape != (m,):
             raise DimensionMismatch("b length must match the rows of A")
+        if not all(np.all(np.isfinite(v)) for v in (self.c, self.A, self.b, self.e0)):
+            raise InvariantViolation("instance data must be finite")
         scale = 1.0 + np.abs(self.b).max(initial=0.0)
-        if m == 0 or np.abs(self.b).max(initial=0.0) <= tol * scale:
+        if m == 0 or np.abs(self.b).max(initial=0.0) <= 1e-9 * scale:
             raise InvariantViolation("b must be nonzero")
         if np.max(np.abs(self.A @ self.e0 - self.b)) > 1e-9 * scale:
             raise InvariantViolation("start point violates A e0 = b")

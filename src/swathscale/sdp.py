@@ -78,13 +78,6 @@ def is_pd(X: np.ndarray) -> bool:
         return False
 
 
-def _chol_or_raise(E: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(E)
-    except np.linalg.LinAlgError:
-        raise NotInterior("matrix is not strictly positive definite")
-
-
 @dataclass
 class SdpInstance:
     """min tr(C X)  s.t.  tr(A_i X) = b_i,  X psd."""
@@ -106,20 +99,24 @@ class SdpInstance:
         """m x d matrix whose rows are svec(A_i)."""
         return svec(np.reshape(self.constraints, (-1, self.n, self.n)))
 
-    def validate(self, tol: float = 1e-8) -> None:
-        """Check linear independence of the A_i, b != 0, and C off their span."""
-        n = self.n
+    def validate(self) -> None:
+        """Check that every entry is finite, the A_i are linearly independent,
+        b != 0, and C lies off their span, to a relative tolerance of 1e-8."""
+        n, tol = self.n, 1e-8
         if any(A.shape != (n, n) for A in self.constraints):
             raise DimensionMismatch("constraint matrices must match C's order")
         if self.b.shape != (self.m,):
             raise DimensionMismatch("b length must equal the number of constraints")
+        rows = self.constraint_rows()
+        # A non-finite entry of some A_i leaves its svec row non-finite.
+        if not all(np.isfinite(M).all() for M in (rows, self.C, self.b)):
+            raise InvariantViolation("instance data must be finite")
         if self.m == 0 or not np.any(np.abs(self.b) > tol * (1 + np.abs(self.b).max(initial=0.0))):
             raise InvariantViolation("b must be nonzero (and m >= 1)")
 
         def rank(M):
             return np.linalg.matrix_rank(M, tol=tol * max(1.0, np.abs(M).max()))
 
-        rows = self.constraint_rows()
         # Singular values interlace, and the rows' tolerance is no larger, so
         # a stacked rank of m + 1 implies row rank m: only a rejected
         # instance pays for the second SVD, which words the error.
@@ -226,14 +223,3 @@ def det_barrier_oracle(n: int) -> BarrierOracle:
         direction_power_sums=direction_power_sums,
         hessian_factor=hessian_factor,
     )
-
-
-def direction_eigs_sdp(E: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Eigenvalues of ``E^{-1/2} X E^{-1/2}``, ascending.
-
-    Computed through a Cholesky factor of E so symmetry and realness are
-    structural.
-    """
-    Linv = np.linalg.inv(_chol_or_raise(E))
-    W = Linv @ X @ Linv.T
-    return np.sort(np.linalg.eigvalsh(0.5 * (W + W.T)))

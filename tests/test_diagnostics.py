@@ -9,6 +9,7 @@ import pytest
 import swathscale as sw
 from swathscale.diagnostics import (
     boundary_dual_point,
+    boundary_point,
     conjecture_curve,
     decrease_bound_check,
     fd_check,
@@ -19,17 +20,6 @@ from swathscale.diagnostics import (
 from swathscale.errors import DomainError
 
 from conftest import make_sdp
-
-
-def boundary_direction(E0, n, alpha, rng):
-    """X = E0 + sigma*V on the boundary of the local cone at E0."""
-    V = rng.standard_normal((n, n))
-    V = 0.5 * (V + V.T)
-    Einv = np.linalg.inv(E0)
-    V -= (np.trace(Einv @ V) / n) * E0
-    lam = sw.direction_eigs_sdp(E0, V)
-    sigma = math.sqrt((n * n - alpha**2 * n) / (alpha**2 * float(np.sum(lam**2))))
-    return E0 + sigma * V, sigma * lam
 
 
 class TestTraceQ:
@@ -94,7 +84,7 @@ class TestBoundaryDualPoint:
         # <E, S> = 1 and <X, S> = 0 in the trace pairing, S in the dual cone.
         n, alpha = 4, 0.5
         _, _, _, _, _, _, E0 = make_sdp(n, seed=1)
-        X, _ = boundary_direction(E0, n, alpha, rng)
+        X, _ = boundary_point(E0, alpha, rng)
         S = boundary_dual_point(E0, X, alpha)
         assert float(np.trace(E0 @ S)) == pytest.approx(1.0, rel=1e-9)
         assert abs(float(np.trace(X @ S))) < 1e-9
@@ -106,8 +96,7 @@ class TestDecreaseBound:
         alpha = 0.5
         _, _, _, _, _, _, E0 = make_sdp(n, m=n, seed=n)
         for _ in range(10):
-            X, lam = boundary_direction(E0, n, alpha, rng)
-            x_norm = float(np.sqrt(np.sum(lam**2)))
+            X, x_norm = boundary_point(E0, alpha, rng)
             grid = np.linspace(1e-3, alpha / x_norm, 15)
             report = decrease_bound_check(E0, X, alpha, grid)
             assert report.passed

@@ -451,11 +451,27 @@ class TestCli:
 
     @staticmethod
     def write_invalid_instance(tmp_path, kind):
-        """An instance file that parses but fails its instance checks."""
-        if kind == "hp-start-off-affine":
-            inst, _ = sw.gen_hp_instance(sw.second_order_family(6), 3, 1.0, 0)
+        """An instance file that fails its instance checks: it breaks an
+        invariant, holds a number that is not finite, or gives a family
+        parameter that is not an integer."""
+        if kind.startswith("hp-"):
+            if kind == "hp-fractional-k":
+                inst, _ = sw.gen_hp_instance(sw.elementary_symmetric_family(6, 3), 3, 1.0, 1)
+            else:
+                inst, _ = sw.gen_hp_instance(sw.second_order_family(6), 3, 1.0, 0)
             doc = json.loads(sw.write_hp_json(inst))
-            doc["e0"] = (2.0 * inst.e0).tolist()  # A e0 = 2 b
+            if kind == "hp-start-off-affine":
+                doc["e0"] = (2.0 * inst.e0).tolist()  # A e0 = 2 b
+            elif kind == "hp-nan-c":
+                doc["c"][0] = float("nan")
+            elif kind == "hp-nan-A":
+                doc["A"][0][0] = float("nan")
+            elif kind == "hp-nan-b":
+                doc["b"][0] = float("nan")
+            elif kind == "hp-fractional-d":
+                doc["family"]["d"] = 6.5  # int() would truncate it to the true 6
+            else:
+                doc["family"]["k"] = 2.5
             path = tmp_path / "bad.json"
             path.write_text(json.dumps(doc))
             return path
@@ -465,6 +481,13 @@ class TestCli:
                 C=inst.C, constraints=[inst.constraints[0], 2.0 * inst.constraints[0]],
                 b=inst.b,
             )
+        elif kind in ("sdpa-nan", "sdpa-inf", "sidecar-nan"):
+            inst, E = sw.gen_central_path_sdp(3, 2, 1.0, 0)
+            if kind == "sidecar-nan":
+                E = E.copy()
+                E[0, 1] = E[1, 0] = float("nan")
+            else:
+                inst.C[0, 0] = float(kind[len("sdpa-"):])
         else:
             inst, E0 = sw.gen_central_path_sdp(4, 6, 1.0, 0)
             if kind == "sdpa-start-off-affine":
@@ -484,7 +507,11 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "kind",
-        ["hp-start-off-affine", "sdpa-dependent", "sdpa-start-off-affine", "sdpa-start-not-pd"],
+        [
+            "hp-start-off-affine", "sdpa-dependent", "sdpa-start-off-affine",
+            "sdpa-start-not-pd", "hp-nan-c", "hp-nan-A", "hp-nan-b",
+            "hp-fractional-d", "hp-fractional-k", "sdpa-nan", "sdpa-inf", "sidecar-nan",
+        ],
     )
     @pytest.mark.parametrize(
         "command, options",
@@ -500,6 +527,8 @@ class TestCli:
         r = CliRunner().invoke(main, [command, str(path), *options])
         assert r.exit_code == 4, r.output
         assert "error:" in r.output
+        if "nan" in kind or "inf" in kind:
+            assert "must be finite" in r.output  # not a rank or span verdict
 
     @pytest.mark.parametrize(
         "args",

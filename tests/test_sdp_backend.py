@@ -128,14 +128,14 @@ class TestDirectionEigs:
         for _ in range(10):
             E = random_spd(4, rng)
             X = random_sym(4, rng)
-            lam = sw.direction_eigs_sdp(E, X)
+            lam = sw.det_barrier_oracle(4).direction_eigs(sw.svec(E), sw.svec(X))
             ref = np.sort(scipy.linalg.eigvalsh(X, E))
             assert np.allclose(lam, ref, atol=1e-9)
 
     def test_identity_direction(self):
         # [TRIVIAL] eigenvalues of X at E = I are plain eigenvalues.
         X = np.diag([3.0, -1.0, 0.5])
-        lam = sw.direction_eigs_sdp(np.eye(3), X)
+        lam = sw.det_barrier_oracle(3).direction_eigs(sw.svec(np.eye(3)), sw.svec(X))
         assert np.allclose(lam, [-1.0, 0.5, 3.0], atol=1e-13)
 
 
