@@ -248,6 +248,7 @@ def reduce_alpha(file, alpha0, target):
 def validate(file, checks, alpha):
     """Run the per-iteration diagnostic oracles at the start point."""
     try:
+        SolverConfig(alpha=alpha)  # rejects alpha outside (0, 1), as solve does
         oracle, A, b, c, e0, meta = _load_problem(file)
     except _INPUT_ERRORS as exc:
         _fail(exc, _EXIT_PARSE)

@@ -48,9 +48,12 @@ class BarrierOracle:
     # the j-th powers of direction_eigs(e, x), without extracting roots.
     direction_power_sums: Callable[[Vector, Vector], tuple]
     # hessian_factor(e) returns (apply_L, solve_Lt, solve_L) for a factor
-    # H(e) = L^T L, mapping to and from local coordinates w = L x.  Each
-    # closure takes a (d,) vector or a (d, k) block of columns and maps
-    # every column as it would map that column alone.
+    # H(e) = L^T L, mapping to and from local coordinates w = L x: apply_L
+    # applies L, solve_Lt applies L^{-T} and solve_L applies L^{-1}.  L
+    # need not be symmetric; the relaxation, its dual pair and the step are
+    # the same for every such factor.  Each closure takes a (d,) vector or
+    # a (d, k) block of columns and maps every column as it would map that
+    # column alone.
     hessian_factor: Callable[[Vector], tuple]
 
 
@@ -123,6 +126,17 @@ class QuadCone:
         return math.sqrt(self.oracle.degree - self.alpha**2)
 
 
+def _classify(proj: float, norm_sq: float, alpha: float) -> Membership:
+    """Place ``<e, x>_e = proj`` and ``||x||_e^2 = norm_sq`` against
+    ``K_e(alpha)`` (see :func:`primal_cone_member`)."""
+    norm = math.sqrt(max(norm_sq, 0.0))
+    slack = proj - alpha * norm
+    band = 1e-9 * norm
+    if abs(slack) <= band:
+        return Membership.BOUNDARY
+    return Membership.INTERIOR if slack > 0 else Membership.OUTSIDE
+
+
 def primal_cone_member(cone: QuadCone, x: Vector) -> Membership:
     """Classify ``x`` against ``K_e(alpha)`` with a relative band of 1e-9.
 
@@ -131,20 +145,19 @@ def primal_cone_member(cone: QuadCone, x: Vector) -> Membership:
     Boundary means ``|<e,x>_e - alpha ||x||_e| <= 1e-9 ||x||_e``.
     """
     hx = cone.oracle.hessian_apply(cone.e, x)
-    proj = float(np.dot(cone.e, hx))
-    norm = math.sqrt(max(float(np.dot(x, hx)), 0.0))
-    slack = proj - cone.alpha * norm
-    band = 1e-9 * norm
-    if abs(slack) <= band:
-        return Membership.BOUNDARY
-    return Membership.INTERIOR if slack > 0 else Membership.OUTSIDE
+    return _classify(float(np.dot(cone.e, hx)), float(np.dot(x, hx)), cone.alpha)
 
 
 def dual_cone_member(cone: QuadCone, s: Vector) -> Membership:
-    """Classify ``s`` against ``K_e(alpha)* = H(e) K_e(sqrt(n - alpha^2))``."""
+    """Classify ``s`` against ``K_e(alpha)* = H(e) K_e(sqrt(n - alpha^2))``.
+
+    That is ``x = H(e)^{-1} s`` against ``K_e(sqrt(n - alpha^2))``, where
+    ``<e, x>_e = <e, s>`` and ``||x||_e^2 = <x, s>``: one Hessian solve.
+    """
     pulled = cone.oracle.hessian_solve(cone.e, s)
-    dual = QuadCone(cone.oracle, cone.e, cone.dual_alpha)
-    return primal_cone_member(dual, pulled)
+    return _classify(
+        float(np.dot(cone.e, s)), float(np.dot(pulled, s)), cone.dual_alpha
+    )
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from .core import (
 )
 from .errors import (
     ConvexityViolation,
+    DegenerateLeadingCoefficient,
     DomainError,
     NotInterior,
     NumericalFailure,
@@ -253,13 +254,17 @@ def run(
                 oracle, e, sol, alpha, config.step_mode
             )
             e_next = next_iterate(e, sol.x_e, t)
-            oracle.value(e_next)  # interiority would contradict the step theory
-        except (NumericalFailure, NotInterior, DomainError):
+            # The step theory keeps e_next interior, so NotInterior from the
+            # value probe, or from the Hessian factor that the carry-over
+            # check takes at e_next (and the next frame reuses), is rounding.
+            oracle.value(e_next)
+            carried = dual_cone_member(QuadCone(oracle, e_next, consts.beta), sol.s_e)
+        except (
+            NumericalFailure, NotInterior, DomainError, DegenerateLeadingCoefficient
+        ):
             status = RunStatus.NUMERICAL_FAILURE
             break
-
-        cone_next = QuadCone(oracle, e_next, consts.beta)
-        if dual_cone_member(cone_next, sol.s_e) is not Membership.INTERIOR:
+        if carried is not Membership.INTERIOR:
             violations["carryover"] += 1
 
         trace.append(

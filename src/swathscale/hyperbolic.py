@@ -487,7 +487,9 @@ def power_sums_from_coeffs(coeffs: np.ndarray) -> tuple[float, float, float, flo
     a = np.asarray(coeffs, dtype=float)
     n = a.size - 1
     an = a[-1]
-    if abs(an) <= 1e-12 * max(1.0, np.max(np.abs(a))):
+    # Relative only: the coefficients scale with p, and a well-scaled
+    # polynomial whose p(e) is below 1e-12 is not degenerate.
+    if abs(an) <= 1e-12 * np.max(np.abs(a)):
         raise DegenerateLeadingCoefficient("leading coefficient is numerically zero")
 
     def elem(k):

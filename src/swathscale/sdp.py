@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dtrtri
 
 from .core import BarrierOracle, point_cache
 from .errors import DimensionMismatch, InvariantViolation, NotInterior
@@ -133,34 +134,39 @@ def det_barrier_oracle(n: int) -> BarrierOracle:
         raise DimensionMismatch(f"matrix order must be >= 2, got {n}")
     d = sym_dim(n)
 
-    # Every callable reads the point from one eigendecomposition
-    # E = V diag(lam) V^T, taken once per point: an iteration probes e_next
-    # with value(), and the carry-over check and the next relaxation reuse
-    # that factor.  Only numpy's LAPACK runs here.  numpy and scipy each
-    # bundle an OpenBLAS with its own thread pool; with two BLAS threads, a
-    # threaded scipy call between numpy calls waits on numpy's spinning
-    # workers, which made an n=40 iteration 3.5 times slower on two cores.
+    # Every callable reads the point from one Cholesky factor E = G G^T,
+    # taken once per point: an iteration probes e_next with value(), and the
+    # carry-over check and the next relaxation reuse that factor.  The frame
+    # is L[X] = G^{-1} X G^{-T}, a factor of H(E) = L^T L that is not
+    # symmetric; the relaxation is the same for every such factor.  numpy
+    # and scipy each bundle an OpenBLAS with its own thread pool; with two
+    # BLAS threads, a threaded scipy call between numpy calls waits on
+    # numpy's spinning workers, which once made an n=40 iteration 3.5 times
+    # slower on two cores.  The only scipy call, dtrtri, is a triangular
+    # inverse that the relaxation's range basis runs as well.
     def build(e):
-        """(lam, E^{1/2}, E^{-1/2}, E^{-1}) at e."""
-        evals, V = np.linalg.eigh(smat(e))
-        if evals[0] <= 0.0:
+        """(G, G^{-1}, E^{-1}) at e."""
+        try:
+            G = np.linalg.cholesky(smat(e))
+        except np.linalg.LinAlgError as exc:
+            raise NotInterior("matrix is not strictly positive definite") from exc
+        G_inv, info = dtrtri(G, lower=1)
+        if info != 0:
             raise NotInterior("matrix is not strictly positive definite")
-        root = np.sqrt(evals)
-        scaled = V * (1.0 / root)
-        return evals, (V * root) @ V.T, scaled @ V.T, scaled @ scaled.T
+        return G, G_inv, G_inv.T @ G_inv
 
     factor = point_cache(build)
 
     def value(e):
-        evals, _, _, _ = factor(e)
-        return -float(np.sum(np.log(evals)))
+        G, _, _ = factor(e)
+        return -2.0 * float(np.sum(np.log(np.diag(G))))
 
     def gradient(e):
-        _, _, _, Einv = factor(e)
+        _, _, Einv = factor(e)
         return -svec(Einv)
 
     def hessian_apply(e, v):
-        _, _, _, Einv = factor(e)
+        _, _, Einv = factor(e)
         return svec(Einv @ smat(v) @ Einv)
 
     def hessian_solve(e, w):
@@ -168,15 +174,18 @@ def det_barrier_oracle(n: int) -> BarrierOracle:
         E = smat(e)
         return svec(E @ smat(w) @ E)
 
+    def direction_matrix(e, x):
+        # W = G^{-1} X G^{-T} has the eigenvalues of X in direction E.
+        _, G_inv, _ = factor(e)
+        return G_inv @ smat(x) @ G_inv.T
+
     def direction_eigs(e, x):
-        _, _, inv_root, _ = factor(e)
-        return np.linalg.eigvalsh(inv_root @ smat(x) @ inv_root)
+        return np.linalg.eigvalsh(direction_matrix(e, x))
 
     def direction_power_sums(e, x):
-        # Traces of W = E^{-1/2} X E^{-1/2} and of its powers, read as
-        # tr W, <W, W>, <W, W^2> and <W^2, W^2> with W symmetric.
-        _, _, inv_root, _ = factor(e)
-        W = inv_root @ smat(x) @ inv_root
+        # Traces of W and of its powers, read as tr W, <W, W>, <W, W^2> and
+        # <W^2, W^2> with W symmetric.
+        W = direction_matrix(e, x)
         W2 = W @ W
         return (
             float(np.trace(W)), float(np.vdot(W, W)),
@@ -190,27 +199,28 @@ def det_barrier_oracle(n: int) -> BarrierOracle:
     upper, _, scale, _ = _svec_index(n)
     block_stack = point_cache(lambda rows: (smat(rows),))
 
-    def hessian_factor(e):
-        _, root, inv_root, _ = factor(e)
+    def congruence(T, v):
+        # svec(T smat(v) T^T) for a vector v, and for each column of a (d, k)
+        # block.  Single vectors bypass the stack cache, so they never evict
+        # the block.  T S T^T is symmetric, so its upper triangle is its svec.
+        if np.ndim(v) == 1:
+            return svec(T @ smat(v) @ T.T)
+        (S,) = block_stack(np.transpose(v))
+        return np.transpose((T @ S @ T.T).reshape(-1, n * n)[:, upper] * scale)
 
-        def congruence(T, v):
-            # svec(T smat(v) T) for a vector v, and for each column of a
-            # (d, k) block.  Single vectors bypass the stack cache, so they
-            # never evict the block.  T S T is symmetric, so its upper
-            # triangle is its svec.
-            if np.ndim(v) == 1:
-                return svec(T @ smat(v) @ T)
-            (S,) = block_stack(np.transpose(v))
-            return np.transpose((T @ S @ T).reshape(-1, n * n)[:, upper] * scale)
+    def hessian_factor(e):
+        G, G_inv, _ = factor(e)
 
         def apply_L(v):
-            return congruence(inv_root, v)
+            return congruence(G_inv, v)
 
-        def solve_any(w):
-            return congruence(root, w)
+        def solve_Lt(s):
+            return congruence(G.T, s)
 
-        # L is symmetric here, so L^{-T} and L^{-1} coincide.
-        return apply_L, solve_any, solve_any
+        def solve_L(w):
+            return congruence(G, w)
+
+        return apply_L, solve_Lt, solve_L
 
     return BarrierOracle(
         dim=d,

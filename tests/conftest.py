@@ -29,6 +29,14 @@ def rng():
     return np.random.default_rng(12345)
 
 
+# Elementary-symmetric k=3 instances with one constraint, (d, generator
+# seed), on which e_3 at the iterate falls below 1e-12 while the restricted
+# polynomial t -> e_3(x + t e) stays well scaled.
+ESYM_TINY_LEADING = [
+    *((4, s) for s in (0, 1, 2, 3, 4, 5, 7, 8, 9)), (8, 0), (12, 3), (20, 8),
+]
+
+
 def make_sdp(n=5, m=None, seed=0, mu=1.0):
     """Convenience: generated instance plus solver-ready arrays."""
     if m is None:

@@ -209,18 +209,22 @@ class TestRun:
             assert rec.t > 0.5 * rec.alpha / rec.x_norm_e * (1 - 1e-9)
 
     def test_one_frame_per_iterate(self, monkeypatch):
-        # One eigendecomposition and one metric factor per step taken, plus
-        # the one for the relaxation at the final, converged iterate.  Outside
-        # the relaxation the metric is applied only by the carry-over check,
-        # once per step; the norms of x_e come from the relaxation's frame.
-        oracle, A, b, c, e, _, _ = make_sdp(10, m=20, seed=0)
+        # One Cholesky factor of E and one metric factor per step taken, plus
+        # the one for the relaxation at the final, converged iterate, and no
+        # eigendecomposition.  Outside the relaxation the metric is never
+        # applied: the carry-over check takes one Hessian solve, and the
+        # norms of x_e come from the relaxation's frame.
+        n = 10
+        oracle, A, b, c, e, _, _ = make_sdp(n, m=20, seed=0)
         oracle, applies = count_hessian_applies(oracle, monkeypatch)
-        calls = {"eigh": 0, "hessian_factor": 0}
-        eigh, factor = np.linalg.eigh, oracle.hessian_factor
+        calls = {"eigh": 0, "cholesky": 0, "hessian_factor": 0}
+        eigh, cholesky = np.linalg.eigh, np.linalg.cholesky
+        factor = oracle.hessian_factor
 
-        def counted(name, fn):
+        def counted(name, fn, shape=None):
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                if shape is None or np.shape(args[0]) == shape:
+                    calls[name] += 1
                 return fn(*args, **kwargs)
 
             return wrapper
@@ -229,12 +233,13 @@ class TestRun:
             oracle, hessian_factor=counted("hessian_factor", factor)
         )
         monkeypatch.setattr(np.linalg, "eigh", counted("eigh", eigh))
+        monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", cholesky, (n, n)))
         res = sw.run(oracle, A, b, c, e, sw.SolverConfig())
         monkeypatch.undo()
         assert res.status is sw.RunStatus.CONVERGED
         steps = res.iterations - 1
-        assert calls == {"eigh": steps + 1, "hessian_factor": steps + 1}
-        assert applies == {"inside": steps + 1, "outside": steps}
+        assert calls == {"eigh": 0, "cholesky": steps + 1, "hessian_factor": steps + 1}
+        assert applies == {"inside": steps + 1, "outside": 0}
 
         oracle, applies = count_hessian_applies(oracle, monkeypatch)
         _, iterations = sw.alpha_reduction_run(oracle, A, b, c, e, 0.9, 0.3)
@@ -243,12 +248,14 @@ class TestRun:
 
     def test_one_factorization_per_point(self, monkeypatch):
         # Each point is factored once and every oracle call at it reads that
-        # factor: the SDP oracle takes one eigh per point, and nothing inverts
-        # a matrix.  The relaxation takes one Cholesky factor per point, and a
+        # factor: the SDP oracle takes one n x n Cholesky per point, and
+        # nothing eigendecomposes or inverts a matrix.  The relaxation takes
+        # one m x m Cholesky factor of its Gram matrix per point, and a
         # second where the constraint block is too ill-conditioned for one;
         # this run reaches both cases.
-        oracle, A, b, c, e, _, _ = make_sdp(10, m=20, seed=0)
-        calls = {"solve_qcp": 0, "eigh": 0, "cholesky": 0, "inv": 0}
+        n, m = 10, 20
+        oracle, A, b, c, e, _, _ = make_sdp(n, m=m, seed=0)
+        calls = {"solve_qcp": 0, "eigh": 0, "inv": 0, (n, n): 0, (m, m): 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -257,19 +264,28 @@ class TestRun:
 
             return wrapper
 
+        def counted_by_shape(fn):
+            def wrapper(M, *args, **kwargs):
+                calls[np.shape(M)] += 1
+                return fn(M, *args, **kwargs)
+
+            return wrapper
+
         monkeypatch.setattr(
             swathscale.driver, "solve_qcp",
             counted("solve_qcp", swathscale.driver.solve_qcp),
         )
-        for name in ("eigh", "cholesky", "inv"):
+        for name in ("eigh", "inv"):
             monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        monkeypatch.setattr(np.linalg, "cholesky", counted_by_shape(np.linalg.cholesky))
         res = sw.run(oracle, A, b, c, e, sw.SolverConfig())
         monkeypatch.undo()
         assert res.status is sw.RunStatus.CONVERGED
         solves = calls["solve_qcp"]
         assert solves == res.iterations
-        assert calls["eigh"] == solves and calls["inv"] == 0
-        assert solves < calls["cholesky"] < 2 * solves
+        assert calls["eigh"] == 0 and calls["inv"] == 0
+        assert calls[(n, n)] == solves
+        assert solves < calls[(m, m)] < 2 * solves
 
         # The esym oracle builds its split Hessian factor, and the Lorentz
         # oracle its spectral frame, once per point.

@@ -55,6 +55,31 @@ def test_frame_block_matches_columns(family, seed, k):
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
+@settings(max_examples=25, deadline=None)
+@given(seed=SEEDS, k=st.integers(1, 5))
+def test_frame_factors_hessian(family, seed, k):
+    # The contract of BarrierOracle.hessian_factor: H(e) = L^T L, solve_L
+    # inverts L and solve_Lt inverts L^T.  L need not be symmetric (the SDP
+    # frame is the congruence by G^{-1} for E = G G^T), so L L != H there.
+    rng = np.random.default_rng(seed)
+    e = interior_point(family, rng)
+    oracle = sw.hp_barrier_oracle(family)
+    apply_L, solve_Lt, solve_L = oracle.hessian_factor(e)
+    U, V = rng.standard_normal((2, family.d, k))
+    HV = np.column_stack([oracle.hessian_apply(e, v) for v in V.T])
+
+    def close(got, want, scale):
+        assert np.max(np.abs(got - want)) <= 1e-10 * scale
+
+    # (d, k) blocks, then single vectors.
+    for u, v, hv in ((U, V, HV), (U[:, 0], V[:, 0], HV[:, 0])):
+        Lu, Lv = apply_L(u), apply_L(v)
+        close(Lu.T @ Lv, u.T @ hv, np.linalg.norm(Lu) * np.linalg.norm(Lv))
+        close(solve_L(Lv), v, np.linalg.norm(v))
+        close(solve_Lt(u).T @ Lv, u.T @ v, np.linalg.norm(u) * np.linalg.norm(v))
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
 @settings(max_examples=10, deadline=None)
 @given(seed=SEEDS)
 def test_frame_accepts_transposed_rows(family, seed):

@@ -367,6 +367,16 @@ class TestPowerSums:
             for g, r in zip(got, ref):
                 assert g == pytest.approx(r, rel=1e-8, abs=1e-8)
 
+    def test_tiny_polynomial_is_not_degenerate(self):
+        # The coefficients of t -> e_3(x + t e) at a late esym iterate: all
+        # below 1e-12, yet well scaled, so the test on the leading one is
+        # relative and the power sums do not depend on the scale.
+        coeffs = np.array([3.2e-14, -2.6e-13, 3.3e-13, 6.2e-13])
+        got = sw.power_sums_from_coeffs(coeffs)
+        ref = sw.power_sums_from_coeffs(coeffs * 1e13)
+        for g, r in zip(got, ref):
+            assert g == pytest.approx(r, rel=1e-14)
+
     def test_degenerate_leading_coefficient(self):
         with pytest.raises(DegenerateLeadingCoefficient):
             sw.power_sums_from_coeffs(np.array([1.0, 1.0, 0.0]))

@@ -14,6 +14,8 @@ import swathscale.generate
 from swathscale.cli import main
 from swathscale.errors import InvariantViolation, ParseError, RetryExhausted
 
+from conftest import ESYM_TINY_LEADING
+
 SAMPLE_SDPA = """\
 "a comment line
 2
@@ -390,6 +392,24 @@ class TestCli:
         assert r.exit_code == 0, r.output
         assert "status=converged" in r.output
 
+    @pytest.mark.parametrize("d, seed", ESYM_TINY_LEADING)
+    def test_solve_esym_tiny_leading_coefficient(self, tmp_path, d, seed):
+        # Each run ends in a documented status exit code, never a traceback.
+        out = tmp_path / "esym.json"
+        runner = CliRunner()
+        r = runner.invoke(
+            main,
+            [
+                "generate", "hp", "--family", "elementary_symmetric", "--n", str(d),
+                "--k", "3", "--m", "1", "--seed", str(seed), "--out", str(out),
+            ],
+        )
+        assert r.exit_code == 0, r.output
+        r = runner.invoke(main, ["solve", str(out)])
+        assert r.exception is None or isinstance(r.exception, SystemExit)
+        assert r.exit_code in (0, 2, 3), r.output
+        assert "status=" in r.output
+
     def test_missing_sidecar_is_parse_error(self, tmp_path):
         path = tmp_path / "alone.dat-s"
         inst, _ = sw.gen_central_path_sdp(3, 2, 1.0, 0)
@@ -436,8 +456,12 @@ class TestCli:
             ("reduce-alpha", ["--alpha0", "1.5", "--target", "0.3"]),
             ("reduce-alpha", ["--alpha0", "0.3", "--target", "0.9"]),
             ("solve", ["--max-iters", "0"]),
+            ("validate", ["--alpha", "1.5"]),
         ],
-        ids=["solve-alpha", "solve-tol", "reduce-alpha0", "reduce-target", "solve-max-iters"],
+        ids=[
+            "solve-alpha", "solve-tol", "reduce-alpha0", "reduce-target",
+            "solve-max-iters", "validate-alpha",
+        ],
     )
     def test_bad_option_is_input_error(self, tmp_path, command, options):
         runner = CliRunner()

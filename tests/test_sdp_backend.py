@@ -91,18 +91,6 @@ class TestDetBarrierOracle:
         assert np.allclose(H, H.T, atol=1e-12)
         assert np.min(np.linalg.eigvalsh(H)) > 0
 
-    def test_hessian_factor(self, rng):
-        oracle = sw.det_barrier_oracle(4)
-        e = sw.svec(random_spd(4, rng))
-        apply_L, solve_Lt, solve_L = oracle.hessian_factor(e)
-        v = rng.standard_normal(oracle.dim)
-        # L^T L v = H v and the solves invert the factor.
-        assert np.allclose(
-            apply_L(apply_L(v)), oracle.hessian_apply(e, v), atol=1e-9
-        )
-        assert np.allclose(solve_L(apply_L(v)), v, atol=1e-10)
-        assert np.allclose(solve_Lt(apply_L(v)), v, atol=1e-10)
-
     def test_structural_identities(self, rng):
         # H(e)e = -g(e), H(e)^{-1} g(e) = -e, <g, e> = -n.
         oracle = sw.det_barrier_oracle(5)

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 import swathscale as sw
 from swathscale.errors import SwathscaleError
 
+from conftest import ESYM_TINY_LEADING
+
 SEEDS = st.integers(0, 2**32 - 1)
 HP_FAMILIES = {
     "product": sw.product_family,
@@ -77,6 +79,17 @@ def test_sdp_run_outcome_is_typed(n, m_choice, log10_cond, seed):
     c = A.T @ rng.standard_normal(m) + sw.svec((Q / eigs) @ Q.T)
     outcome = run_outcome(sw.det_barrier_oracle(n), A, A @ e0, c, e0)
     assert outcome is None or isinstance(outcome, sw.RunStatus)
+
+
+@pytest.mark.parametrize("d, seed", ESYM_TINY_LEADING)
+def test_esym_tiny_leading_coefficient_run_ends_in_status(d, seed):
+    # The step's power sums read the restricted polynomial relative to its
+    # own scale, and a frame that fails at a later iterate ends the run as
+    # a numerical failure: the run returns a status and raises nothing.
+    inst, e0 = sw.gen_hp_instance(sw.elementary_symmetric_family(d, 3), 1, 1.0, seed)
+    oracle = sw.hp_barrier_oracle(inst.family)
+    res = sw.run(oracle, inst.A, inst.b, inst.c, e0, sw.SolverConfig())
+    assert isinstance(res.status, sw.RunStatus)
 
 
 @pytest.mark.xfail(strict=True, raises=ValueError)
