@@ -4,8 +4,9 @@ Instance files are auto-detected by suffix: ``.dat-s`` is sparse SDPA
 (with an optional ``<stem>.start.json`` sidecar carrying the interior
 start matrix), ``.json`` is the hyperbolic-program schema.  Exit codes:
 0 success, 2 start point outside the swath, 3 numerical failure or
-iteration limit, 4 parse/input error, including an instance that loads
-but fails its checks (dependent constraints, a start point off
+iteration limit, 4 parse/input error, including a path that cannot be
+read or written and an instance that fails the checks in ``core``, which
+are the same for both formats (dependent constraints, a start point off
 ``A e0 = b`` or outside the open cone).
 """
 
@@ -18,7 +19,7 @@ import click
 import numpy as np
 
 from . import diagnostics, generate, hpjson, sdpa, tracefile
-from .core import schedule_constants
+from .core import check_start, schedule_constants
 from .driver import (
     RunStatus,
     SolverConfig,
@@ -51,8 +52,8 @@ from .subproblem import in_swath
 _EXIT_NOT_IN_SWATH = 2
 _EXIT_NUMERICAL = 3
 _EXIT_PARSE = 4
-# Errors of the options or of the instance file, raised before any iteration.
-_INPUT_ERRORS = (DimensionMismatch, DomainError, InvariantViolation, ParseError)
+# Errors of the options or of the instance file or path, raised before any iteration.
+_INPUT_ERRORS = (DimensionMismatch, DomainError, InvariantViolation, ParseError, OSError)
 
 _STATUS_EXIT = {
     RunStatus.CONVERGED: 0,
@@ -82,11 +83,7 @@ def _load_problem(path: pathlib.Path):
         if E0.shape[0] != inst.n:
             raise ParseError("start matrix order does not match the instance")
         A, e0 = inst.constraint_rows(), svec(E0)
-        # HpInstance.validate checks HP JSON start points to the same tolerance.
-        if np.max(np.abs(A @ e0 - inst.b)) > 1e-9 * (1.0 + np.abs(inst.b).max()):
-            raise InvariantViolation("start point violates A e0 = b")
-        if not is_pd(E0):
-            raise InvariantViolation("start point is not positive definite")
+        check_start(A, inst.b, e0, lambda e: is_pd(smat(e)))
         oracle = det_barrier_oracle(inst.n)
         meta = {
             "backend": "sdp", "n": inst.n, "m": inst.m, "id": path.name,
@@ -106,7 +103,7 @@ def _load_problem(path: pathlib.Path):
     raise ParseError(f"unrecognized instance suffix on {path.name}")
 
 
-def _fail(exc: SwathscaleError, code: int):
+def _fail(exc: Exception, code: int):
     click.echo(f"error: {exc}", err=True)
     sys.exit(code)
 
@@ -158,7 +155,10 @@ def solve(file, alpha, tol, max_iters, step, trace_path, trace_format):
         header = tracefile.trace_header(
             meta["id"], meta["backend"], config, meta["n"], meta["m"]
         )
-        trace_path.write_text(tracefile.export_trace(result, header, trace_format))
+        try:
+            trace_path.write_text(tracefile.export_trace(result, header, trace_format))
+        except OSError as exc:
+            _fail(exc, _EXIT_PARSE)
 
     final_gap = result.trace[-1].gap if result.trace else float("nan")
     click.echo(
@@ -205,7 +205,7 @@ def generate_cmd(kind, n, m, family, k, mu, seed, out):
             click.echo(f"wrote {inst_path}")
     except (NumericalFailure, RetryExhausted) as exc:
         _fail(exc, _EXIT_NUMERICAL)
-    except SwathscaleError as exc:
+    except (SwathscaleError, OSError) as exc:
         _fail(exc, _EXIT_PARSE)
 
 

@@ -2,9 +2,9 @@
 
 At an interior point ``e`` the barrier Hessian induces the local inner
 product ``<u, v>_e = <u, H(e) v>``.  The circular cones ``K_e(alpha)``
-measured in that metric, their duals, and the scalar schedule constants
-live here; everything is backend-agnostic and works through a
-:class:`BarrierOracle`.
+measured in that metric, their duals, the scalar schedule constants, and
+the instance and start-point checks of both backends live here;
+everything is backend-agnostic and works through a :class:`BarrierOracle`.
 """
 
 from __future__ import annotations
@@ -16,9 +16,41 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, InvariantViolation
 
 Vector = np.ndarray
+
+
+def check_constraints(A: np.ndarray, b: Vector, c: Vector) -> None:
+    """The instance test of both backends: finite data, ``b != 0``, and
+    independent rows of ``A`` with ``c`` off their span, to a relative 1e-8."""
+    tol = 1e-8
+    if not all(np.isfinite(M).all() for M in (A, b, c)):
+        raise InvariantViolation("instance data must be finite")
+    if b.size == 0 or not np.any(np.abs(b) > tol * (1 + np.abs(b).max())):
+        raise InvariantViolation("b must be nonzero (and m >= 1)")
+
+    def rank(M):
+        return np.linalg.matrix_rank(M, tol=tol * max(1.0, np.abs(M).max()))
+
+    # Singular values interlace, and the rows' tolerance is no larger, so a
+    # stacked rank of m + 1 implies row rank m: only a rejected instance
+    # pays for the second SVD, which words the error.
+    if rank(np.vstack([A, c])) <= b.size:
+        if rank(A) < b.size:
+            raise InvariantViolation("constraints are linearly dependent")
+        raise InvariantViolation("objective lies in the span of the constraints")
+
+
+def check_start(A: np.ndarray, b: Vector, e0: Vector, interior: Callable) -> None:
+    """The start test of both backends: ``e0`` finite, on ``A e0 = b`` to
+    ``1e-9 (1 + ||b||_inf)``, and in the open cone by ``interior(e0)``."""
+    if not np.isfinite(e0).all():
+        raise InvariantViolation("start point entries must be finite")
+    if np.max(np.abs(A @ e0 - b)) > 1e-9 * (1.0 + np.abs(b).max()):
+        raise InvariantViolation("start point violates A e0 = b")
+    if not interior(e0):
+        raise InvariantViolation("start point is not interior")
 
 
 @dataclass(frozen=True)

@@ -17,12 +17,11 @@ import numpy as np
 import scipy.linalg
 
 from . import sdp
-from .core import BarrierOracle, point_cache
+from .core import BarrierOracle, check_constraints, check_start, point_cache
 from .errors import (
     DegenerateLeadingCoefficient,
     DimensionMismatch,
     DomainError,
-    InvariantViolation,
     NonRealEigenvalues,
     NotInterior,
 )
@@ -542,25 +541,12 @@ class HpInstance:
     e0: np.ndarray
 
     def validate(self) -> None:
-        """Check that the entries are finite, b != 0, A e0 = b (relative 1e-9),
-        A has full row rank, e0 is interior, and c lies off A's rows."""
+        """Check the shapes, then the tests an SDPA file and its start matrix
+        pass: :func:`~swathscale.core.check_constraints` and ``check_start``."""
         d = self.family.d
         if self.A.shape[1] != d or self.c.shape != (d,) or self.e0.shape != (d,):
             raise DimensionMismatch("instance arrays inconsistent with ambient dim")
-        m = self.A.shape[0]
-        if self.b.shape != (m,):
+        if self.b.shape != (self.A.shape[0],):
             raise DimensionMismatch("b length must match the rows of A")
-        if not all(np.all(np.isfinite(v)) for v in (self.c, self.A, self.b, self.e0)):
-            raise InvariantViolation("instance data must be finite")
-        scale = 1.0 + np.abs(self.b).max(initial=0.0)
-        if m == 0 or np.abs(self.b).max(initial=0.0) <= 1e-9 * scale:
-            raise InvariantViolation("b must be nonzero")
-        if np.max(np.abs(self.A @ self.e0 - self.b)) > 1e-9 * scale:
-            raise InvariantViolation("start point violates A e0 = b")
-        if np.linalg.matrix_rank(self.A) < m:
-            raise InvariantViolation("A must have full row rank")
-        if not is_interior(self.family, self.e0):
-            raise InvariantViolation("start point is not interior")
-        stacked = np.vstack([self.A, self.c])
-        if np.linalg.matrix_rank(stacked) == m:
-            raise InvariantViolation("c lies in the row space of A")
+        check_constraints(self.A, self.b, self.c)
+        check_start(self.A, self.b, self.e0, lambda e: is_interior(self.family, e))

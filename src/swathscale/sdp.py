@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dtrtri
 
-from .core import BarrierOracle, point_cache
-from .errors import DimensionMismatch, InvariantViolation, NotInterior
+from .core import BarrierOracle, check_constraints, point_cache
+from .errors import DimensionMismatch, NotInterior
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -101,30 +101,14 @@ class SdpInstance:
         return svec(np.reshape(self.constraints, (-1, self.n, self.n)))
 
     def validate(self) -> None:
-        """Check that every entry is finite, the A_i are linearly independent,
-        b != 0, and C lies off their span, to a relative tolerance of 1e-8."""
-        n, tol = self.n, 1e-8
-        if any(A.shape != (n, n) for A in self.constraints):
+        """Check the shapes, then the data with the HP instances' test,
+        :func:`~swathscale.core.check_constraints`."""
+        if any(A.shape != (self.n, self.n) for A in self.constraints):
             raise DimensionMismatch("constraint matrices must match C's order")
         if self.b.shape != (self.m,):
             raise DimensionMismatch("b length must equal the number of constraints")
-        rows = self.constraint_rows()
-        # A non-finite entry of some A_i leaves its svec row non-finite.
-        if not all(np.isfinite(M).all() for M in (rows, self.C, self.b)):
-            raise InvariantViolation("instance data must be finite")
-        if self.m == 0 or not np.any(np.abs(self.b) > tol * (1 + np.abs(self.b).max(initial=0.0))):
-            raise InvariantViolation("b must be nonzero (and m >= 1)")
-
-        def rank(M):
-            return np.linalg.matrix_rank(M, tol=tol * max(1.0, np.abs(M).max()))
-
-        # Singular values interlace, and the rows' tolerance is no larger, so
-        # a stacked rank of m + 1 implies row rank m: only a rejected
-        # instance pays for the second SVD, which words the error.
-        if rank(np.vstack([rows, svec(self.C)])) <= self.m:
-            if rank(rows) < self.m:
-                raise InvariantViolation("constraint matrices are linearly dependent")
-            raise InvariantViolation("C lies in the span of the constraints")
+        # A non-finite entry of some A_i or of C leaves its svec non-finite.
+        check_constraints(self.constraint_rows(), self.b, svec(self.C))
 
 
 def det_barrier_oracle(n: int) -> BarrierOracle:

@@ -1,6 +1,8 @@
 """Trace serialization: per-iteration records to CSV or JSON and back.
 
-All floats are written with 17 significant digits so a parse of the
+Every float is written in a form that parses back to the same double:
+17 significant digits in the CSV rows, and Python's shortest round-trip
+repr in the JSON export and the CSV metadata lines.  A parse of the
 exported text reproduces every numeric field bit-exactly.
 """
 
@@ -93,13 +95,13 @@ def export_trace(result: SolveResult, header: dict, fmt: str = "csv") -> str:
             ],
             "footer": trace_footer(result),
         }
-        return json.dumps(_quantize(payload), indent=2) + "\n"
+        return json.dumps(payload, indent=2) + "\n"
     if fmt != "csv":
         raise ValueError(f"unknown trace format {fmt!r}")
 
     buf = io.StringIO()
     for key, value in header.items():
-        buf.write(f"# {key}={json.dumps(_quantize(value))}\n")
+        buf.write(f"# {key}={json.dumps(value)}\n")
     buf.write(",".join(_ROW_FIELDS) + "\n")
     for rec in result.trace:
         cells = [
@@ -107,21 +109,8 @@ def export_trace(result: SolveResult, header: dict, fmt: str = "csv") -> str:
         ]
         buf.write(",".join(cells) + "\n")
     for key, value in trace_footer(result).items():
-        buf.write(f"# {key}={json.dumps(_quantize(value))}\n")
+        buf.write(f"# {key}={json.dumps(value)}\n")
     return buf.getvalue()
-
-
-def _quantize(value):
-    """Round floats through the 17-significant-digit representation."""
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, float):
-        return float(_g17(value))
-    if isinstance(value, dict):
-        return {k: _quantize(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_quantize(v) for v in value]
-    return value
 
 
 def parse_trace(text: str) -> dict:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import swathscale as sw
 import swathscale.generate
-from swathscale.cli import main
+from swathscale.cli import _load_problem, main
 from swathscale.errors import InvariantViolation, ParseError, RetryExhausted
 
 from conftest import ESYM_TINY_LEADING
@@ -358,6 +358,66 @@ class TestTracefile:
             sw.parse_trace("\n".join(lines))
 
 
+def indefinite_start(inst, E0):
+    """A start on A e = b but not positive definite: far from E0 along a
+    null direction of the constraints."""
+    null = np.linalg.svd(inst.constraint_rows())[2][-1]
+    D = sw.smat(null)
+    if np.linalg.eigvalsh(D)[0] >= 0.0:
+        D = -D
+    E = E0 + (2.0 * np.linalg.eigvalsh(E0)[-1] / -np.linalg.eigvalsh(D)[0]) * D
+    assert np.linalg.eigvalsh(E)[0] < 0.0
+    return E
+
+
+class TestSameVerdict:
+    """An SDPA file with its start sidecar and the same data as a
+    determinant-family HP instance fail the same check, with the same
+    error."""
+
+    @staticmethod
+    def break_instance(kind):
+        inst, E0 = sw.gen_central_path_sdp(4, 6, 1.0, 0)
+        A, b, C = list(inst.constraints), inst.b.copy(), inst.C.copy()
+        E = E0
+        if kind == "non-finite":
+            C[0, 0] = float("inf")
+        elif kind == "zero-b":
+            b[:] = 0.0
+        elif kind == "dependent":
+            A[-1], b[-1] = 2.0 * A[0], 2.0 * b[0]
+        elif kind == "objective-in-span":
+            C = A[0] - 3.0 * A[1]
+        elif kind == "start-off-affine":
+            E = 2.0 * E0
+        else:
+            E = indefinite_start(inst, E0)
+        return sw.SdpInstance(C=C, constraints=A, b=b), E
+
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            "non-finite", "zero-b", "dependent", "objective-in-span",
+            "start-off-affine", "start-not-pd",
+        ],
+    )
+    def test_sdpa_and_hp_checks_agree(self, tmp_path, kind):
+        inst, E = self.break_instance(kind)
+        path = tmp_path / "bad.dat-s"
+        path.write_text(sw.write_sdpa(inst))
+        (tmp_path / "bad.start.json").write_text(sw.write_start_point(E))
+        with pytest.raises(sw.SwathscaleError) as sdpa_err:
+            _load_problem(path)
+        hp = sw.HpInstance(
+            family=sw.determinant_family(inst.n), c=sw.svec(inst.C),
+            A=inst.constraint_rows(), b=inst.b, e0=sw.svec(E),
+        )
+        with pytest.raises(sw.SwathscaleError) as hp_err:
+            hp.validate()
+        assert type(sdpa_err.value) is type(hp_err.value) is InvariantViolation
+        assert str(sdpa_err.value) == str(hp_err.value)
+
+
 class TestCli:
     def test_generate_solve_roundtrip(self, tmp_path):
         runner = CliRunner()
@@ -424,6 +484,33 @@ class TestCli:
         r = CliRunner().invoke(main, ["solve", str(path)])
         assert r.exit_code == 4
 
+    @pytest.mark.parametrize(
+        "case", ["instance-is-directory", "sidecar-is-directory", "trace-dir-missing",
+                 "generate-dir-missing"],
+    )
+    def test_unusable_path_is_input_error(self, tmp_path, case):
+        runner = CliRunner()
+        missing = tmp_path / "missing" / "dir"
+        inst = tmp_path / "inst.dat-s"
+        runner.invoke(
+            main, ["generate", "sdp", "--n", "3", "--m", "2", "--seed", "0", "--out", str(inst)]
+        )
+        if case == "instance-is-directory":
+            (tmp_path / "x.json").mkdir()
+            args = ["solve", str(tmp_path / "x.json")]
+        elif case == "sidecar-is-directory":
+            (tmp_path / "inst.start.json").unlink()
+            (tmp_path / "inst.start.json").mkdir()
+            args = ["solve", str(inst)]
+        elif case == "trace-dir-missing":
+            args = ["solve", str(inst), "--trace", str(missing / "t.csv")]
+        else:
+            args = ["generate", "sdp", "--n", "3", "--m", "2", "--seed", "0",
+                    "--out", str(missing / "x.dat-s")]
+        r = runner.invoke(main, args)
+        assert r.exit_code == 4, (r.output, r.exception)
+        assert "error:" in r.output
+
     def test_not_in_swath_exit_code(self, tmp_path):
         # Replace the planted objective with a random one: relaxation recedes.
         inst, E0 = sw.gen_central_path_sdp(3, 2, 1.0, 0)
@@ -481,6 +568,17 @@ class TestCli:
         if kind.startswith("hp-"):
             if kind == "hp-fractional-k":
                 inst, _ = sw.gen_hp_instance(sw.elementary_symmetric_family(6, 3), 3, 1.0, 1)
+            elif kind.endswith("near-dependent"):
+                # The last row is a combination of the first two plus 1e-10
+                # of itself, with b recomputed so that A e0 = b still holds.
+                if kind == "hp-det-near-dependent":
+                    inst, _ = sw.gen_hp_instance(sw.determinant_family(6), 8, 1.0, 3)
+                    weight = 1.0
+                else:
+                    inst, _ = sw.gen_hp_instance(sw.second_order_family(12), 6, 1.0, 1)
+                    weight = -2.0
+                inst.A[-1] = inst.A[0] + weight * inst.A[1] + 1e-10 * inst.A[-1]
+                inst.b = inst.A @ inst.e0
             else:
                 inst, _ = sw.gen_hp_instance(sw.second_order_family(6), 3, 1.0, 0)
             doc = json.loads(sw.write_hp_json(inst))
@@ -494,7 +592,7 @@ class TestCli:
                 doc["b"][0] = float("nan")
             elif kind == "hp-fractional-d":
                 doc["family"]["d"] = 6.5  # int() would truncate it to the true 6
-            else:
+            elif kind == "hp-fractional-k":
                 doc["family"]["k"] = 2.5
             path = tmp_path / "bad.json"
             path.write_text(json.dumps(doc))
@@ -517,13 +615,7 @@ class TestCli:
             if kind == "sdpa-start-off-affine":
                 E = 2.0 * E0  # positive definite, but A e = 2 b
             else:
-                # On A e = b but indefinite: far along a null direction of A.
-                null = np.linalg.svd(inst.constraint_rows())[2][-1]
-                D = sw.smat(null)
-                if np.linalg.eigvalsh(D)[0] >= 0.0:
-                    D = -D
-                E = E0 + (2.0 * np.linalg.eigvalsh(E0)[-1] / -np.linalg.eigvalsh(D)[0]) * D
-                assert np.linalg.eigvalsh(E)[0] < 0.0
+                E = indefinite_start(inst, E0)
         path = tmp_path / "bad.dat-s"
         path.write_text(sw.write_sdpa(inst))
         (tmp_path / "bad.start.json").write_text(sw.write_start_point(E))
@@ -535,6 +627,7 @@ class TestCli:
             "hp-start-off-affine", "sdpa-dependent", "sdpa-start-off-affine",
             "sdpa-start-not-pd", "hp-nan-c", "hp-nan-A", "hp-nan-b",
             "hp-fractional-d", "hp-fractional-k", "sdpa-nan", "sdpa-inf", "sidecar-nan",
+            "hp-det-near-dependent", "hp-lorentz-near-dependent",
         ],
     )
     @pytest.mark.parametrize(
@@ -553,6 +646,8 @@ class TestCli:
         assert "error:" in r.output
         if "nan" in kind or "inf" in kind:
             assert "must be finite" in r.output  # not a rank or span verdict
+        if kind.endswith("dependent"):
+            assert "linearly dependent" in r.output
 
     @pytest.mark.parametrize(
         "args",
