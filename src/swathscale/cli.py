@@ -142,6 +142,11 @@ def solve(file, alpha, tol, max_iters, step, trace_path, trace_format):
             step_mode=StepMode(step),
         )
         oracle, A, b, c, e0, meta = _load_problem(file)
+        if trace_path is not None:
+            # Opened for appending, which creates the file and keeps any
+            # contents, so an unwritable path fails before the solve.
+            with trace_path.open("a"):
+                pass
     except _INPUT_ERRORS as exc:
         _fail(exc, _EXIT_PARSE)
     try:

@@ -61,12 +61,13 @@ class BarrierOracle:
     ``degree`` is the degree of the underlying polynomial; the barrier is
     ``-ln p``.  ``hessian_apply`` and ``hessian_solve`` must raise
     :class:`~swathscale.errors.NotInterior` off the cone interior.  The
-    iteration needs the local frame (``hessian_factor``), Hessian products
-    and solves, the first four power sums of the eigenvalues of ``x`` in
-    direction ``e`` (``direction_power_sums``), and ``value`` as an
-    interiority probe; ``gradient`` serves the instance generators and the
-    diagnostics, and ``direction_eigs``, the eigenvalues themselves, the
-    tests.
+    iteration needs the local frame (``hessian_factor``) and the
+    constraint block mapped into it (``bind``, once per run), Hessian
+    products and solves, the first four power sums of the eigenvalues of
+    ``x`` in direction ``e`` (``direction_power_sums``), and ``value`` as
+    an interiority probe; ``gradient`` serves the instance generators and
+    the diagnostics, and ``direction_eigs``, the eigenvalues themselves,
+    the tests.
     """
 
     dim: int
@@ -87,20 +88,37 @@ class BarrierOracle:
     # a (d, k) block of columns and maps every column as it would map that
     # column alone.
     hessian_factor: Callable[[Vector], tuple]
+    # bind(A) takes the (m, d) constraint block once per run and returns
+    # mapped(e), the (d, m) block solve_Lt(A.T) of the frame at e.  An oracle
+    # may unpack A here (the SDP oracle builds its matrix stack), so A must
+    # not change while the map is in use; frame_bind maps A.T through the
+    # frame at each point.
+    bind: Callable[[np.ndarray], Callable[[Vector], np.ndarray]]
+
+
+def frame_bind(
+    hessian_factor: Callable[[Vector], tuple],
+) -> Callable[[np.ndarray], Callable[[Vector], np.ndarray]]:
+    """The ``bind`` of an oracle whose frame maps the block as it stands."""
+
+    def bind(A):
+        At = np.transpose(A)
+        return lambda e: hessian_factor(e)[1](At)
+
+    return bind
 
 
 def point_cache(build: Callable[[Vector], tuple]) -> Callable[[Vector], tuple]:
     """One-entry cache of ``build(e)``, keyed on the shape and bytes of the
-    array ``e``: a point or any other input that recurs between calls.
+    point ``e``.
 
     An iteration visits each point several times (frame, dual slack,
     step, interiority probe, carry-over check), so each oracle factors a
-    point once and reads every quantity from that factor; the SDP oracle
-    also keeps the matrix stack of the constraint block it maps at every
-    iterate.  A hit returns exactly what a rebuild would, and an input
-    changed in place misses.  A failing build (``NotInterior``) is not
-    stored and leaves the cached entry in place.  The cached arrays are
-    made read-only, since every later caller shares them.
+    point once and reads every quantity from that factor.  A hit returns
+    exactly what a rebuild would, and a point changed in place misses.  A
+    failing build (``NotInterior``) is not stored and leaves the cached
+    entry in place.  The cached arrays are made read-only, since every
+    later caller shares them.
     """
     key = None
     entry = None

@@ -188,6 +188,7 @@ def run(
     slack not interior to the relaxed dual cone at the next iterate).
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
+    block = oracle.bind(A)
     alpha = config.alpha
     consts = schedule_constants(alpha, oracle.degree)
     violations = {"primal": 0, "dual": 0, "ratio": 0, "carryover": 0}
@@ -204,7 +205,7 @@ def run(
 
     for k in range(config.max_iters):
         try:
-            sol = solve_qcp(oracle, A, b, c, e, alpha)
+            sol = solve_qcp(oracle, A, b, c, e, alpha, block)
         except NumericalFailure:
             status = RunStatus.NUMERICAL_FAILURE
             break
@@ -321,11 +322,12 @@ def alpha_reduction_run(
     """
     _check_reduction_domain(alpha0, alpha_target)
     A = np.atleast_2d(np.asarray(A, dtype=float))
+    block = oracle.bind(A)
     e = np.asarray(e0, dtype=float).copy()
     alpha = alpha0
     iterations = 0
     while alpha > alpha_target:
-        sol = solve_qcp(oracle, A, b, c, e, alpha)
+        sol = solve_qcp(oracle, A, b, c, e, alpha, block)
         if sol.status is not SubStatus.SOLVED:
             raise NumericalFailure(
                 f"iterate left swath({alpha}) during alpha reduction"

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from . import sdp
-from .core import BarrierOracle, check_constraints, check_start, point_cache
+from .core import BarrierOracle, check_constraints, check_start, frame_bind, point_cache
 from .errors import (
     DegenerateLeadingCoefficient,
     DimensionMismatch,
@@ -246,7 +246,7 @@ def _product_oracle(d: int) -> BarrierOracle:
         dim=d, degree=d, value=value, gradient=gradient,
         hessian_apply=hessian_apply, hessian_solve=hessian_solve,
         direction_eigs=direction_eigs, direction_power_sums=direction_power_sums,
-        hessian_factor=hessian_factor,
+        hessian_factor=hessian_factor, bind=frame_bind(hessian_factor),
     )
 
 
@@ -342,7 +342,7 @@ def _lorentz_oracle(d: int) -> BarrierOracle:
         dim=d, degree=2, value=value, gradient=gradient,
         hessian_apply=hessian_apply, hessian_solve=hessian_solve,
         direction_eigs=direction_eigs, direction_power_sums=direction_power_sums,
-        hessian_factor=hessian_factor,
+        hessian_factor=hessian_factor, bind=frame_bind(hessian_factor),
     )
 
 
@@ -447,7 +447,7 @@ def _esym_oracle(d: int, k: int) -> BarrierOracle:
         dim=d, degree=k, value=value, gradient=gradient,
         hessian_apply=hessian_apply, hessian_solve=hessian_solve,
         direction_eigs=direction_eigs, direction_power_sums=direction_power_sums,
-        hessian_factor=hessian_factor,
+        hessian_factor=hessian_factor, bind=frame_bind(hessian_factor),
     )
 
 

@@ -176,21 +176,21 @@ def det_barrier_oracle(n: int) -> BarrierOracle:
             float(np.vdot(W, W2)), float(np.vdot(W2, W2)),
         )
 
-    # The constraint block is mapped at every iterate, so its (k, n, n)
-    # matrix stack is built once, keyed on the block's bytes.  smat's
-    # np.take returns it C-contiguous, so numpy's matmul hands it straight
-    # to BLAS.
     upper, _, scale, _ = _svec_index(n)
-    block_stack = point_cache(lambda rows: (smat(rows),))
+
+    def stack_congruence(T, S):
+        # The (d, k) block of svec(T S_i T^T) over a (k, n, n) matrix stack,
+        # in one batched product; T S T^T is symmetric, so its upper triangle
+        # is its svec.  smat's np.take returns a C-contiguous stack, so
+        # numpy's matmul hands it straight to BLAS.
+        return np.transpose((T @ S @ T.T).reshape(-1, n * n)[:, upper] * scale)
 
     def congruence(T, v):
         # svec(T smat(v) T^T) for a vector v, and for each column of a (d, k)
-        # block.  Single vectors bypass the stack cache, so they never evict
-        # the block.  T S T^T is symmetric, so its upper triangle is its svec.
+        # block.
         if np.ndim(v) == 1:
             return svec(T @ smat(v) @ T.T)
-        (S,) = block_stack(np.transpose(v))
-        return np.transpose((T @ S @ T.T).reshape(-1, n * n)[:, upper] * scale)
+        return stack_congruence(T, smat(np.transpose(v)))
 
     def hessian_factor(e):
         G, G_inv, _ = factor(e)
@@ -206,6 +206,19 @@ def det_barrier_oracle(n: int) -> BarrierOracle:
 
         return apply_L, solve_Lt, solve_L
 
+    def bind(A):
+        # The constraint block is mapped at every iterate, so its (m, n, n)
+        # matrix stack is unpacked once per run; each iterate maps it as
+        # solve_Lt(A.T) would, with one batched congruence by G^T.
+        S = smat(A)
+        S.flags.writeable = False
+
+        def mapped(e):
+            G, _, _ = factor(e)
+            return stack_congruence(G.T, S)
+
+        return mapped
+
     return BarrierOracle(
         dim=d,
         degree=n,
@@ -216,4 +229,5 @@ def det_barrier_oracle(n: int) -> BarrierOracle:
         direction_eigs=direction_eigs,
         direction_power_sums=direction_power_sums,
         hessian_factor=hessian_factor,
+        bind=bind,
     )

@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.linalg.lapack import dtrtri
@@ -59,9 +60,9 @@ def _stable_quadratic_roots(qa: float, qb: float, qc: float) -> list[float]:
     return roots
 
 
-# u^{-1/4} for the unit roundoff u, about 9.7e3: up to this condition number
-# one Gram pass and one correction step reach O(u) (see solve_qcp).
-_ONE_PASS_COND = (np.finfo(float).eps / 2.0) ** -0.25
+# u^{-1/3} for the unit roundoff u, about 2.1e5: up to this condition number
+# one Gram pass and two correction steps reach O(u) (see solve_qcp).
+_ONE_PASS_COND = (np.finfo(float).eps / 2.0) ** (-1.0 / 3.0)
 
 
 def _gram_factor(Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -80,10 +81,10 @@ def _range_basis(
     X: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Basis ``B`` and upper triangle ``T`` with ``B T`` spanning ``range(X)``,
-    orthonormal up to the error one correction step removes.
+    orthonormal up to the error two correction steps remove.
 
     One Gram pass factors ``X^T X = R1^T R1``.  When
-    ``cond_1(R1) <= u^{-1/4}`` it returns ``(X, R1^{-1}, None)``.
+    ``cond_1(R1) <= u^{-1/3}`` it returns ``(X, R1^{-1}, None)``.
     Otherwise it runs CholeskyQR2's second pass on ``Q1 = X R1^{-1}``
     (Fukaya, Nakatsukasa, Yanagisawa and Yamamoto, 2014), formed
     explicitly, and returns ``(Q1, R2^{-1}, R1^{-1})``: there ``X = Q1 R1``,
@@ -109,14 +110,15 @@ def _split_off_range(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(Z, F - B Z)`` with ``B Z`` the projection of ``F`` on ``range(B T)``.
 
-    The projection ``B T T^T B^T`` runs twice and the coefficients of both
-    runs are summed, so the remainder is orthogonal to the range to
-    working accuracy.
+    The projection ``B T T^T B^T`` runs three times, each on the remainder
+    of the last, and the coefficients of the runs are summed, so the
+    remainder is orthogonal to the range to working accuracy.
     """
-    Z = T @ (T.T @ (B.T @ F))
-    F = F - B @ Z
-    Z2 = T @ (T.T @ (B.T @ F))
-    return Z + Z2, F - B @ Z2
+    Z = 0.0
+    for _ in range(3):
+        Zk = T @ (T.T @ (B.T @ F))
+        Z, F = Z + Zk, F - B @ Zk
+    return Z, F
 
 
 def solve_qcp(
@@ -126,9 +128,12 @@ def solve_qcp(
     c: np.ndarray,
     e: np.ndarray,
     alpha: float,
+    block: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> SubproblemSolution:
     """Optimal primal/dual pair of the quadratic-cone relaxation at e.
 
+    ``block`` is ``oracle.bind(A)``: a run binds its constraint block once
+    and hands the map to every call, and a call without it binds ``A``.
     Returns status NOT_IN_SWATH when the conic section has no minimizer
     (the relaxation is unbounded); raises NumericalFailure when the
     constraint map is rank-deficient at e.
@@ -147,18 +152,22 @@ def solve_qcp(
     # The ill-conditioning of H is confined to triangular solves and to the
     # range of At_hat = L^{-T} A^T, which a basis B T from _range_basis
     # spans.  One Cholesky pass of the Gram matrix leaves that basis
-    # orthonormal to about u cond(At_hat)^2, and the least-norm solution and
-    # the projections below each take one correction step, which squares
-    # that error to about u while cond(At_hat) <= u^{-1/4} ~ 9.7e3.  Beyond
-    # it the second CholeskyQR2 pass runs, which restores orthogonality to
-    # O(u) while cond(At_hat) < u^{-1/2} ~ 7e7.  On generated SDP (n=40,
-    # m=80) and Lorentz (d=200, m=100) instances, cond(At_hat) measured up
-    # to 5.5e4 at a 1e-8 gap ratio and 4.9e6 at 1e-12; one pass everywhere,
-    # even with the correction steps, lost Lorentz runs to a 1e-12 ratio.
+    # orthonormal to about eps = u cond(At_hat)^2, and each correction step
+    # multiplies the error left in the least-norm solution and the
+    # projections below by about eps.  They take two steps, which bring it
+    # to about u while cond(At_hat) <= u^{-1/3} ~ 2.1e5 (one step would
+    # need cond(At_hat) <= u^{-1/4} ~ 9.7e3).  Beyond it the second
+    # CholeskyQR2 pass runs, which restores orthogonality to O(u) while
+    # cond(At_hat) < u^{-1/2} ~ 7e7.  On generated SDP (n=40, m=80) and
+    # Lorentz (d=200, m=100) instances, cond(At_hat) measured up to 5.5e4
+    # at a 1e-8 gap ratio and 4.9e6 at 1e-12; one pass everywhere, even
+    # with the correction steps, lost Lorentz runs to a 1e-12 ratio.
+    if block is None:
+        block = oracle.bind(A)
     apply_L, solve_Lt, solve_L = oracle.hessian_factor(e)
     ehat = apply_L(e)
     chat = solve_Lt(c)
-    At_hat = solve_Lt(A.T)  # d x m
+    At_hat = block(e)  # d x m, solve_Lt(A.T)
     B, T, to_x = _range_basis(At_hat)
 
     # Write w = w0 + u with w0 the least-norm solution of At_hat^T w = b,
@@ -173,7 +182,8 @@ def solve_qcp(
     # that the boundary equation makes a root of one scalar quadratic.
     b_B = b if to_x is None else to_x.T @ b
     z0 = T @ (T.T @ b_B)
-    z0 = z0 + T @ (T.T @ (b_B - B.T @ (B @ z0)))
+    for _ in range(2):
+        z0 = z0 + T @ (T.T @ (b_B - B.T @ (B @ z0)))
     w0 = B @ z0
     Z, F = _split_off_range(B, T, np.column_stack([ehat, chat]))
     f, g = F[:, 0], F[:, 1]

@@ -309,9 +309,10 @@ class TestRun:
             assert len(builds) == len(set(builds)) == res.iterations, family.name
 
     def test_constraint_block_stack_built_once_per_run(self, monkeypatch):
-        # The frame maps the constraint block at every iterate from one
-        # cached matrix stack, so smat sees the block once per run; single
-        # vectors still go through smat each time.
+        # The run binds the constraint block once, and the SDP oracle maps it
+        # at every iterate from the matrix stack it unpacked then, so smat
+        # sees the block once per run; single vectors still go through smat
+        # each time.
         oracle, A, b, c, e, _, _ = make_sdp(10, m=20, seed=0)
         ndims = []
         smat = swathscale.sdp.smat

@@ -1,8 +1,10 @@
-"""Block-capable local frames and batched svec/smat.
+"""Block-capable local frames, the bound constraint-block map, and
+batched svec/smat.
 
-Every frame closure maps a ``(d, k)`` block column by column, and the
-batched vectorization maps a stack of matrices matrix by matrix.  The
-single-vector calls are the reference.
+Every frame closure maps a ``(d, k)`` block column by column, the bound
+map of a block is the frame's map of it, and the batched vectorization
+maps a stack of matrices matrix by matrix.  The single-vector calls are
+the reference.
 """
 
 import math
@@ -91,29 +93,26 @@ def test_frame_accepts_transposed_rows(family, seed):
     assert_columns_match(solve_Lt, solve_Lt, A.T)
 
 
-def test_sdp_block_cache_follows_block_contents():
-    # The SDP frame keeps the matrix stack of the last block it mapped,
-    # keyed on the block's bytes: another block of the same shape, or the
-    # same block changed in place, is mapped from its own contents.
-    n = 5
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
+def test_bound_map_is_the_frames_block_map(family):
+    # bind(A) maps the constraint block at each point bit for bit as the
+    # frame's solve_Lt(A.T) does (the SDP oracle from a matrix stack it
+    # unpacks once).  An unbound block is mapped from its contents at each
+    # call, so one changed in place maps from its new entries.
     rng = np.random.default_rng(0)
-    e = interior_point(sw.determinant_family(n), rng)
-    oracle = sw.det_barrier_oracle(n)
-    first, second = (rng.standard_normal((oracle.dim, 4)) for _ in range(2))
-
-    def check(B):
-        fresh = sw.det_barrier_oracle(n).hessian_factor(e)
-        for closure, reference in zip(oracle.hessian_factor(e), fresh):
-            np.testing.assert_array_equal(closure(B), reference(B))
-
-    for B in (first, second, first):
-        check(B)
-    first[3, 1] += 1.0
-    check(first)
-    rows = rng.standard_normal((4, oracle.dim))
-    check(rows.T)
-    rows[:, 0] *= 2.0
-    check(rows.T)
+    oracle = sw.hp_barrier_oracle(family)
+    A = rng.standard_normal((4, family.d))
+    mapped = oracle.bind(A)
+    for _ in range(3):
+        e = interior_point(family, rng)
+        _, solve_Lt, _ = oracle.hessian_factor(e)
+        np.testing.assert_array_equal(mapped(e), solve_Lt(A.T))
+    before = solve_Lt(A.T)
+    A[1, 3] += 1.0
+    after = solve_Lt(A.T)
+    _, fresh, _ = sw.hp_barrier_oracle(family).hessian_factor(e)
+    np.testing.assert_array_equal(after, fresh(A.T))
+    assert not np.array_equal(after, before)
 
 
 @settings(max_examples=25, deadline=None)

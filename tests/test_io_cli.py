@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import swathscale as sw
+import swathscale.cli
 import swathscale.generate
 from swathscale.cli import _load_problem, main
 from swathscale.errors import InvariantViolation, ParseError, RetryExhausted
@@ -488,7 +489,7 @@ class TestCli:
         "case", ["instance-is-directory", "sidecar-is-directory", "trace-dir-missing",
                  "generate-dir-missing"],
     )
-    def test_unusable_path_is_input_error(self, tmp_path, case):
+    def test_unusable_path_is_input_error(self, tmp_path, case, monkeypatch):
         runner = CliRunner()
         missing = tmp_path / "missing" / "dir"
         inst = tmp_path / "inst.dat-s"
@@ -503,6 +504,11 @@ class TestCli:
             (tmp_path / "inst.start.json").mkdir()
             args = ["solve", str(inst)]
         elif case == "trace-dir-missing":
+            # Found before the solve, whose result would be lost.
+            def solved(*args):
+                raise AssertionError("solved before the trace path was checked")
+
+            monkeypatch.setattr(swathscale.cli, "run", solved)
             args = ["solve", str(inst), "--trace", str(missing / "t.csv")]
         else:
             args = ["generate", "sdp", "--n", "3", "--m", "2", "--seed", "0",

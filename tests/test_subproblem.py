@@ -146,6 +146,19 @@ class TestKktIdentities:
             val = float(np.trace((E0 @ S) @ (E0 @ S))) * (n - 0.25)
             assert val == pytest.approx(sol.gap**2, rel=1e-8)
 
+    def test_bound_block_solves_as_the_plain_array(self):
+        # A run binds its constraint block once and passes the map; a call
+        # with the plain array binds it itself.  One oracle serves blocks of
+        # the same shape one after another, each from its own contents.
+        oracle = sw.det_barrier_oracle(4)
+        for seed in range(3):
+            _, A, b, c, e, _, _ = make_sdp(4, seed=seed)
+            plain = sw.solve_qcp(oracle, A, b, c, e, 0.5)
+            fresh = sw.det_barrier_oracle(4)
+            bound = sw.solve_qcp(fresh, A, b, c, e, 0.5, fresh.bind(A))
+            for name in ("x_e", "y_e", "s_e"):
+                np.testing.assert_array_equal(getattr(plain, name), getattr(bound, name))
+
 
 class TestStatusAndErrors:
     def test_not_in_swath_on_unbounded_relaxation(self):
@@ -202,9 +215,12 @@ def spread_block(seed, d, m, log_kappa):
     return (U * sv) @ V.T
 
 
-# u^{-1/4} for the unit roundoff u = 2^-53: above this cond_1(R1) one
+# u^{-1/3} for the unit roundoff u = 2^-53: above this cond_1(R1) one
 # Cholesky pass is not accurate enough and CholeskyQR2's second pass runs.
-ONE_PASS_COND = 2.0**13.25
+ONE_PASS_COND = 2.0 ** (53.0 / 3.0)
+# A block with u^{-1/4} < cond_1(R1) ~ 1.4e5 <= u^{-1/3}: one pass, where
+# the relaxation's two correction steps are needed.
+IN_ONE_PASS_BAND = dict(seed=1, m=30, extra=70, log_kappa=4.3)
 
 spread_blocks = given(
     seed=st.integers(0, 2**32 - 1),
@@ -220,6 +236,7 @@ class TestCholeskyQr2:
 
     @settings(max_examples=60, deadline=None)
     @spread_blocks
+    @example(**IN_ONE_PASS_BAND)
     def test_second_pass_iff_one_pass_too_coarse(self, seed, m, extra, log_kappa):
         X = spread_block(seed, m + extra, m, log_kappa)
         B, T, to_x = _range_basis(X)
@@ -250,10 +267,12 @@ class TestCholeskyQr2:
 
     @settings(max_examples=60, deadline=None)
     @spread_blocks
+    @example(**IN_ONE_PASS_BAND)
     def test_projection_matches_householder(self, seed, m, extra, log_kappa):
-        # For every condition number, the twice-applied projection onto the
-        # range matches Householder's to the accuracy either factorization
-        # has: u times the condition number, with margin.
+        # For every condition number, one-pass band included, the repeated
+        # projection onto the range matches Householder's to the accuracy
+        # either factorization has: u times the condition number, with
+        # margin.
         X = spread_block(seed, m + extra, m, log_kappa)
         B, T, _ = _range_basis(X)
         v = np.random.default_rng([seed, 1]).standard_normal(m + extra)
@@ -263,7 +282,7 @@ class TestCholeskyQr2:
         Qh, _ = np.linalg.qr(X)
         tol = 1e-13 * 10.0**log_kappa
         assert np.linalg.norm((v - rest[:, 0]) - Qh @ (Qh.T @ v)) <= tol
-        # Projecting twice leaves the remainder orthogonal to the range to
+        # Repeated projection leaves the remainder orthogonal to the range to
         # about u times the condition number; one projection alone leaves
         # up to u cond^2 on a one-pass basis.
         assert np.linalg.norm(Qh.T @ rest) <= 0.1 * tol
