@@ -32,7 +32,6 @@ from .errors import (
     DimensionMismatch,
     DomainError,
     InvariantViolation,
-    NonRealEigenvalues,
     NotInterior,
     NumericalFailure,
     ParseError,

@@ -45,7 +45,7 @@ from .hyperbolic import (
     SECOND_ORDER,
     hp_barrier_oracle,
 )
-from .sdp import det_barrier_oracle, is_pd, smat, svec
+from .sdp import det_barrier_oracle, is_pd, smat, svec, sym_dim
 from .sdpa import parse_sdpa
 from .subproblem import in_swath
 
@@ -175,7 +175,12 @@ def solve(file, alpha, tol, max_iters, step, trace_path, trace_format):
 
 @main.command()
 @click.argument("kind", type=click.Choice(["sdp", "hp"]))
-@click.option("--n", type=int, required=True, help="matrix order (sdp) or ambient dim (hp)")
+@click.option(
+    "--n",
+    type=int,
+    required=True,
+    help="matrix order (sdp, hp determinant) or ambient dim (other hp families)",
+)
 @click.option("--m", type=int, required=True, help="number of constraints")
 @click.option(
     "--family",
@@ -199,7 +204,7 @@ def generate_cmd(kind, n, m, family, k, mu, seed, out):
             click.echo(f"wrote {inst_path} and {_start_sidecar(inst_path)}")
         else:
             if family == DETERMINANT:
-                fam = hpjson.family_from_tag(family, n * (n + 1) // 2)
+                fam = hpjson.family_from_tag(family, sym_dim(n))
             else:
                 fam = hpjson.family_from_tag(family, n, k)
             inst, _ = generate.gen_hp_instance(fam, m, mu, seed)

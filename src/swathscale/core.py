@@ -59,15 +59,15 @@ class BarrierOracle:
 
     All callables act on ambient coordinate vectors of length ``dim``.
     ``degree`` is the degree of the underlying polynomial; the barrier is
-    ``-ln p``.  ``hessian_apply`` and ``hessian_solve`` must raise
-    :class:`~swathscale.errors.NotInterior` off the cone interior.  The
-    iteration needs the local frame (``hessian_factor``) and the
-    constraint block mapped into it (``bind``, once per run), Hessian
-    products and solves, the first four power sums of the eigenvalues of
+    ``-ln p``.  ``hessian_apply``, ``hessian_solve`` and ``hessian_factor``
+    must raise :class:`~swathscale.errors.NotInterior` off the cone
+    interior.  The iteration needs the local frame (``hessian_factor``)
+    and the constraint block mapped into it (``bind``, once per run),
+    Hessian products, the first four power sums of the eigenvalues of
     ``x`` in direction ``e`` (``direction_power_sums``), and ``value`` as
-    an interiority probe; ``gradient`` serves the instance generators and
-    the diagnostics, and ``direction_eigs``, the eigenvalues themselves,
-    the tests.
+    an interiority probe.  ``hessian_solve`` is the frame's inverse,
+    :func:`frame_solve`, and serves the diagnostics and the tests;
+    ``gradient`` serves the instance generators and the diagnostics.
     """
 
     dim: int
@@ -76,9 +76,9 @@ class BarrierOracle:
     gradient: Callable[[Vector], Vector]
     hessian_apply: Callable[[Vector, Vector], Vector]
     hessian_solve: Callable[[Vector, Vector], Vector]
-    direction_eigs: Callable[[Vector, Vector], Vector]
     # direction_power_sums(e, x) returns (p1, p2, p3, p4), p_j the sum of
-    # the j-th powers of direction_eigs(e, x), without extracting roots.
+    # the j-th powers of the eigenvalues of x in direction e, the roots of
+    # l -> p(l e - x), without extracting them.
     direction_power_sums: Callable[[Vector, Vector], tuple]
     # hessian_factor(e) returns (apply_L, solve_Lt, solve_L) for a factor
     # H(e) = L^T L, mapping to and from local coordinates w = L x: apply_L
@@ -94,6 +94,22 @@ class BarrierOracle:
     # not change while the map is in use; frame_bind maps A.T through the
     # frame at each point.
     bind: Callable[[np.ndarray], Callable[[Vector], np.ndarray]]
+    # A placeholder that no oracle sets and nothing calls: perfbench/tracer.py
+    # wraps an oracle field of this name, and is its only reader.
+    direction_eigs: Callable | None = None
+
+
+def frame_solve(
+    hessian_factor: Callable[[Vector], tuple],
+) -> Callable[[Vector, Vector], Vector]:
+    """The ``hessian_solve`` of every oracle: ``H(e)^{-1} w = L^{-1} L^{-T} w``
+    through the frame at ``e``."""
+
+    def hessian_solve(e, w):
+        _, solve_Lt, solve_L = hessian_factor(e)
+        return solve_L(solve_Lt(w))
+
+    return hessian_solve
 
 
 def frame_bind(
@@ -202,11 +218,12 @@ def dual_cone_member(cone: QuadCone, s: Vector) -> Membership:
     """Classify ``s`` against ``K_e(alpha)* = H(e) K_e(sqrt(n - alpha^2))``.
 
     That is ``x = H(e)^{-1} s`` against ``K_e(sqrt(n - alpha^2))``, where
-    ``<e, x>_e = <e, s>`` and ``||x||_e^2 = <x, s>``: one Hessian solve.
+    ``<e, x>_e = <e, s>`` and ``||x||_e^2 = <s, H(e)^{-1} s> = ||L^{-T} s||^2``
+    for the frame ``H(e) = L^T L``: one triangular solve.
     """
-    pulled = cone.oracle.hessian_solve(cone.e, s)
+    pulled = cone.oracle.hessian_factor(cone.e)[1](s)
     return _classify(
-        float(np.dot(cone.e, s)), float(np.dot(pulled, s)), cone.dual_alpha
+        float(np.dot(cone.e, s)), float(np.dot(pulled, pulled)), cone.dual_alpha
     )
 
 

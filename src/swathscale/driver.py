@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -60,8 +61,12 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise DomainError(f"alpha={self.alpha} outside (0, 1)")
-        if self.gap_tol <= 0.0:
-            raise DomainError("gap_tol must be positive")
+        if not (math.isfinite(self.gap_tol) and self.gap_tol > 0.0):
+            raise DomainError(f"gap_tol={self.gap_tol} must be positive and finite")
+        if isinstance(self.max_iters, bool) or not isinstance(
+            self.max_iters, numbers.Integral
+        ):
+            raise DomainError(f"max_iters={self.max_iters!r} must be an integer")
         if self.max_iters < 1:
             raise DomainError(f"max_iters={self.max_iters} must be at least 1")
 

@@ -21,10 +21,6 @@ class DimensionMismatch(SwathscaleError):
     """Array shapes are inconsistent with the instance dimensions."""
 
 
-class NonRealEigenvalues(NumericalFailure):
-    """Companion-matrix roots acquired imaginary parts beyond tolerance."""
-
-
 class DegenerateLeadingCoefficient(SwathscaleError):
     """Leading coefficient of a restricted polynomial is numerically zero."""
 

@@ -8,6 +8,8 @@ at parameter mu — hence inside the swath for every cone parameter.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import InvariantViolation, RetryExhausted
@@ -42,8 +44,8 @@ def gen_central_path_sdp(
     """
     if n < 2 or not 1 <= m <= sym_dim(n) - 1:
         raise InvariantViolation(f"need n >= 2 and 1 <= m <= {sym_dim(n) - 1}")
-    if mu <= 0.0:
-        raise InvariantViolation("mu must be positive")
+    if not (math.isfinite(mu) and mu > 0.0):
+        raise InvariantViolation(f"mu={mu} must be positive and finite")
     rng = np.random.default_rng(seed)
 
     Q = _random_orthogonal(n, rng)
@@ -100,8 +102,8 @@ def gen_hp_instance(
         )
         inst.validate()
         return inst, e0
-    if mu <= 0.0:
-        raise InvariantViolation("mu must be positive")
+    if not (math.isfinite(mu) and mu > 0.0):
+        raise InvariantViolation(f"mu={mu} must be positive and finite")
     d = family.d
     if not 1 <= m <= d - 1:
         raise InvariantViolation(f"need 1 <= m <= {d - 1}")

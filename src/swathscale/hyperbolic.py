@@ -17,12 +17,13 @@ import numpy as np
 import scipy.linalg
 
 from . import sdp
-from .core import BarrierOracle, check_constraints, check_start, frame_bind, point_cache
+from .core import (
+    BarrierOracle, check_constraints, check_start, frame_bind, frame_solve, point_cache,
+)
 from .errors import (
     DegenerateLeadingCoefficient,
     DimensionMismatch,
     DomainError,
-    NonRealEigenvalues,
     NotInterior,
 )
 
@@ -220,12 +221,6 @@ def _product_oracle(d: int) -> BarrierOracle:
     def hessian_apply(e, v):
         return np.asarray(v, dtype=float) / guard(e) ** 2
 
-    def hessian_solve(e, w):
-        return np.asarray(w, dtype=float) * guard(e) ** 2
-
-    def direction_eigs(e, x):
-        return np.sort(np.asarray(x, dtype=float) / guard(e))
-
     def direction_power_sums(e, x):
         return power_sums(np.asarray(x, dtype=float) / guard(e))
 
@@ -244,8 +239,8 @@ def _product_oracle(d: int) -> BarrierOracle:
 
     return BarrierOracle(
         dim=d, degree=d, value=value, gradient=gradient,
-        hessian_apply=hessian_apply, hessian_solve=hessian_solve,
-        direction_eigs=direction_eigs, direction_power_sums=direction_power_sums,
+        hessian_apply=hessian_apply, hessian_solve=frame_solve(hessian_factor),
+        direction_power_sums=direction_power_sums,
         hessian_factor=hessian_factor, bind=frame_bind(hessian_factor),
     )
 
@@ -306,24 +301,10 @@ def _lorentz_oracle(d: int) -> BarrierOracle:
     def hessian_apply(e, v):
         return spectral_apply(frame(e), v, 1.0)
 
-    def hessian_solve(e, w):
-        # H(e)^{-1} w = e <e, w> - (p(e)/2) J w in the Minkowski form.
-        e = guard(e)
-        w = np.asarray(w, dtype=float)
-        Jw = np.concatenate([-w[:-1], w[-1:]])
-        return e * float(np.dot(e, w)) - 0.5 * _minkowski(e, e) * Jw
-
-    def direction_eigs(e, x):
-        e = guard(e)
-        x = _check_dim(d, x)
-        # p(x + t e) = C + B t + A t^2, so p(le - x) = A l^2 - B l + C.
-        C, B, A = _lorentz_restriction(x, e)
-        disc = max(B * B - 4.0 * A * C, 0.0)
-        root = math.sqrt(disc)
-        return np.sort(np.array([(B - root) / (2 * A), (B + root) / (2 * A)]))
-
     def direction_power_sums(e, x):
-        return power_sums(direction_eigs(e, x))
+        # Newton's identities on the restricted quadratic, as for e_k.
+        e = guard(e)
+        return power_sums_from_coeffs(_lorentz_restriction(_check_dim(d, x), e))
 
     def hessian_factor(e):
         # Symmetric square root from the closed eigendecomposition;
@@ -340,8 +321,8 @@ def _lorentz_oracle(d: int) -> BarrierOracle:
 
     return BarrierOracle(
         dim=d, degree=2, value=value, gradient=gradient,
-        hessian_apply=hessian_apply, hessian_solve=hessian_solve,
-        direction_eigs=direction_eigs, direction_power_sums=direction_power_sums,
+        hessian_apply=hessian_apply, hessian_solve=frame_solve(hessian_factor),
+        direction_power_sums=direction_power_sums,
         hessian_factor=hessian_factor, bind=frame_bind(hessian_factor),
     )
 
@@ -396,29 +377,6 @@ def _esym_oracle(d: int, k: int) -> BarrierOracle:
         T, C = split_factor(e)
         return T @ (C @ (C.T @ (T.T @ np.asarray(v, dtype=float))))
 
-    def hessian_solve(e, w):
-        _, solve_Lt, solve_L = hessian_factor(e)
-        return solve_L(solve_Lt(w))
-
-    def direction_eigs(e, x):
-        """The k roots of ``l -> e_k(l e - x)``: ``c = <e, x>_e / k`` plus the
-        companion-matrix roots of the centred ``s -> e_k((s + c) e - x)``."""
-        e = guard(e)
-        x = _check_dim(d, x)
-        c = -float(np.dot(gradient(e), x)) / k
-        roots = np.roots(_esym_restriction(c * e - x, e, k)[::-1]) + c
-        # Near-coincident roots perturb into conjugate pairs with
-        # imaginary parts ~ sqrt(eps * conditioning); a loose realness
-        # tolerance keeps those while still rejecting genuinely complex
-        # spectra, whose imaginary parts are of order one.
-        bad = np.abs(roots.imag) > 1e-3 * (1.0 + np.abs(roots.real))
-        if np.any(bad):
-            worst = np.max(np.abs(roots.imag[bad]))
-            raise NonRealEigenvalues(
-                f"imaginary residual {worst:.3e} exceeds tolerance"
-            )
-        return np.sort(roots.real)
-
     def direction_power_sums(e, x):
         # Newton's identities on the coefficients: no root extraction, so
         # clustered eigenvalues cost no accuracy.
@@ -445,8 +403,8 @@ def _esym_oracle(d: int, k: int) -> BarrierOracle:
 
     return BarrierOracle(
         dim=d, degree=k, value=value, gradient=gradient,
-        hessian_apply=hessian_apply, hessian_solve=hessian_solve,
-        direction_eigs=direction_eigs, direction_power_sums=direction_power_sums,
+        hessian_apply=hessian_apply, hessian_solve=frame_solve(hessian_factor),
+        direction_power_sums=direction_power_sums,
         hessian_factor=hessian_factor, bind=frame_bind(hessian_factor),
     )
 

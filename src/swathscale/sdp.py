@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dtrtri
 
-from .core import BarrierOracle, check_constraints, point_cache
+from .core import BarrierOracle, check_constraints, frame_solve, point_cache
 from .errors import DimensionMismatch, NotInterior
 
 _SQRT2 = np.sqrt(2.0)
@@ -113,7 +113,7 @@ class SdpInstance:
 
 def det_barrier_oracle(n: int) -> BarrierOracle:
     """Barrier ``-ln det`` on svec coordinates: g(E) = -E^{-1},
-    H(E)[V] = E^{-1} V E^{-1}, H(E)^{-1}[W] = E W E."""
+    H(E)[V] = E^{-1} V E^{-1}."""
     if n < 2:
         raise DimensionMismatch(f"matrix order must be >= 2, got {n}")
     d = sym_dim(n)
@@ -153,23 +153,12 @@ def det_barrier_oracle(n: int) -> BarrierOracle:
         _, _, Einv = factor(e)
         return svec(Einv @ smat(v) @ Einv)
 
-    def hessian_solve(e, w):
-        factor(e)  # interiority
-        E = smat(e)
-        return svec(E @ smat(w) @ E)
-
-    def direction_matrix(e, x):
-        # W = G^{-1} X G^{-T} has the eigenvalues of X in direction E.
-        _, G_inv, _ = factor(e)
-        return G_inv @ smat(x) @ G_inv.T
-
-    def direction_eigs(e, x):
-        return np.linalg.eigvalsh(direction_matrix(e, x))
-
     def direction_power_sums(e, x):
-        # Traces of W and of its powers, read as tr W, <W, W>, <W, W^2> and
-        # <W^2, W^2> with W symmetric.
-        W = direction_matrix(e, x)
+        # W = G^{-1} X G^{-T} has the eigenvalues of X in direction E.  Its
+        # traces and those of its powers are read as tr W, <W, W>, <W, W^2>
+        # and <W^2, W^2> with W symmetric.
+        _, G_inv, _ = factor(e)
+        W = G_inv @ smat(x) @ G_inv.T
         W2 = W @ W
         return (
             float(np.trace(W)), float(np.vdot(W, W)),
@@ -225,8 +214,7 @@ def det_barrier_oracle(n: int) -> BarrierOracle:
         value=value,
         gradient=gradient,
         hessian_apply=hessian_apply,
-        hessian_solve=hessian_solve,
-        direction_eigs=direction_eigs,
+        hessian_solve=frame_solve(hessian_factor),
         direction_power_sums=direction_power_sums,
         hessian_factor=hessian_factor,
         bind=bind,

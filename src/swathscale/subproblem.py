@@ -145,7 +145,8 @@ def solve_qcp(
         raise DomainError(f"alpha={alpha} outside (0, 1)")
     if d != oracle.dim or c.shape != (d,) or e.shape != (d,):
         raise DimensionMismatch("A, c, e inconsistent with the oracle dimension")
-    if np.max(np.abs(A @ e - b)) > 1e-8 * (1.0 + np.abs(b).max(initial=0.0)):
+    # Written so that a NaN residual fails the test too.
+    if not np.max(np.abs(A @ e - b)) <= 1e-8 * (1.0 + np.abs(b).max(initial=0.0)):
         raise DomainError("e is not feasible: A e != b")
     # Work in local coordinates w = L x with H = L^T L, where the cone is
     # the isotropic circular cone around ehat = L e (||ehat|| = sqrt(n)).

@@ -157,8 +157,7 @@ def test_criterion_05_worked_instance_exactness():
         (X[1, 1], 1.0 - SQRT7),
         (sol.gap, SQRT7),
     ]
-    eigs = oracle.direction_eigs(e, sol.x_e)
-    p = sw.power_sums(eigs)
+    p = oracle.direction_power_sums(e, sol.x_e)
     qt = sw.step_poly_coeffs(*p, 0.5, 2)
     checks += [(qt[0], 31.5), (qt[1], -10.5), (qt[2], 7.0)]
     t = sw.step_length(qt[0], qt[1], 0.5, math.sqrt(p[1]), sw.StepMode.QTILDE_MINIMIZER)

@@ -164,6 +164,23 @@ class TestRun:
         with pytest.raises(DomainError):
             sw.SolverConfig(max_iters=max_iters)
 
+    @pytest.mark.parametrize("max_iters", [2.5, True])
+    def test_non_integer_max_iters_is_domain_error(self, max_iters):
+        # 2.5 would reach range() as an untyped TypeError; True is an int
+        # subclass, but not an iteration count.
+        with pytest.raises(DomainError):
+            sw.SolverConfig(max_iters=max_iters)
+
+    def test_numpy_integer_max_iters_is_accepted(self):
+        assert sw.SolverConfig(max_iters=np.int64(7)).max_iters == 7
+
+    @pytest.mark.parametrize("gap_tol", [math.nan, math.inf])
+    def test_non_finite_gap_tol_is_domain_error(self, gap_tol):
+        # A NaN tolerance never converges and an infinite one stops after the
+        # first relaxation.
+        with pytest.raises(DomainError):
+            sw.SolverConfig(gap_tol=gap_tol)
+
     def test_not_in_swath_status(self):
         inst, E0 = sw.gen_central_path_sdp(3, 2, 1.0, 0)
         oracle = sw.det_barrier_oracle(3)
@@ -192,9 +209,14 @@ class TestRun:
         res = sw.run(oracle, A, b, c, e, sw.SolverConfig())
         assert res.status is sw.RunStatus.NUMERICAL_FAILURE
         assert res.iterations == 2
-        # An infeasible start is the caller's error, not a run outcome.
+        # An infeasible start is the caller's error, not a run outcome, and
+        # so is a start with a NaN entry, whose residual is NaN.
         with pytest.raises(DomainError):
             sw.run(oracle, A, b, c, e + drift, sw.SolverConfig())
+        e_nan = e.copy()
+        e_nan[0] = np.nan
+        with pytest.raises(DomainError):
+            sw.run(oracle, A, b, c, e_nan, sw.SolverConfig())
 
     def test_trace_records_are_consistent(self):
         oracle, A, b, c, e, _, _ = make_sdp(4, seed=3)
@@ -209,11 +231,14 @@ class TestRun:
             assert rec.t > 0.5 * rec.alpha / rec.x_norm_e * (1 - 1e-9)
 
     def test_one_frame_per_iterate(self, monkeypatch):
-        # One Cholesky factor of E and one metric factor per step taken, plus
-        # the one for the relaxation at the final, converged iterate, and no
-        # eigendecomposition.  Outside the relaxation the metric is never
-        # applied: the carry-over check takes one Hessian solve, and the
-        # norms of x_e come from the relaxation's frame.
+        # One Cholesky factor of E per step taken, plus the one for the
+        # relaxation at the final, converged iterate, and no
+        # eigendecomposition.  The metric factor is read twice per step, by
+        # the relaxation and by the carry-over check at the next iterate, and
+        # both reads share that point's Cholesky factor.  Outside the
+        # relaxation the metric is never applied: the carry-over check takes
+        # one solve in the frame, and the norms of x_e come from the
+        # relaxation's frame.
         n = 10
         oracle, A, b, c, e, _, _ = make_sdp(n, m=20, seed=0)
         oracle, applies = count_hessian_applies(oracle, monkeypatch)
@@ -238,7 +263,9 @@ class TestRun:
         monkeypatch.undo()
         assert res.status is sw.RunStatus.CONVERGED
         steps = res.iterations - 1
-        assert calls == {"eigh": 0, "cholesky": steps + 1, "hessian_factor": steps + 1}
+        assert calls == {
+            "eigh": 0, "cholesky": steps + 1, "hessian_factor": 2 * steps + 1
+        }
         assert applies == {"inside": steps + 1, "outside": 0}
 
         oracle, applies = count_hessian_applies(oracle, monkeypatch)

@@ -232,13 +232,35 @@ class TestLorentzClosedForms:
         assert np.allclose(solve_L(apply_L(v)), v, atol=1e-12)
 
 
+def reference_eigs(family, e, x):
+    """Eigenvalues of x in direction e, found independently of the oracle:
+    x / e for the product, the generalized symmetric eigensolver for the
+    determinant, and otherwise the roots of ``l -> p(l e - x)``."""
+    if family.name == "product":
+        return x / e
+    if family.name == "determinant":
+        return scipy.linalg.eigvalsh(sw.smat(x), sw.smat(e))
+    roots = np.roots(sw.restricted_coeffs(family, -x, e)[::-1])
+    assert np.all(np.abs(roots.imag) <= 1e-6 * (1.0 + np.abs(roots.real)))
+    return roots.real
+
+
+def assert_power_sums_match(sums, lam, rel):
+    for j, (got, ref) in enumerate(zip(sums, sw.power_sums(lam)), 1):
+        scale = float(np.sum(np.abs(lam) ** j))
+        assert abs(got - ref) <= rel * scale, (j, got, ref)
+
+
 class TestDirectionEigs:
+    # The oracle reports the eigenvalues of x in direction e only through
+    # their first four power sums, formed without extracting roots; each
+    # test checks them against power sums of reference eigenvalues.
     def test_product_closed_form(self, rng):
         fam = sw.product_family(5)
         oracle = sw.hp_barrier_oracle(fam)
         e = np.abs(rng.standard_normal(5)) + 0.5
         x = rng.standard_normal(5)
-        assert np.allclose(oracle.direction_eigs(e, x), np.sort(x / e), atol=1e-12)
+        assert_power_sums_match(oracle.direction_power_sums(e, x), x / e, 1e-12)
 
     def test_determinant_matches_sdp(self, rng):
         fam = sw.determinant_family(3)
@@ -247,19 +269,22 @@ class TestDirectionEigs:
         E = G @ G.T + 3 * np.eye(3)
         X = rng.standard_normal((3, 3))
         X = 0.5 * (X + X.T)
-        lam = oracle.direction_eigs(sw.svec(E), sw.svec(X))
-        assert np.allclose(lam, scipy.linalg.eigvalsh(X, E), atol=1e-9)
+        sums = oracle.direction_power_sums(sw.svec(E), sw.svec(X))
+        assert_power_sums_match(sums, scipy.linalg.eigvalsh(X, E), 1e-9)
 
     def test_eigs_reproduce_polynomial_factorization(self, rng):
-        # p(lambda e - x) vanishes at each reported eigenvalue.
+        # p(lambda e - x) vanishes at each reference eigenvalue, and the
+        # oracle's power sums are theirs.
         for fam in ALL_FAMILIES:
             e = interior_point(fam, rng)
             x = rng.standard_normal(fam.d)
-            lam = sw.hp_barrier_oracle(fam).direction_eigs(e, x)
+            lam = reference_eigs(fam, e, x)
             assert lam.shape == (fam.degree,)
             scale = abs(eval_p(fam, e)) * (1.0 + np.max(np.abs(lam))) ** fam.degree
             for lam_j in lam:
                 assert abs(eval_p(fam, lam_j * e - x)) <= 1e-7 * scale
+            sums = sw.hp_barrier_oracle(fam).direction_power_sums(e, x)
+            assert_power_sums_match(sums, lam, 1e-9)
 
     def test_sum_of_eigs_is_local_inner(self, rng):
         # sum lambda_j = <e, x>_e for every family.
@@ -267,15 +292,14 @@ class TestDirectionEigs:
             oracle = sw.hp_barrier_oracle(fam)
             e = interior_point(fam, rng)
             x = rng.standard_normal(fam.d)
-            lam = oracle.direction_eigs(e, x)
-            assert float(np.sum(lam)) == pytest.approx(
+            p1 = oracle.direction_power_sums(e, x)[0]
+            assert p1 == pytest.approx(
                 sw.local_inner(oracle, e, e, x), rel=1e-7, abs=1e-9
             )
 
     def test_power_sums_match_eigs(self, rng):
-        # direction_power_sums forms the sums without extracting roots; at
-        # points where the roots are well separated it agrees with the
-        # power sums of direction_eigs.
+        # At points where the roots are well separated the power sums agree
+        # with those of the reference eigenvalues.
         families = [*ALL_FAMILIES, sw.determinant_family(6),
                     sw.elementary_symmetric_family(8, 4)]
         for fam in families:
@@ -283,11 +307,8 @@ class TestDirectionEigs:
             for _ in range(10):
                 e = interior_point(fam, rng)
                 x = rng.standard_normal(fam.d)
-                lam = oracle.direction_eigs(e, x)
                 sums = oracle.direction_power_sums(e, x)
-                for j, (got, ref) in enumerate(zip(sums, sw.power_sums(lam)), 1):
-                    scale = float(np.sum(np.abs(lam) ** j))
-                    assert abs(got - ref) <= 1e-9 * scale, (fam.name, j, got, ref)
+                assert_power_sums_match(sums, reference_eigs(fam, e, x), 1e-9)
 
 
 class TestRestrictedCoeffs:
@@ -412,6 +433,20 @@ class TestHpInstanceValidate:
     def test_generated_instance_passes(self):
         inst, _ = sw.gen_hp_instance(sw.product_family(6), 3, 1.0, 0)
         inst.validate()
+
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize(
+        "family", [sw.product_family(5), sw.determinant_family(4)],
+        ids=lambda f: f.name,
+    )
+    def test_generator_rejects_bad_mu(self, family, mu, monkeypatch):
+        # Rejected before the first draw, not as RetryExhausted after ten.
+        def no_draws(*args):
+            raise AssertionError("the generator drew before checking mu")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(InvariantViolation, match="mu"):
+            sw.gen_hp_instance(family, 3, mu, 0)
 
     def test_rejects_infeasible_start(self):
         inst, _ = sw.gen_hp_instance(sw.product_family(6), 3, 1.0, 0)

@@ -550,10 +550,12 @@ class TestCli:
             ("reduce-alpha", ["--alpha0", "0.3", "--target", "0.9"]),
             ("solve", ["--max-iters", "0"]),
             ("validate", ["--alpha", "1.5"]),
+            ("solve", ["--tol", "nan"]),
+            ("solve", ["--tol", "inf"]),
         ],
         ids=[
             "solve-alpha", "solve-tol", "reduce-alpha0", "reduce-target",
-            "solve-max-iters", "validate-alpha",
+            "solve-max-iters", "validate-alpha", "solve-tol-nan", "solve-tol-inf",
         ],
     )
     def test_bad_option_is_input_error(self, tmp_path, command, options):
@@ -660,8 +662,11 @@ class TestCli:
         [
             ["sdp", "--n", "1", "--m", "1"],  # InvariantViolation
             ["hp", "--family", "elementary_symmetric", "--n", "6", "--m", "3"],  # no --k
+            # A non-finite mu is rejected before any draw, not after ten.
+            ["hp", "--family", "product", "--n", "5", "--m", "2", "--mu", "nan"],
+            ["sdp", "--n", "4", "--m", "3", "--mu", "inf"],
         ],
-        ids=["order-1", "esym-without-k"],
+        ids=["order-1", "esym-without-k", "hp-mu-nan", "sdp-mu-inf"],
     )
     def test_generate_input_error_exit_code(self, tmp_path, args):
         r = CliRunner().invoke(
