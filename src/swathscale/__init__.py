@@ -57,7 +57,6 @@ from .hyperbolic import (
 from .sdp import (
     SdpInstance,
     det_barrier_oracle,
-    is_pd,
     mat_order,
     smat,
     svec,

@@ -45,7 +45,7 @@ from .hyperbolic import (
     SECOND_ORDER,
     hp_barrier_oracle,
 )
-from .sdp import det_barrier_oracle, is_pd, smat, svec, sym_dim
+from .sdp import det_barrier_oracle, smat, svec, sym_dim
 from .sdpa import parse_sdpa
 from .subproblem import in_swath
 
@@ -82,9 +82,8 @@ def _load_problem(path: pathlib.Path):
         E0 = hpjson.read_start_point(sidecar.read_text())
         if E0.shape[0] != inst.n:
             raise ParseError("start matrix order does not match the instance")
-        A, e0 = inst.constraint_rows(), svec(E0)
-        check_start(A, inst.b, e0, lambda e: is_pd(smat(e)))
-        oracle = det_barrier_oracle(inst.n)
+        A, e0, oracle = inst.constraint_rows(), svec(E0), det_barrier_oracle(inst.n)
+        check_start(A, inst.b, e0, oracle)
         meta = {
             "backend": "sdp", "n": inst.n, "m": inst.m, "id": path.name,
             "instance": inst,
@@ -260,6 +259,8 @@ def validate(file, checks, alpha):
     try:
         SolverConfig(alpha=alpha)  # rejects alpha outside (0, 1), as solve does
         oracle, A, b, c, e0, meta = _load_problem(file)
+        if meta["backend"] != "sdp" and checks in ("qscale", "equiv", "bound"):
+            raise DomainError("requested check applies to SDP instances only")
     except _INPUT_ERRORS as exc:
         _fail(exc, _EXIT_PARSE)
 
@@ -284,9 +285,6 @@ def validate(file, checks, alpha):
                 )
                 grid = np.linspace(1e-3, alpha / v_norm, 20)
                 reports.append(diagnostics.decrease_bound_check(E0, X, alpha, grid))
-        elif checks in ("qscale", "equiv", "bound"):
-            click.echo("requested check applies to SDP instances only", err=True)
-            sys.exit(_EXIT_PARSE)
     except NumericalFailure as exc:
         _fail(exc, _EXIT_NUMERICAL)
     except SwathscaleError as exc:

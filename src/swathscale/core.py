@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, InvariantViolation
+from .errors import DomainError, InvariantViolation, NotInterior
 
 Vector = np.ndarray
 
@@ -42,15 +42,18 @@ def check_constraints(A: np.ndarray, b: Vector, c: Vector) -> None:
         raise InvariantViolation("objective lies in the span of the constraints")
 
 
-def check_start(A: np.ndarray, b: Vector, e0: Vector, interior: Callable) -> None:
+def check_start(A: np.ndarray, b: Vector, e0: Vector, oracle: BarrierOracle) -> None:
     """The start test of both backends: ``e0`` finite, on ``A e0 = b`` to
-    ``1e-9 (1 + ||b||_inf)``, and in the open cone by ``interior(e0)``."""
+    ``1e-9 (1 + ||b||_inf)``, and in the open cone: the oracle's frame
+    ``hessian_factor(e0)`` exists, and a caching oracle keeps it for the run."""
     if not np.isfinite(e0).all():
         raise InvariantViolation("start point entries must be finite")
     if np.max(np.abs(A @ e0 - b)) > 1e-9 * (1.0 + np.abs(b).max()):
         raise InvariantViolation("start point violates A e0 = b")
-    if not interior(e0):
-        raise InvariantViolation("start point is not interior")
+    try:
+        oracle.hessian_factor(e0)
+    except NotInterior as exc:
+        raise InvariantViolation("start point is not interior") from exc
 
 
 @dataclass(frozen=True)

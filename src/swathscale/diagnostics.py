@@ -22,7 +22,7 @@ from .core import (
     local_norm,
 )
 from .errors import DomainError, NotInterior
-from .sdp import SdpInstance, det_barrier_oracle, is_pd, smat, svec
+from .sdp import SdpInstance, det_barrier_oracle, smat, svec
 from .subproblem import SubStatus, solve_qcp
 from .driver import step_poly_coeffs
 
@@ -89,8 +89,9 @@ def membership_equiv_check(
     beta: float,
     t_grid: np.ndarray,
 ) -> CheckReport:
-    """Positive-definiteness plus dual-cone membership at E(t) must agree
-    with the quadratic inequality q(t) < 1/(n - beta^2).
+    """Positive-definiteness (the oracle's frame exists) plus dual-cone
+    membership at E(t) must agree with the quadratic inequality
+    q(t) < 1/(n - beta^2).
 
     Grid points within 1e-9 of the threshold are skipped; max_rel_err is
     the disagreement count (0 or more).
@@ -112,12 +113,11 @@ def membership_equiv_check(
             continue
         used += 1
         rhs = q_val < threshold
-        Et = (E + t * X) / (1.0 + t)
-        if not is_pd(Et):
-            lhs = False
-        else:
-            cone = QuadCone(oracle, svec(Et), beta)
+        cone = QuadCone(oracle, svec((E + t * X) / (1.0 + t)), beta)
+        try:
             lhs = dual_cone_member(cone, svec(S)) is Membership.INTERIOR
+        except NotInterior:
+            lhs = False
         if lhs != rhs:
             disagreements += 1
     return CheckReport(

@@ -242,36 +242,31 @@ def run(
                     violations["ratio"] += 1
         prev_dual = dual
 
-        if gap <= config.gap_tol * gap0:
-            trace.append(
-                IterationRecord(
-                    k=k, alpha=alpha, gap=gap, t=0.0,
-                    x_norm_e=math.sqrt(max(sol.x_norm_sq, 0.0)),
-                    primal_obj=primal, dual_obj=dual,
-                    qtilde=(0.0, 0.0, 0.0),
-                    wallclock=time.perf_counter() - start,
+        converged = gap <= config.gap_tol * gap0
+        if converged:
+            t, coeffs = 0.0, (0.0, 0.0, 0.0)
+            x_norm = math.sqrt(max(sol.x_norm_sq, 0.0))
+        else:
+            try:
+                t, x_norm, coeffs = _step_from_solution(
+                    oracle, e, sol, alpha, config.step_mode
                 )
-            )
-            status = RunStatus.CONVERGED
-            break
-
-        try:
-            t, x_norm, coeffs = _step_from_solution(
-                oracle, e, sol, alpha, config.step_mode
-            )
-            e_next = next_iterate(e, sol.x_e, t)
-            # The step theory keeps e_next interior, so NotInterior from the
-            # value probe, or from the Hessian factor that the carry-over
-            # check takes at e_next (and the next frame reuses), is rounding.
-            oracle.value(e_next)
-            carried = dual_cone_member(QuadCone(oracle, e_next, consts.beta), sol.s_e)
-        except (
-            NumericalFailure, NotInterior, DomainError, DegenerateLeadingCoefficient
-        ):
-            status = RunStatus.NUMERICAL_FAILURE
-            break
-        if carried is not Membership.INTERIOR:
-            violations["carryover"] += 1
+                e_next = next_iterate(e, sol.x_e, t)
+                # The step theory keeps e_next interior, so NotInterior from
+                # the value probe, or from the Hessian factor that the
+                # carry-over check takes at e_next (and the next frame
+                # reuses), is rounding.
+                oracle.value(e_next)
+                carried = dual_cone_member(
+                    QuadCone(oracle, e_next, consts.beta), sol.s_e
+                )
+            except (
+                NumericalFailure, NotInterior, DomainError, DegenerateLeadingCoefficient
+            ):
+                status = RunStatus.NUMERICAL_FAILURE
+                break
+            if carried is not Membership.INTERIOR:
+                violations["carryover"] += 1
 
         trace.append(
             IterationRecord(
@@ -280,6 +275,9 @@ def run(
                 wallclock=time.perf_counter() - start,
             )
         )
+        if converged:
+            status = RunStatus.CONVERGED
+            break
         e = e_next
 
     result = SolveResult(status=status, trace=trace, violations=violations)

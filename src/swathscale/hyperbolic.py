@@ -155,18 +155,6 @@ def eval_p(family: HpFamily, x: np.ndarray) -> float:
     return float(_esym_values(x, family.k)[family.k])
 
 
-def is_interior(family: HpFamily, x: np.ndarray) -> bool:
-    """Strict membership in the open hyperbolicity cone."""
-    x = _check_dim(family.d, x)
-    if family.name == PRODUCT:
-        return bool(np.all(x > 0.0))
-    if family.name == SECOND_ORDER:
-        return _lorentz_interior(x)
-    if family.name == DETERMINANT:
-        return sdp.is_pd(sdp.smat(x))
-    return _esym_interior(x, family.k)
-
-
 def is_member(family: HpFamily, x: np.ndarray, tol: float = 1e-9) -> bool:
     """Membership in the closed cone, by the family-native test."""
     x = _check_dim(family.d, x)
@@ -507,4 +495,4 @@ class HpInstance:
         if self.b.shape != (self.A.shape[0],):
             raise DimensionMismatch("b length must match the rows of A")
         check_constraints(self.A, self.b, self.c)
-        check_start(self.A, self.b, self.e0, lambda e: is_interior(self.family, e))
+        check_start(self.A, self.b, self.e0, hp_barrier_oracle(self.family))

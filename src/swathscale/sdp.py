@@ -71,14 +71,6 @@ def smat(v: np.ndarray) -> np.ndarray:
     return np.take(v / scale, coord, axis=-1)
 
 
-def is_pd(X: np.ndarray) -> bool:
-    try:
-        np.linalg.cholesky(X)
-        return True
-    except np.linalg.LinAlgError:
-        return False
-
-
 @dataclass
 class SdpInstance:
     """min tr(C X)  s.t.  tr(A_i X) = b_i,  X psd."""

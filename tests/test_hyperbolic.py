@@ -20,7 +20,6 @@ from swathscale.errors import (
 )
 from swathscale.hyperbolic import (
     eval_p,
-    is_interior,
     is_member,
 )
 
@@ -68,28 +67,37 @@ class TestEvalP:
 
 
 class TestMembership:
+    """The open cone is where the oracle's frame exists: ``hessian_factor``
+    succeeds inside and raises NotInterior outside."""
+
     def test_canonical_directions_interior(self):
         for fam in ALL_FAMILIES:
-            assert is_interior(fam, fam.canonical_direction())
+            sw.hp_barrier_oracle(fam).hessian_factor(fam.canonical_direction())
 
     def test_product(self):
         fam = sw.product_family(3)
-        assert is_interior(fam, np.array([1.0, 2.0, 0.5]))
-        assert not is_interior(fam, np.array([1.0, 0.0, 0.5]))
+        oracle = sw.hp_barrier_oracle(fam)
+        oracle.hessian_factor(np.array([1.0, 2.0, 0.5]))
+        with pytest.raises(NotInterior):
+            oracle.hessian_factor(np.array([1.0, 0.0, 0.5]))
         assert is_member(fam, np.array([1.0, 0.0, 0.5]))
         assert not is_member(fam, np.array([1.0, -0.1, 0.5]))
 
     def test_second_order(self):
         fam = sw.second_order_family(3)
-        assert is_interior(fam, np.array([0.3, 0.4, 1.0]))
-        assert not is_interior(fam, np.array([3.0, 4.0, 5.0]))
+        oracle = sw.hp_barrier_oracle(fam)
+        oracle.hessian_factor(np.array([0.3, 0.4, 1.0]))
+        with pytest.raises(NotInterior):
+            oracle.hessian_factor(np.array([3.0, 4.0, 5.0]))
         assert is_member(fam, np.array([3.0, 4.0, 5.0]))
         assert not is_member(fam, np.array([3.0, 4.0, -5.0]))
 
     def test_determinant(self):
         fam = sw.determinant_family(2)
-        assert is_interior(fam, sw.svec(np.eye(2)))
-        assert not is_interior(fam, sw.svec(np.diag([1.0, 0.0])))
+        oracle = sw.hp_barrier_oracle(fam)
+        oracle.hessian_factor(sw.svec(np.eye(2)))
+        with pytest.raises(NotInterior):
+            oracle.hessian_factor(sw.svec(np.diag([1.0, 0.0])))
         assert is_member(fam, sw.svec(np.diag([1.0, 0.0])))
         assert not is_member(fam, sw.svec(np.diag([1.0, -1.0])))
 
@@ -100,7 +108,7 @@ class TestMembership:
             assert is_member(fam, x)
         # A point with one moderately negative coordinate can still be
         # inside: e_1, e_2, e_3 all positive for (3, 3, 3, 3, -1).
-        assert is_interior(fam, np.array([3.0, 3.0, 3.0, 3.0, -1.0]))
+        sw.hp_barrier_oracle(fam).hessian_factor(np.array([3.0, 3.0, 3.0, 3.0, -1.0]))
         assert not is_member(fam, np.array([-1.0, -1.0, -1.0, -1.0, -1.0]))
 
 

@@ -291,6 +291,21 @@ class TestSdpaBulk:
         with pytest.raises(ParseError, match="^constraint matrix 1 has no entries$"):
             sw.parse_sdpa(header)
 
+    @pytest.mark.parametrize(
+        "text, what",
+        [
+            ("", "the number of constraints"),
+            ("2\n", "the number of blocks"),
+            ("2\n1\n", "the block sizes"),
+            ("2\n1\n3\n", "the right-hand-side vector"),
+        ],
+        ids=["empty", "after-m", "after-nblocks", "after-block-sizes"],
+    )
+    def test_truncated_header(self, text, what):
+        message = f"^unexpected end of file while reading {what}$"
+        with pytest.raises(ParseError, match=message):
+            sw.parse_sdpa(text)
+
 
 class TestHpJson:
     def test_roundtrip_bit_exact(self):
@@ -592,6 +607,12 @@ class TestCli:
             doc = json.loads(sw.write_hp_json(inst))
             if kind == "hp-start-off-affine":
                 doc["e0"] = (2.0 * inst.e0).tolist()  # A e0 = 2 b
+            elif kind == "hp-start-not-interior":
+                e0 = inst.e0.copy()
+                e0[-1] = -e0[-1]  # in the Lorentz cone's negative half
+                doc["e0"], doc["b"] = e0.tolist(), (inst.A @ e0).tolist()
+            elif kind == "hp-nan-e0":
+                doc["e0"][0] = float("nan")
             elif kind == "hp-nan-c":
                 doc["c"][0] = float("nan")
             elif kind == "hp-nan-A":
@@ -636,6 +657,7 @@ class TestCli:
             "sdpa-start-not-pd", "hp-nan-c", "hp-nan-A", "hp-nan-b",
             "hp-fractional-d", "hp-fractional-k", "sdpa-nan", "sdpa-inf", "sidecar-nan",
             "hp-det-near-dependent", "hp-lorentz-near-dependent",
+            "hp-nan-e0", "hp-start-not-interior",
         ],
     )
     @pytest.mark.parametrize(
@@ -656,6 +678,62 @@ class TestCli:
             assert "must be finite" in r.output  # not a rank or span verdict
         if kind.endswith("dependent"):
             assert "linearly dependent" in r.output
+        if kind == "hp-nan-e0":
+            assert "start point entries must be finite" in r.output
+        if kind in ("hp-start-not-interior", "sdpa-start-not-pd"):
+            assert "start point is not interior" in r.output
+
+    @pytest.mark.parametrize(
+        "error, code",
+        [
+            (sw.NumericalFailure("factor lost"), 3),
+            (sw.DomainError("power sums off the boundary"), 2),
+            (sw.NotInterior("iterate left the cone"), 2),
+        ],
+        ids=["numerical", "domain", "not-interior"],
+    )
+    @pytest.mark.parametrize(
+        "command, target, options",
+        [
+            ("solve", "run", []),
+            ("reduce-alpha", "alpha_reduction_run", ["--alpha0", "0.9", "--target", "0.3"]),
+        ],
+        ids=["solve", "reduce-alpha"],
+    )
+    def test_run_error_exit_code(
+        self, tmp_path, monkeypatch, command, target, options, error, code
+    ):
+        # An error raised by the run, after the input checks pass, maps to
+        # the documented exit code with one error line.
+        def failing(*args, **kwargs):
+            raise error
+
+        inst = tmp_path / "inst.dat-s"
+        runner = CliRunner()
+        runner.invoke(
+            main, ["generate", "sdp", "--n", "3", "--m", "2", "--seed", "0", "--out", str(inst)]
+        )
+        monkeypatch.setattr(swathscale.cli, target, failing)
+        r = runner.invoke(main, [command, str(inst), *options])
+        assert isinstance(r.exception, SystemExit), r.exception
+        assert r.exit_code == code, r.output
+        assert f"error: {error}" in r.output
+        assert "Traceback" not in r.output
+
+    @pytest.mark.parametrize("check", ["qscale", "equiv", "bound"])
+    @pytest.mark.parametrize("family, n", [("second_order", "6"), ("determinant", "3")])
+    def test_sdp_only_check_on_hp_file_is_input_error(self, tmp_path, family, n, check):
+        runner = CliRunner()
+        out = tmp_path / "hp.json"
+        r = runner.invoke(
+            main,
+            ["generate", "hp", "--family", family, "--n", n, "--m", "2", "--seed", "0",
+             "--out", str(out)],
+        )
+        assert r.exit_code == 0, r.output
+        r = runner.invoke(main, ["validate", str(out), "--checks", check])
+        assert r.exit_code == 4, r.output
+        assert "error: requested check applies to SDP instances only" in r.output
 
     @pytest.mark.parametrize(
         "args",
