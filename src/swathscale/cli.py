@@ -38,13 +38,7 @@ from .errors import (
     RetryExhausted,
     SwathscaleError,
 )
-from .hyperbolic import (
-    DETERMINANT,
-    ELEMENTARY_SYMMETRIC,
-    PRODUCT,
-    SECOND_ORDER,
-    hp_barrier_oracle,
-)
+from .hyperbolic import DETERMINANT, ELEMENTARY_SYMMETRIC, PRODUCT, SECOND_ORDER
 from .sdp import det_barrier_oracle, smat, svec, sym_dim
 from .sdpa import parse_sdpa
 from .subproblem import in_swath
@@ -91,14 +85,13 @@ def _load_problem(path: pathlib.Path):
         return oracle, A, inst.b, svec(inst.C), e0, meta
     if path.suffix == ".json":
         inst = hpjson.read_hp_json(text)
-        oracle = hp_barrier_oracle(inst.family)
         meta = {
             "backend": inst.family.name,
             "n": inst.family.degree,
             "m": inst.A.shape[0],
             "id": path.name,
         }
-        return oracle, inst.A, inst.b, inst.c, inst.e0, meta
+        return inst.oracle, inst.A, inst.b, inst.c, inst.e0, meta
     raise ParseError(f"unrecognized instance suffix on {path.name}")
 
 

@@ -68,9 +68,10 @@ class BarrierOracle:
     and the constraint block mapped into it (``bind``, once per run),
     Hessian products, the first four power sums of the eigenvalues of
     ``x`` in direction ``e`` (``direction_power_sums``), and ``value`` as
-    an interiority probe.  ``hessian_solve`` is the frame's inverse,
-    :func:`frame_solve`, and serves the diagnostics and the tests;
-    ``gradient`` serves the instance generators and the diagnostics.
+    an interiority probe.  ``hessian_solve`` serves the diagnostics and
+    the tests; ``gradient`` serves the instance generators and the
+    diagnostics.  ``bind`` and ``hessian_solve`` default to their
+    frame-generic forms, built from ``hessian_factor``.
     """
 
     dim: int
@@ -78,7 +79,6 @@ class BarrierOracle:
     value: Callable[[Vector], float]
     gradient: Callable[[Vector], Vector]
     hessian_apply: Callable[[Vector, Vector], Vector]
-    hessian_solve: Callable[[Vector, Vector], Vector]
     # direction_power_sums(e, x) returns (p1, p2, p3, p4), p_j the sum of
     # the j-th powers of the eigenvalues of x in direction e, the roots of
     # l -> p(l e - x), without extracting them.
@@ -94,37 +94,34 @@ class BarrierOracle:
     # bind(A) takes the (m, d) constraint block once per run and returns
     # mapped(e), the (d, m) block solve_Lt(A.T) of the frame at e.  An oracle
     # may unpack A here (the SDP oracle builds its matrix stack), so A must
-    # not change while the map is in use; frame_bind maps A.T through the
-    # frame at each point.
-    bind: Callable[[np.ndarray], Callable[[Vector], np.ndarray]]
+    # not change while the map is in use.  By default A.T is mapped through
+    # the frame at each point.
+    bind: Callable[[np.ndarray], Callable[[Vector], np.ndarray]] | None = None
+    # hessian_solve(e, w) = H(e)^{-1} w = L^{-1} L^{-T} w, by default through
+    # the frame at e.
+    hessian_solve: Callable[[Vector, Vector], Vector] | None = None
     # A placeholder that no oracle sets and nothing calls: perfbench/tracer.py
     # wraps an oracle field of this name, and is its only reader.
     direction_eigs: Callable | None = None
 
+    def __post_init__(self):
+        # Only unset fields are filled: dataclasses.replace passes every
+        # field, so a copy keeps the callables of its original.
+        factor = self.hessian_factor
+        if self.bind is None:
 
-def frame_solve(
-    hessian_factor: Callable[[Vector], tuple],
-) -> Callable[[Vector, Vector], Vector]:
-    """The ``hessian_solve`` of every oracle: ``H(e)^{-1} w = L^{-1} L^{-T} w``
-    through the frame at ``e``."""
+            def bind(A):
+                At = np.transpose(A)
+                return lambda e: factor(e)[1](At)
 
-    def hessian_solve(e, w):
-        _, solve_Lt, solve_L = hessian_factor(e)
-        return solve_L(solve_Lt(w))
+            object.__setattr__(self, "bind", bind)
+        if self.hessian_solve is None:
 
-    return hessian_solve
+            def hessian_solve(e, w):
+                _, solve_Lt, solve_L = factor(e)
+                return solve_L(solve_Lt(w))
 
-
-def frame_bind(
-    hessian_factor: Callable[[Vector], tuple],
-) -> Callable[[np.ndarray], Callable[[Vector], np.ndarray]]:
-    """The ``bind`` of an oracle whose frame maps the block as it stands."""
-
-    def bind(A):
-        At = np.transpose(A)
-        return lambda e: hessian_factor(e)[1](At)
-
-    return bind
+            object.__setattr__(self, "hessian_solve", hessian_solve)
 
 
 def point_cache(build: Callable[[Vector], tuple]) -> Callable[[Vector], tuple]:

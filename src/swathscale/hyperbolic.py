@@ -9,6 +9,7 @@ roots feed the step polynomial of the driver; no coefficient is fitted.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -17,9 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from . import sdp
-from .core import (
-    BarrierOracle, check_constraints, check_start, frame_bind, frame_solve, point_cache,
-)
+from .core import BarrierOracle, check_constraints, check_start, point_cache
 from .errors import (
     DegenerateLeadingCoefficient,
     DimensionMismatch,
@@ -227,9 +226,8 @@ def _product_oracle(d: int) -> BarrierOracle:
 
     return BarrierOracle(
         dim=d, degree=d, value=value, gradient=gradient,
-        hessian_apply=hessian_apply, hessian_solve=frame_solve(hessian_factor),
-        direction_power_sums=direction_power_sums,
-        hessian_factor=hessian_factor, bind=frame_bind(hessian_factor),
+        hessian_apply=hessian_apply, direction_power_sums=direction_power_sums,
+        hessian_factor=hessian_factor,
     )
 
 
@@ -309,9 +307,8 @@ def _lorentz_oracle(d: int) -> BarrierOracle:
 
     return BarrierOracle(
         dim=d, degree=2, value=value, gradient=gradient,
-        hessian_apply=hessian_apply, hessian_solve=frame_solve(hessian_factor),
-        direction_power_sums=direction_power_sums,
-        hessian_factor=hessian_factor, bind=frame_bind(hessian_factor),
+        hessian_apply=hessian_apply, direction_power_sums=direction_power_sums,
+        hessian_factor=hessian_factor,
     )
 
 
@@ -391,9 +388,8 @@ def _esym_oracle(d: int, k: int) -> BarrierOracle:
 
     return BarrierOracle(
         dim=d, degree=k, value=value, gradient=gradient,
-        hessian_apply=hessian_apply, hessian_solve=frame_solve(hessian_factor),
-        direction_power_sums=direction_power_sums,
-        hessian_factor=hessian_factor, bind=frame_bind(hessian_factor),
+        hessian_apply=hessian_apply, direction_power_sums=direction_power_sums,
+        hessian_factor=hessian_factor,
     )
 
 
@@ -486,6 +482,12 @@ class HpInstance:
     b: np.ndarray
     e0: np.ndarray
 
+    @functools.cached_property
+    def oracle(self) -> BarrierOracle:
+        """The family's barrier oracle, built once per instance: the start
+        check factors ``e0`` with it, and a run reuses that frame."""
+        return hp_barrier_oracle(self.family)
+
     def validate(self) -> None:
         """Check the shapes, then the tests an SDPA file and its start matrix
         pass: :func:`~swathscale.core.check_constraints` and ``check_start``."""
@@ -495,4 +497,4 @@ class HpInstance:
         if self.b.shape != (self.A.shape[0],):
             raise DimensionMismatch("b length must match the rows of A")
         check_constraints(self.A, self.b, self.c)
-        check_start(self.A, self.b, self.e0, hp_barrier_oracle(self.family))
+        check_start(self.A, self.b, self.e0, self.oracle)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dtrtri
 
-from .core import BarrierOracle, check_constraints, frame_solve, point_cache
+from .core import BarrierOracle, check_constraints, point_cache
 from .errors import DimensionMismatch, NotInterior
 
 _SQRT2 = np.sqrt(2.0)
@@ -206,7 +206,6 @@ def det_barrier_oracle(n: int) -> BarrierOracle:
         value=value,
         gradient=gradient,
         hessian_apply=hessian_apply,
-        hessian_solve=frame_solve(hessian_factor),
         direction_power_sums=direction_power_sums,
         hessian_factor=hessian_factor,
         bind=bind,

@@ -8,7 +8,8 @@ the objective matrix C; numbers 1..m populate the constraint matrices.
 Both directions work in bulk.  The reader converts entry lines a chunk
 at a time with ``np.loadtxt`` and checks each chunk with array
 operations; only a chunk that fails to convert is rescanned line by
-line, to name the offending line.  The writer formats one matrix at a
+line with the same reader, to name the offending line.  The header
+numbers go through that reader too.  The writer formats one matrix at a
 time from the nonzeros of its block upper triangles.
 """
 
@@ -29,7 +30,7 @@ _PUNCT = str.maketrans("{}(),", "     ")
 # thousand lines), cut at line breaks, so no whole-file line list exists.
 _CHUNK_CHARS = 1 << 16
 _ENTRY = np.dtype(
-    [("mat", np.int32), ("blk", np.int32), ("i", np.int32), ("j", np.int32),
+    [("mat", np.int64), ("blk", np.int64), ("i", np.int64), ("j", np.int64),
      ("val", np.float64)]
 )
 
@@ -69,61 +70,41 @@ def _content_chunks(text: str):
         yield linenos, rows
 
 
-def _entry_error(matno, blkno, i, j, m, block_sizes) -> str | None:
-    """Message of the first check that entry (matno, blkno, i, j) fails."""
-    if not 0 <= matno <= m:
-        return f"matrix number {matno} outside 0..{m}"
-    if not 1 <= blkno <= len(block_sizes):
-        return f"block number {blkno} outside 1..{len(block_sizes)}"
-    width = abs(block_sizes[blkno - 1])
-    if not 1 <= i <= j <= width:
-        return f"indices ({i}, {j}) not upper-triangular within block size {width}"
-    if block_sizes[blkno - 1] < 0 and i != j:
-        return "diagonal block admits only diagonal entries"
-    return None
+def _convert(rows: list[str], dtype: np.dtype = _ENTRY) -> np.ndarray | None:
+    """The rows as an array of ``dtype``, one element per row, or None if
+    any row does not convert.
 
-
-def _raise_first_bad_entry(linenos, rows, m, block_sizes):
-    """Check a chunk line by line and raise for its first bad line.
-
-    Entry lines must be ASCII and their numbers free of underscores:
-    ``np.loadtxt`` reads only those, where Python's ``int``/``float``
-    accept more.
+    This is the grammar of every number in the file: ASCII, no ``_``
+    digit separators, and what ``np.loadtxt`` reads into ``dtype``.
     """
-    for lineno, row in zip(linenos, rows):
-        toks = _tokens(row)
-        if len(toks) != 5:
-            raise ParseError("entry lines need 'matno blkno i j value'", line=lineno)
-        try:
-            if not row.isascii() or "_" in row:
-                raise ValueError
-            matno, blkno, i, j = (int(tok) for tok in toks[:4])
-            float(toks[4])
-        except ValueError:
-            raise ParseError("malformed entry line", line=lineno)
-        message = _entry_error(matno, blkno, i, j, m, block_sizes)
-        if message is not None:
-            raise ParseError(message, line=lineno)
-    # Not reached while the checks above reject all that loadtxt does.
-    raise ParseError("malformed entry line", line=linenos[0])
-
-
-def _convert(rows: list[str]) -> np.ndarray | None:
-    """The chunk's entries as an ``_ENTRY`` array, or None if any line
-    does not convert."""
     text = "\n".join(rows).translate(_PUNCT)
     if not text.isascii() or "_" in text:
         return None
     try:
         # Older NumPy reads "1.0" into an integer field with only a
         # DeprecationWarning; turned into an error it is a ValueError.
+        # A row of punctuation alone leaves no data, which loadtxt warns
+        # about; the size test below rejects it.
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            entries = np.loadtxt(text.split("\n"), dtype=_ENTRY, comments=None, ndmin=1)
+            warnings.filterwarnings("ignore", "loadtxt: input contained no", UserWarning)
+            values = np.loadtxt(text.split("\n"), dtype=dtype, comments=None, ndmin=1)
     except ValueError:
         return None
     # loadtxt skips rows that are blank once punctuation is removed.
-    return entries if entries.size == len(rows) else None
+    return values if values.size == len(rows) else None
+
+
+def _header_numbers(toks: list[str], dtype, message: str, lineno: int, leading=False):
+    """The tokens of a header line as numbers, read as entry lines are.
+
+    With ``leading``, only the first token is read, and it must be there;
+    text after it is a note, such as "= mDIM".
+    """
+    values = _convert(toks[:1] if leading else toks, dtype)
+    if values is None or (leading and values.size != 1):
+        raise ParseError(message, line=lineno)
+    return values.tolist()
 
 
 def parse_sdpa(text: str) -> SdpInstance:
@@ -147,26 +128,21 @@ def parse_sdpa(text: str) -> SdpInstance:
         return linenos.pop(0), _tokens(rows.pop(0))
 
     lineno, toks = next_line("the number of constraints")
-    try:
-        m = int(toks[0])
-    except (ValueError, IndexError):
-        raise ParseError("expected the number of constraint matrices", line=lineno)
+    (m,) = _header_numbers(
+        toks, np.int64, "expected the number of constraint matrices", lineno, leading=True
+    )
     if m < 1:
         raise ParseError(f"need at least one constraint, got {m}", line=lineno)
 
     lineno, toks = next_line("the number of blocks")
-    try:
-        nblocks = int(toks[0])
-    except (ValueError, IndexError):
-        raise ParseError("expected the number of blocks", line=lineno)
+    (nblocks,) = _header_numbers(
+        toks, np.int64, "expected the number of blocks", lineno, leading=True
+    )
     if nblocks < 1:
         raise ParseError(f"need at least one block, got {nblocks}", line=lineno)
 
     lineno, toks = next_line("the block sizes")
-    try:
-        block_sizes = [int(tok) for tok in toks]
-    except ValueError:
-        raise ParseError("block sizes must be integers", line=lineno)
+    block_sizes = _header_numbers(toks, np.int64, "block sizes must be integers", lineno)
     if len(block_sizes) != nblocks:
         raise ParseError(
             f"expected {nblocks} block sizes, got {len(block_sizes)}", line=lineno
@@ -178,10 +154,9 @@ def parse_sdpa(text: str) -> SdpInstance:
     n = int(offsets[-1])
 
     lineno, toks = next_line("the right-hand-side vector")
-    try:
-        b = np.array([float(tok) for tok in toks])
-    except ValueError:
-        raise ParseError("right-hand-side entries must be numbers", line=lineno)
+    b = np.array(
+        _header_numbers(toks, np.float64, "right-hand-side entries must be numbers", lineno)
+    )
     if b.size != m:
         raise ParseError(f"expected {m} right-hand-side values, got {b.size}", line=lineno)
 
@@ -192,21 +167,37 @@ def parse_sdpa(text: str) -> SdpInstance:
         if not rows:
             continue
         entries = _convert(rows)
+        # A chunk that does not convert is checked up to its first line
+        # that does not convert alone, so an earlier range error still wins.
+        stop = None
         if entries is None:
-            _raise_first_bad_entry(linenos, rows, m, block_sizes)
-        mat, blk, i, j = (entries[f].astype(np.int64) for f in ("mat", "blk", "i", "j"))
+            stop = next(k for k, row in enumerate(rows) if _convert([row]) is None)
+            entries = _convert(rows[:stop])
+        mat, blk, i, j = (entries[f] for f in ("mat", "blk", "i", "j"))
         blk0 = np.clip(blk - 1, 0, nblocks - 1)
-        bad = (
-            (mat < 0) | (mat > m) | (blk < 1) | (blk > nblocks)
-            | (i < 1) | (i > j) | (j > np.abs(sizes[blk0]))
-            | ((sizes[blk0] < 0) & (i != j))
+        width = np.abs(sizes[blk0])
+        # The entry rules, in the order an error names them.
+        rules = (
+            ((mat < 0) | (mat > m), "matrix number {mat} outside 0..{m}"),
+            ((blk < 1) | (blk > nblocks), "block number {blk} outside 1..{nblocks}"),
+            (
+                (i < 1) | (i > j) | (j > width),
+                "indices ({i}, {j}) not upper-triangular within block size {width}",
+            ),
+            ((sizes[blk0] < 0) & (i != j), "diagonal block admits only diagonal entries"),
         )
+        bad = np.logical_or.reduce([mask for mask, _ in rules])
         if bad.any():
             k = int(np.argmax(bad))
-            raise ParseError(
-                _entry_error(int(mat[k]), int(blk[k]), int(i[k]), int(j[k]), m, block_sizes),
-                line=linenos[k],
-            )
+            message = next(message for mask, message in rules if mask[k])
+            row = dict(mat=mat[k], blk=blk[k], i=i[k], j=j[k], width=width[k])
+            raise ParseError(message.format(m=m, nblocks=nblocks, **row), line=linenos[k])
+        if stop is not None:
+            if len(_tokens(rows[stop])) != 5:
+                message = "entry lines need 'matno blkno i j value'"
+            else:
+                message = "malformed entry line"
+            raise ParseError(message, line=linenos[stop])
         r = offsets[blk0] + i - 1
         s = offsets[blk0] + j - 1
         upper = (mat * n + r) * n + s

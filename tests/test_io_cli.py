@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import swathscale as sw
 import swathscale.cli
 import swathscale.generate
+import swathscale.hyperbolic
 from swathscale.cli import _load_problem, main
 from swathscale.errors import InvariantViolation, ParseError, RetryExhausted
 
@@ -29,6 +30,23 @@ SAMPLE_SDPA = """\
 1 1 2 2 1.0
 2 1 1 2 0.70710678118654752
 """
+
+
+# (mutation of file line 6, line, message); the test id is "mutation-line".
+ENTRY_ERRORS = [
+    ("0 1 1 1", 6, "entry lines need 'matno blkno i j value'"),
+    ("0 1 2 1 1.0", 6, "indices (2, 1) not upper-triangular within block size 2"),
+    ("9 1 1 1 1.0", 6, "matrix number 9 outside 0..2"),
+    ("0 7 1 1 1.0", 6, "block number 7 outside 1..1"),
+    # no values once braces count as spaces
+    ("{ }", 6, "entry lines need 'matno blkno i j value'"),
+    # digit separators are not accepted
+    ("0 1 1 1 1_0", 6, "malformed entry line"),
+    # indices are read as 64-bit integers: a wide one is checked for range,
+    # and only one beyond int64 fails to convert
+    ("99999999999 1 1 1 1.0", 6, "matrix number 99999999999 outside 0..2"),
+    ("0 1 1 99999999999999999999 1.0", 6, "malformed entry line"),
+]
 
 
 class TestSdpaParser:
@@ -64,22 +82,17 @@ class TestSdpaParser:
         assert inst.metadata["block_sizes"] == [2, -1]
 
     @pytest.mark.parametrize(
-        "mutation, lineno",
-        [
-            ("0 1 1 1", 6),  # wrong arity
-            ("0 1 2 1 1.0", 6),  # not upper triangular
-            ("9 1 1 1 1.0", 6),  # matrix number out of range
-            ("0 7 1 1 1.0", 6),  # block number out of range
-            ("{ }", 6),  # no values once braces count as spaces
-            ("0 1 1 1 1_0", 6),  # digit separators are not accepted
-        ],
+        "mutation, lineno, message",
+        ENTRY_ERRORS,
+        ids=[f"{mutation}-{lineno}" for mutation, lineno, _ in ENTRY_ERRORS],
     )
-    def test_entry_errors_carry_line_numbers(self, mutation, lineno):
+    def test_entry_errors_carry_line_numbers(self, mutation, lineno, message):
         lines = SAMPLE_SDPA.splitlines()
         lines[5] = mutation
         with pytest.raises(ParseError) as err:
             sw.parse_sdpa("\n".join(lines))
-        assert f"line {lineno}" in str(err.value)
+        assert str(err.value) == f"line {lineno}: {message}"
+        assert err.value.line == lineno
 
     def test_diagonal_block_rejects_off_diagonal(self):
         text = """\
@@ -306,6 +319,44 @@ class TestSdpaBulk:
         with pytest.raises(ParseError, match=message):
             sw.parse_sdpa(text)
 
+    @pytest.mark.parametrize(
+        "index, line, message",
+        [
+            (1, "0", "need at least one constraint, got 0"),
+            (1, "2_0", "expected the number of constraint matrices"),
+            (1, "\u0662", "expected the number of constraint matrices"),
+            (2, "x", "expected the number of blocks"),
+            (2, "0", "need at least one block, got 0"),
+            (3, "2.5", "block sizes must be integers"),
+            (3, "2_0", "block sizes must be integers"),
+            (3, "2 1", "expected 1 block sizes, got 2"),
+            (3, "0", "block sizes must be nonzero"),
+            (4, "2.0 x", "right-hand-side entries must be numbers"),
+            (4, "2.0 1_5", "right-hand-side entries must be numbers"),
+            (4, "2.0", "expected 2 right-hand-side values, got 1"),
+        ],
+        ids=[
+            "m-zero", "m-separator", "m-non-ascii", "nblocks-word", "nblocks-zero",
+            "sizes-fraction", "sizes-separator", "sizes-count", "sizes-zero",
+            "rhs-word", "rhs-separator", "rhs-count",
+        ],
+    )
+    def test_bad_header_line(self, index, line, message):
+        # Header numbers follow the entry lines' rule: Python's int and
+        # float would read "2_0" as 20 and an Arabic-Indic digit as 2.
+        lines = SAMPLE_SDPA.splitlines()
+        lines[index] = line
+        with pytest.raises(ParseError) as err:
+            sw.parse_sdpa("\n".join(lines))
+        assert str(err.value) == f"line {index + 1}: {message}"
+
+    def test_header_notes_after_counts(self):
+        text = SAMPLE_SDPA.replace("\n2\n1\n", "\n2 = mDIM\n1 = nBLOCK\n", 1)
+        assert text != SAMPLE_SDPA
+        plain, noted = sw.parse_sdpa(SAMPLE_SDPA), sw.parse_sdpa(text)
+        for M, again in zip([plain.C, *plain.constraints], [noted.C, *noted.constraints]):
+            assert np.array_equal(M, again)
+
 
 class TestHpJson:
     def test_roundtrip_bit_exact(self):
@@ -453,7 +504,7 @@ class TestCli:
         doc = sw.parse_trace(trace.read_text())
         assert doc["footer"]["status"] == "converged"
 
-    def test_solve_hp_instance(self, tmp_path):
+    def test_solve_hp_instance(self, tmp_path, monkeypatch):
         runner = CliRunner()
         out = tmp_path / "hp.json"
         r = runner.invoke(
@@ -464,9 +515,17 @@ class TestCli:
             ],
         )
         assert r.exit_code == 0, r.output
+        # The solve runs on the oracle whose frame at e0 the start check built.
+        built = []
+        lorentz_oracle = swathscale.hyperbolic._lorentz_oracle
+        monkeypatch.setattr(
+            swathscale.hyperbolic, "_lorentz_oracle",
+            lambda d: built.append(d) or lorentz_oracle(d),
+        )
         r = runner.invoke(main, ["solve", str(out)])
         assert r.exit_code == 0, r.output
         assert "status=converged" in r.output
+        assert built == [8]
 
     @pytest.mark.parametrize("d, seed", ESYM_TINY_LEADING)
     def test_solve_esym_tiny_leading_coefficient(self, tmp_path, d, seed):
@@ -586,8 +645,9 @@ class TestCli:
     @staticmethod
     def write_invalid_instance(tmp_path, kind):
         """An instance file that fails its instance checks: it breaks an
-        invariant, holds a number that is not finite, or gives a family
-        parameter that is not an integer."""
+        invariant, holds a number that is not finite, gives a family
+        parameter that is not an integer, or lacks a field; or an SDPA
+        file whose start-point sidecar is malformed or of the wrong order."""
         if kind.startswith("hp-"):
             if kind == "hp-fractional-k":
                 inst, _ = sw.gen_hp_instance(sw.elementary_symmetric_family(6, 3), 3, 1.0, 1)
@@ -623,6 +683,8 @@ class TestCli:
                 doc["family"]["d"] = 6.5  # int() would truncate it to the true 6
             elif kind == "hp-fractional-k":
                 doc["family"]["k"] = 2.5
+            elif kind == "hp-missing-c":
+                del doc["c"]
             path = tmp_path / "bad.json"
             path.write_text(json.dumps(doc))
             return path
@@ -632,12 +694,16 @@ class TestCli:
                 C=inst.C, constraints=[inst.constraints[0], 2.0 * inst.constraints[0]],
                 b=inst.b,
             )
-        elif kind in ("sdpa-nan", "sdpa-inf", "sidecar-nan"):
+        elif kind in ("sdpa-nan", "sdpa-inf") or kind.startswith("sidecar-"):
             inst, E = sw.gen_central_path_sdp(3, 2, 1.0, 0)
             if kind == "sidecar-nan":
                 E = E.copy()
                 E[0, 1] = E[1, 0] = float("nan")
-            else:
+            elif kind == "sidecar-not-square":
+                E = E[:, :2]
+            elif kind == "sidecar-wrong-order":
+                E = E[:2, :2]
+            elif kind.startswith("sdpa-"):
                 inst.C[0, 0] = float(kind[len("sdpa-"):])
         else:
             inst, E0 = sw.gen_central_path_sdp(4, 6, 1.0, 0)
@@ -647,7 +713,8 @@ class TestCli:
                 E = indefinite_start(inst, E0)
         path = tmp_path / "bad.dat-s"
         path.write_text(sw.write_sdpa(inst))
-        (tmp_path / "bad.start.json").write_text(sw.write_start_point(E))
+        sidecar = '{"start": []}' if kind == "sidecar-no-E0" else sw.write_start_point(E)
+        (tmp_path / "bad.start.json").write_text(sidecar)
         return path
 
     @pytest.mark.parametrize(
@@ -657,7 +724,8 @@ class TestCli:
             "sdpa-start-not-pd", "hp-nan-c", "hp-nan-A", "hp-nan-b",
             "hp-fractional-d", "hp-fractional-k", "sdpa-nan", "sdpa-inf", "sidecar-nan",
             "hp-det-near-dependent", "hp-lorentz-near-dependent",
-            "hp-nan-e0", "hp-start-not-interior",
+            "hp-nan-e0", "hp-start-not-interior", "hp-missing-c", "sidecar-no-E0",
+            "sidecar-not-square", "sidecar-wrong-order",
         ],
     )
     @pytest.mark.parametrize(
@@ -674,6 +742,14 @@ class TestCli:
         r = CliRunner().invoke(main, [command, str(path), *options])
         assert r.exit_code == 4, r.output
         assert "error:" in r.output
+        assert "Traceback" not in r.output
+        message = {
+            "hp-missing-c": "malformed instance document",
+            "sidecar-no-E0": "malformed start-point document",
+            "sidecar-not-square": "start point must be a square matrix",
+            "sidecar-wrong-order": "start matrix order does not match the instance",
+        }.get(kind, "")
+        assert message in r.output
         if "nan" in kind or "inf" in kind:
             assert "must be finite" in r.output  # not a rank or span verdict
         if kind.endswith("dependent"):
