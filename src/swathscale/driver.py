@@ -201,9 +201,6 @@ def run(
     check_ratio = config.step_mode is StepMode.QTILDE_MINIMIZER
 
     e = np.asarray(e0, dtype=float).copy()
-    gap0 = None
-    prev_dual = None
-    ratios: list[float] = []
     start = time.perf_counter()
     status = RunStatus.MAX_ITERS
     sol = None
@@ -228,21 +225,18 @@ def run(
         gap = sol.gap
         primal = float(np.dot(c, e))
         dual = float(np.dot(b, sol.y_e))
-        if gap0 is None:
-            gap0 = gap
-        else:
+        if trace:
             prev = trace[-1]
-            ratios.append(gap / prev.gap)
             if primal >= prev.primal_obj:
                 violations["primal"] += 1
-            if prev_dual is not None and dual < prev_dual - 1e-7 * (1.0 + abs(dual)):
+            if dual < prev.dual_obj - 1e-7 * (1.0 + abs(dual)):
                 violations["dual"] += 1
-            if check_ratio and len(ratios) >= 2:
-                if min(ratios[-2], ratios[-1]) > consts.ratio_bound + _RATIO_SLACK:
+            if check_ratio and len(trace) >= 2:
+                ratios = (prev.gap / trace[-2].gap, gap / prev.gap)
+                if min(ratios) > consts.ratio_bound + _RATIO_SLACK:
                     violations["ratio"] += 1
-        prev_dual = dual
 
-        converged = gap <= config.gap_tol * gap0
+        converged = gap <= config.gap_tol * (trace[0].gap if trace else gap)
         if converged:
             t, coeffs = 0.0, (0.0, 0.0, 0.0)
             x_norm = math.sqrt(max(sol.x_norm_sq, 0.0))

@@ -27,7 +27,7 @@ _COMMENT_PREFIXES = ('"', "*", "#")
 # Braces, parentheses and commas separate values like spaces do.
 _PUNCT = str.maketrans("{}(),", "     ")
 # Entry lines are read in pieces of about this many characters (a few
-# thousand lines), cut at line breaks, so no whole-file line list exists.
+# thousand lines), cut at an LF, so no whole-file line list exists.
 _CHUNK_CHARS = 1 << 16
 _ENTRY = np.dtype(
     [("mat", np.int64), ("blk", np.int64), ("i", np.int64), ("j", np.int64),
@@ -39,25 +39,23 @@ def _tokens(line: str) -> list[str]:
     return line.translate(_PUNCT).split()
 
 
-def _chunk_end(text: str, pos: int) -> int:
-    """Index just past the first LF, CR or CRLF at or after ``pos``."""
-    lf = text.find("\n", pos)
-    cr = text.find("\r", pos, lf if lf >= 0 else len(text))
-    if cr >= 0 and text[cr + 1 : cr + 2] != "\n":
-        return cr + 1
-    return lf + 1 if lf >= 0 else len(text)
-
-
 def _content_chunks(text: str):
     """Yield (linenos, rows) per chunk: the stripped non-comment, non-blank
-    lines of the chunk and their 1-based line numbers in ``text``."""
+    lines of the chunk and their 1-based line numbers in ``text``.
+
+    LF, CR and CRLF end a line, and no other character does.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     start, lineno = 0, 1
     while start < len(text):
-        stop = _chunk_end(text, start + _CHUNK_CHARS)
+        stop = text.find("\n", start + _CHUNK_CHARS)
+        if stop < 0:
+            stop = len(text)
         chunk = text[start:stop]
-        rows = list(map(str.strip, chunk.splitlines()))
+        rows = list(map(str.strip, chunk.split("\n")))
         linenos = list(range(lineno, lineno + len(rows)))
-        start, lineno = stop, lineno + len(rows)
+        start, lineno = stop + 1, lineno + len(rows)
         # A chunk with no blank line and no comment prefix character
         # anywhere keeps every line, and skips the per-line filter.
         if "" in rows or any(prefix in chunk for prefix in _COMMENT_PREFIXES):
@@ -95,14 +93,16 @@ def _convert(rows: list[str], dtype: np.dtype = _ENTRY) -> np.ndarray | None:
     return values if values.size == len(rows) else None
 
 
-def _header_numbers(toks: list[str], dtype, message: str, lineno: int, leading=False):
-    """The tokens of a header line as numbers, read as entry lines are.
+def _header_numbers(row: str, dtype, message: str, lineno: int, leading=False):
+    """The numbers of a header line, read as entry lines are: ASCII
+    whitespace separates them, and numpy's reader converts them.
 
     With ``leading``, only the first token is read, and it must be there;
     text after it is a note, such as "= mDIM".
     """
+    toks = _tokens(row)
     values = _convert(toks[:1] if leading else toks, dtype)
-    if values is None or (leading and values.size != 1):
+    if values is None or (leading and values.size != 1) or not (leading or row.isascii()):
         raise ParseError(message, line=lineno)
     return values.tolist()
 
@@ -125,24 +125,24 @@ def parse_sdpa(text: str) -> SdpInstance:
                 linenos, rows = next(chunks)
             except StopIteration:
                 raise ParseError(f"unexpected end of file while reading {what}")
-        return linenos.pop(0), _tokens(rows.pop(0))
+        return linenos.pop(0), rows.pop(0)
 
-    lineno, toks = next_line("the number of constraints")
+    lineno, row = next_line("the number of constraints")
     (m,) = _header_numbers(
-        toks, np.int64, "expected the number of constraint matrices", lineno, leading=True
+        row, np.int64, "expected the number of constraint matrices", lineno, leading=True
     )
     if m < 1:
         raise ParseError(f"need at least one constraint, got {m}", line=lineno)
 
-    lineno, toks = next_line("the number of blocks")
+    lineno, row = next_line("the number of blocks")
     (nblocks,) = _header_numbers(
-        toks, np.int64, "expected the number of blocks", lineno, leading=True
+        row, np.int64, "expected the number of blocks", lineno, leading=True
     )
     if nblocks < 1:
         raise ParseError(f"need at least one block, got {nblocks}", line=lineno)
 
-    lineno, toks = next_line("the block sizes")
-    block_sizes = _header_numbers(toks, np.int64, "block sizes must be integers", lineno)
+    lineno, row = next_line("the block sizes")
+    block_sizes = _header_numbers(row, np.int64, "block sizes must be integers", lineno)
     if len(block_sizes) != nblocks:
         raise ParseError(
             f"expected {nblocks} block sizes, got {len(block_sizes)}", line=lineno
@@ -152,15 +152,19 @@ def parse_sdpa(text: str) -> SdpInstance:
     sizes = np.array(block_sizes, dtype=np.int64)
     offsets = np.concatenate([[0], np.cumsum(np.abs(sizes))])
     n = int(offsets[-1])
+    try:
+        mats = np.zeros((m + 1, n, n))
+    except (ValueError, MemoryError):
+        message = f"block sizes too large: cannot allocate {m + 1} matrices of order {n}"
+        raise ParseError(message, line=lineno) from None
 
-    lineno, toks = next_line("the right-hand-side vector")
+    lineno, row = next_line("the right-hand-side vector")
     b = np.array(
-        _header_numbers(toks, np.float64, "right-hand-side entries must be numbers", lineno)
+        _header_numbers(row, np.float64, "right-hand-side entries must be numbers", lineno)
     )
     if b.size != m:
         raise ParseError(f"expected {m} right-hand-side values, got {b.size}", line=lineno)
 
-    mats = np.zeros((m + 1, n, n))
     flat = mats.reshape(-1)
     touched = np.zeros(m + 1, dtype=bool)
     for linenos, rows in itertools.chain([(linenos, rows)], chunks):
@@ -193,7 +197,7 @@ def parse_sdpa(text: str) -> SdpInstance:
             row = dict(mat=mat[k], blk=blk[k], i=i[k], j=j[k], width=width[k])
             raise ParseError(message.format(m=m, nblocks=nblocks, **row), line=linenos[k])
         if stop is not None:
-            if len(_tokens(rows[stop])) != 5:
+            if rows[stop].isascii() and len(_tokens(rows[stop])) != 5:
                 message = "entry lines need 'matno blkno i j value'"
             else:
                 message = "malformed entry line"

@@ -1,7 +1,9 @@
 """File formats (SDPA, instance JSON, traces) and the command-line frontend."""
 
+import functools
 import json
 import pathlib
+import random
 
 import numpy as np
 import pytest
@@ -32,6 +34,13 @@ SAMPLE_SDPA = """\
 """
 
 
+# The three line endings of SDPA text, and their test ids.
+NEWLINES, NEWLINE_IDS = ["\n", "\r\n", "\r"], ["lf", "crlf", "cr"]
+# The characters other than LF and CR at which str.splitlines breaks a
+# line; in SDPA text none of them ends a line.
+OTHER_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+TOO_LARGE = "block sizes too large: cannot allocate"
+
 # (mutation of file line 6, line, message); the test id is "mutation-line".
 ENTRY_ERRORS = [
     ("0 1 1 1", 6, "entry lines need 'matno blkno i j value'"),
@@ -46,6 +55,8 @@ ENTRY_ERRORS = [
     # and only one beyond int64 fails to convert
     ("99999999999 1 1 1 1.0", 6, "matrix number 99999999999 outside 0..2"),
     ("0 1 1 99999999999999999999 1.0", 6, "malformed entry line"),
+    # ASCII whitespace alone separates numbers; U+2009 is a thin space
+    ("0 1\u20091 1 1.0", 6, "malformed entry line"),
 ]
 
 
@@ -81,16 +92,21 @@ class TestSdpaParser:
         assert inst.C[2, 2] == 5.0
         assert inst.metadata["block_sizes"] == [2, -1]
 
+    # The LF cases keep the id "mutation-line"; the others add the ending.
     @pytest.mark.parametrize(
-        "mutation, lineno, message",
-        ENTRY_ERRORS,
-        ids=[f"{mutation}-{lineno}" for mutation, lineno, _ in ENTRY_ERRORS],
+        "mutation, lineno, message, newline",
+        [(*case, newline) for newline in NEWLINES for case in ENTRY_ERRORS],
+        ids=[
+            f"{mutation}-{lineno}" + ("" if newline == "\n" else f"-{name}")
+            for newline, name in zip(NEWLINES, NEWLINE_IDS)
+            for mutation, lineno, _ in ENTRY_ERRORS
+        ],
     )
-    def test_entry_errors_carry_line_numbers(self, mutation, lineno, message):
+    def test_entry_errors_carry_line_numbers(self, mutation, lineno, message, newline):
         lines = SAMPLE_SDPA.splitlines()
         lines[5] = mutation
         with pytest.raises(ParseError) as err:
-            sw.parse_sdpa("\n".join(lines))
+            sw.parse_sdpa(newline.join(lines))
         assert str(err.value) == f"line {lineno}: {message}"
         assert err.value.line == lineno
 
@@ -194,6 +210,20 @@ def sdpa_instances(draw):
     )
 
 
+def assert_same_instance(inst, other):
+    assert other.metadata["block_sizes"] == inst.metadata["block_sizes"]
+    for M, again in zip([inst.C, *inst.constraints, inst.b],
+                        [other.C, *other.constraints, other.b]):
+        assert again.tobytes() == M.tobytes()
+
+
+@functools.cache
+def big_sdpa_lines():
+    """An n=20, m=40 instance: about 8.6k entry lines, several 64 KiB chunks."""
+    inst, _ = sw.gen_central_path_sdp(20, 40, 1.0, 0)
+    return tuple(sw.write_sdpa(inst).splitlines())
+
+
 class TestSdpaBulk:
     """The bulk reader and writer against the entry-by-entry behaviour."""
 
@@ -248,7 +278,7 @@ class TestSdpaBulk:
         with pytest.raises(ParseError, match=f"^line {len(lines) - 19}: {message}"):
             sw.parse_sdpa("\n".join(lines))
 
-    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("newline", NEWLINES, ids=NEWLINE_IDS)
     @pytest.mark.parametrize(
         "filler",
         [["", '"quoted note', "* starred note", "   ", "# hashed note"], ["", "   "]],
@@ -299,6 +329,61 @@ class TestSdpaBulk:
             assert np.array_equal(M, again)
         assert np.array_equal(plain.b, other.b)
 
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_only_lf_cr_and_crlf_end_a_line(self, data):
+        # Any mix of endings, and comment lines that hold the other
+        # characters str.splitlines breaks at, parse as the LF text does,
+        # and a bad entry is reported at its file line.
+        lines = list(big_sdpa_lines())
+        assert len("\n".join(lines)) > 2 * sw.sdpa._CHUNK_CHARS
+        plain = sw.parse_sdpa("\n".join(lines))
+        bad_at = data.draw(st.integers(4, len(lines) - 1), label="bad entry index")
+        marker = lines[bad_at] + " extra"
+        lines[bad_at] = marker
+        notes = st.text(st.sampled_from(["x", " ", *OTHER_BREAKS]), max_size=4)
+        comments = data.draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, len(lines)), st.sampled_from(['"', "*", "#"]),
+                    notes, st.sampled_from(OTHER_BREAKS), notes,
+                ),
+                min_size=1, max_size=6,
+            ),
+            label="comments",
+        )
+        for at, prefix, before, brk, after in comments:
+            lines.insert(at, prefix + before + brk + after)
+        rnd = random.Random(data.draw(st.integers(0, 2**32 - 1), label="endings seed"))
+        endings = rnd.choices(NEWLINES, k=len(lines))
+        bad = lines.index(marker)
+        with pytest.raises(ParseError) as err:
+            sw.parse_sdpa("".join(map(str.__add__, lines, endings)))
+        assert str(err.value) == f"line {bad + 1}: entry lines need 'matno blkno i j value'"
+        lines[bad] = marker.removesuffix(" extra")
+        assert_same_instance(plain, sw.parse_sdpa("".join(map(str.__add__, lines, endings))))
+
+    @pytest.mark.parametrize("brk", OTHER_BREAKS, ids=[hex(ord(c)) for c in OTHER_BREAKS])
+    def test_other_breaks_stay_inside_a_line(self, brk):
+        plain = sw.parse_sdpa(SAMPLE_SDPA)
+        lines = SAMPLE_SDPA.splitlines()
+        lines[0] = f'"a comment{brk}line{brk}'
+        assert_same_instance(plain, sw.parse_sdpa("\n".join(lines)))
+        # A comment line that ends in one moves no later line number.
+        lines.insert(3, f"* note{brk}")
+        lines[7] = "9 1 1 1 1.0"
+        with pytest.raises(ParseError, match="^line 8: matrix number 9 outside 0..2$"):
+            sw.parse_sdpa("\n".join(lines))
+        # Between two numbers of an entry line numpy's reader takes an
+        # ASCII one for a space; a line with a non-ASCII one is malformed.
+        lines = SAMPLE_SDPA.splitlines()
+        lines[5] = f"0 1 1 1{brk}1.0"
+        if brk.isascii():
+            assert_same_instance(plain, sw.parse_sdpa("\n".join(lines)))
+        else:
+            with pytest.raises(ParseError, match="^line 6: malformed entry line$"):
+                sw.parse_sdpa("\n".join(lines))
+
     def test_header_without_entries(self):
         header = "\n".join(SAMPLE_SDPA.splitlines()[:5]) + "\n"
         with pytest.raises(ParseError, match="^constraint matrix 1 has no entries$"):
@@ -331,14 +416,25 @@ class TestSdpaBulk:
             (3, "2_0", "block sizes must be integers"),
             (3, "2 1", "expected 1 block sizes, got 2"),
             (3, "0", "block sizes must be nonzero"),
+            # ASCII whitespace alone separates numbers; U+2009 is a thin space
+            (3, "2\u20091", "block sizes must be integers"),
+            # Sizes that numpy refuses before it allocates anything: an
+            # order beyond its limits, and 3 matrices of order 1e9, one of
+            # which has a byte count within int64 but not all three.
+            (3, "99999999999", f"{TOO_LARGE} 3 matrices of order 99999999999"),
+            (3, "-99999999999", f"{TOO_LARGE} 3 matrices of order 99999999999"),
+            (3, "1000000000", f"{TOO_LARGE} 3 matrices of order 1000000000"),
             (4, "2.0 x", "right-hand-side entries must be numbers"),
             (4, "2.0 1_5", "right-hand-side entries must be numbers"),
+            (4, "2.0\u20091.5", "right-hand-side entries must be numbers"),
             (4, "2.0", "expected 2 right-hand-side values, got 1"),
         ],
         ids=[
             "m-zero", "m-separator", "m-non-ascii", "nblocks-word", "nblocks-zero",
             "sizes-fraction", "sizes-separator", "sizes-count", "sizes-zero",
-            "rhs-word", "rhs-separator", "rhs-count",
+            "sizes-thin-space", "sizes-too-large", "sizes-too-large-diagonal",
+            "sizes-bytes-overflow", "rhs-word", "rhs-separator", "rhs-thin-space",
+            "rhs-count",
         ],
     )
     def test_bad_header_line(self, index, line, message):
@@ -551,6 +647,13 @@ class TestCli:
         path.write_text(sw.write_sdpa(inst))
         r = CliRunner().invoke(main, ["solve", str(path)])
         assert r.exit_code == 4
+
+    def test_unallocatable_block_size_is_parse_error(self, tmp_path):
+        path = tmp_path / "huge.dat-s"
+        path.write_text("1\n1\n99999999999\n1.0\n0 1 1 1 1.0\n1 1 1 1 1.0\n")
+        r = CliRunner().invoke(main, ["solve", str(path)])
+        assert r.exit_code == 4 and isinstance(r.exception, SystemExit)
+        assert f"error: line 3: {TOO_LARGE}" in r.output
 
     def test_malformed_instance_is_parse_error(self, tmp_path):
         path = tmp_path / "bad.dat-s"
