@@ -92,10 +92,13 @@ class BarrierOracle:
     # column alone.
     hessian_factor: Callable[[Vector], tuple]
     # bind(A) takes the (m, d) constraint block once per run and returns
-    # mapped(e), the (d, m) block solve_Lt(A.T) of the frame at e.  An oracle
+    # mapped(e), the (d, m) block solve_Lt(A.T) of the frame at e, in
+    # column-major (Fortran) order: the relaxation's Gram product and its
+    # projection passes read each mapped constraint contiguously.  An oracle
     # may unpack A here (the SDP oracle builds its matrix stack), so A must
-    # not change while the map is in use.  By default A.T is mapped through
-    # the frame at each point.
+    # not change while the map is in use.  By default the transpose of a
+    # C-contiguous A is mapped through the frame at each point; every
+    # frame keeps the column-major order of such a block.
     bind: Callable[[np.ndarray], Callable[[Vector], np.ndarray]] | None = None
     # hessian_solve(e, w) = H(e)^{-1} w = L^{-1} L^{-T} w, by default through
     # the frame at e.
@@ -111,7 +114,7 @@ class BarrierOracle:
         if self.bind is None:
 
             def bind(A):
-                At = np.transpose(A)
+                At = np.ascontiguousarray(A).T
                 return lambda e: factor(e)[1](At)
 
             object.__setattr__(self, "bind", bind)

@@ -267,13 +267,14 @@ def _lorentz_oracle(d: int) -> BarrierOracle:
         eigendecomposition ``frame_e = frame(e)``, avoiding a Cholesky of
         the near-singular dense Hessian close to the cone boundary.
         ``v`` is a ``(d,)`` vector or a ``(d, k)`` block:
-        ``mu_iso (v - B C) + B (mu_B C)`` with ``C = B^T v``."""
+        ``mu_iso (v - B C) + B (mu_B C)`` with ``C = B^T v``.  It works on
+        the rows of ``v.T``, so a block comes back column-major, as
+        ``BarrierOracle.bind`` promises for the constraint block."""
         mu, B = frame_e
         mu = mu**power
-        v = np.asarray(v, dtype=float)
-        C = B.T @ v
-        # Scaling the rows of C.T scales each column of a (2, k) block.
-        return mu[0] * (v - B @ C) + B @ (C.T * mu[1:]).T
+        vt = np.asarray(v, dtype=float).T
+        Ct = vt @ B
+        return (mu[0] * (vt - Ct @ B.T) + (Ct * mu[1:]) @ B.T).T
 
     def value(e):
         e = guard(e)

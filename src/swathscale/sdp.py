@@ -33,20 +33,22 @@ def mat_order(d: int) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _svec_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _svec_index(n: int) -> tuple[np.ndarray, ...]:
     """For order n: flat positions of the upper triangle in an (n, n)
     matrix and of its mirror image in the lower triangle, the
-    per-coordinate scale (sqrt 2 off the diagonal), and the (n, n) map
-    from each matrix entry to its coordinate."""
+    per-coordinate scale (sqrt 2 off the diagonal) and half of it, the
+    (n, n) map from each matrix entry to its coordinate, and the scale of
+    each entry's coordinate."""
     iu, ju = np.triu_indices(n)
     upper = iu * n + ju
     lower = ju * n + iu
     scale = np.where(iu == ju, 1.0, _SQRT2)
     coord = np.empty((n, n), dtype=np.intp)
     coord[iu, ju] = coord[ju, iu] = np.arange(iu.size)
-    for arr in (upper, lower, scale, coord):
+    tables = (upper, lower, scale, 0.5 * scale, coord, scale[coord])
+    for arr in tables:
         arr.flags.writeable = False  # shared by every caller
-    return upper, lower, scale, coord
+    return tables
 
 
 def svec(X: np.ndarray) -> np.ndarray:
@@ -59,16 +61,23 @@ def svec(X: np.ndarray) -> np.ndarray:
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[-1]
-    upper, lower, scale, _ = _svec_index(n)
+    upper, lower, _, half_scale, _, _ = _svec_index(n)
     flat = X.reshape(*X.shape[:-2], n * n)
-    return (0.5 * (flat[..., upper] + flat[..., lower])) * scale
+    # (X_ij + X_ji) * (0.5 scale) rounds as 0.5 (X_ij + X_ji) * scale does:
+    # halving is exact.
+    out = np.take(flat, upper, axis=-1)
+    out += np.take(flat, lower, axis=-1)
+    out *= half_scale
+    return out
 
 
 def smat(v: np.ndarray) -> np.ndarray:
     """Inverse of :func:`svec`, over the same leading batch axes."""
     v = np.asarray(v, dtype=float)
-    _, _, scale, coord = _svec_index(mat_order(v.shape[-1]))
-    return np.take(v / scale, coord, axis=-1)
+    *_, coord, entry_scale = _svec_index(mat_order(v.shape[-1]))
+    out = np.take(v, coord, axis=-1)
+    out /= entry_scale
+    return out
 
 
 @dataclass
@@ -157,14 +166,21 @@ def det_barrier_oracle(n: int) -> BarrierOracle:
             float(np.vdot(W, W2)), float(np.vdot(W2, W2)),
         )
 
-    upper, _, scale, _ = _svec_index(n)
+    upper, _, scale, _, _, _ = _svec_index(n)
 
-    def stack_congruence(T, S):
+    def stack_congruence(T, S, work=(None, None)):
         # The (d, k) block of svec(T S_i T^T) over a (k, n, n) matrix stack,
         # in one batched product; T S T^T is symmetric, so its upper triangle
         # is its svec.  smat's np.take returns a C-contiguous stack, so
-        # numpy's matmul hands it straight to BLAS.
-        return np.transpose((T @ S @ T.T).reshape(-1, n * n)[:, upper] * scale)
+        # numpy's matmul hands it straight to BLAS.  The two products go to
+        # the (k, n, n) buffers in work, or to new arrays.  np.take gathers
+        # the triangles into a C-contiguous (k, d) array, whose transpose is
+        # the column-major block that bind promises.
+        half, full = work
+        full = np.matmul(np.matmul(T, S, out=half), T.T, out=full)
+        out = np.take(full.reshape(-1, n * n), upper, axis=1)
+        out *= scale
+        return out.T
 
     def congruence(T, v):
         # svec(T smat(v) T^T) for a vector v, and for each column of a (d, k)
@@ -193,10 +209,16 @@ def det_barrier_oracle(n: int) -> BarrierOracle:
         # solve_Lt(A.T) would, with one batched congruence by G^T.
         S = smat(A)
         S.flags.writeable = False
+        # The products of every iterate go to two buffers kept for the run.
+        # Two new (m, n, n) arrays per iterate can make glibc trim the heap
+        # and fault its pages back in: in a process that built its n=40,
+        # m=80 instances from the generators, that cost 468 page faults per
+        # iterate and made each iterate about 1.5 times as slow.
+        work = (np.empty_like(S), np.empty_like(S))
 
         def mapped(e):
             G, _, _ = factor(e)
-            return stack_congruence(G.T, S)
+            return stack_congruence(G.T, S, work)
 
         return mapped
 

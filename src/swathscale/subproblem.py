@@ -94,7 +94,9 @@ def _range_basis(
     negligible pivot.
     """
     R1, R1_inv = _gram_factor(X)
-    if np.linalg.norm(R1, 1) * np.linalg.norm(R1_inv, 1) <= _ONE_PASS_COND:
+    # cond_1(R1) from the 1-norms, summed as np.linalg.norm(., 1) sums them.
+    cond1 = np.abs(R1).sum(axis=0).max() * np.abs(R1_inv).sum(axis=0).max()
+    if cond1 <= _ONE_PASS_COND:
         B, T, to_x, diag_R = X, R1_inv, None, np.abs(np.diag(R1))
     else:
         B = X @ R1_inv

@@ -407,6 +407,28 @@ class TestRun:
         assert res.status is sw.RunStatus.CONVERGED
         assert all(v == 0 for v in res.violations.values()), res.violations
 
+    def test_benchmark_pools_keep_their_iterates(self):
+        # A tripwire for speedups: the iteration counts of the benchmark's
+        # seed-0 pools (sdp-n40: generator seeds 0-3; lorentz-d200: 0-7) at
+        # the default config.  A change that moves the iterates changes
+        # what the benchmark compares.
+        runs = []
+        for seed in range(4):
+            inst, E0 = sw.gen_central_path_sdp(40, 80, seed=seed)
+            runs.append((
+                sw.det_barrier_oracle(40), inst.constraint_rows(), inst.b,
+                sw.svec(inst.C), sw.svec(E0),
+            ))
+        family = sw.second_order_family(200)
+        for seed in range(8):
+            inst, e = sw.gen_hp_instance(family, 100, seed=seed)
+            runs.append((sw.hp_barrier_oracle(family), inst.A, inst.b, inst.c, e))
+        results = [sw.run(*args, sw.SolverConfig()) for args in runs]
+        assert [res.iterations for res in results] == [81, 85, 85, 86] + [25] * 8
+        for res in results:
+            assert res.status is sw.RunStatus.CONVERGED
+            assert all(v == 0 for v in res.violations.values()), res.violations
+
     def test_config_validation(self):
         with pytest.raises(DomainError):
             sw.SolverConfig(alpha=1.5)

@@ -97,22 +97,45 @@ def test_frame_accepts_transposed_rows(family, seed):
 def test_bound_map_is_the_frames_block_map(family):
     # bind(A) maps the constraint block at each point bit for bit as the
     # frame's solve_Lt(A.T) does (the SDP oracle from a matrix stack it
-    # unpacks once).  An unbound block is mapped from its contents at each
-    # call, so one changed in place maps from its new entries.
+    # unpacks once, through work buffers it keeps for the run; a returned
+    # block never shares them, so a later call leaves it as it was).  An
+    # unbound block is mapped from its contents at each call, so one
+    # changed in place maps from its new entries.
     rng = np.random.default_rng(0)
     oracle = sw.hp_barrier_oracle(family)
     A = rng.standard_normal((4, family.d))
     mapped = oracle.bind(A)
+    blocks = []
     for _ in range(3):
         e = interior_point(family, rng)
         _, solve_Lt, _ = oracle.hessian_factor(e)
-        np.testing.assert_array_equal(mapped(e), solve_Lt(A.T))
+        blocks.append((mapped(e), solve_Lt(A.T)))
+    for got, want in blocks:
+        np.testing.assert_array_equal(got, want)
     before = solve_Lt(A.T)
     A[1, 3] += 1.0
     after = solve_Lt(A.T)
     _, fresh, _ = sw.hp_barrier_oracle(family).hessian_factor(e)
     np.testing.assert_array_equal(after, fresh(A.T))
     assert not np.array_equal(after, before)
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
+def test_bound_block_is_column_major(family):
+    # The relaxation's Gram product and projection passes read each mapped
+    # constraint contiguously, so every oracle's bound map returns the
+    # (d, m) block in column-major order, each column the frame's map of
+    # that constraint row, whatever the memory order of A.
+    rng = np.random.default_rng(1)
+    oracle = sw.hp_barrier_oracle(family)
+    A = rng.standard_normal((5, family.d))
+    e = interior_point(family, rng)
+    _, solve_Lt, _ = oracle.hessian_factor(e)
+    for rows in (A, np.asfortranarray(A)):
+        block = oracle.bind(rows)(e)
+        assert block.shape == (family.d, 5)
+        assert block.flags.f_contiguous
+        assert_columns_match(lambda _: block, solve_Lt, A.T)
 
 
 @settings(max_examples=25, deadline=None)
