@@ -2,12 +2,14 @@
 
 Instance files are auto-detected by suffix: ``.dat-s`` is sparse SDPA
 (with an optional ``<stem>.start.json`` sidecar carrying the interior
-start matrix), ``.json`` is the hyperbolic-program schema.  Exit codes:
-0 success, 2 start point outside the swath, 3 numerical failure or
-iteration limit, 4 parse/input error, including a path that cannot be
-read or written and an instance that fails the checks in ``core``, which
-are the same for both formats (dependent constraints, a start point off
-``A e0 = b`` or outside the open cone).
+start matrix), ``.json`` is the hyperbolic-program schema; a ``--trace``
+path ending in ``.json`` gets a JSON trace, any other a CSV trace.  Exit
+codes: 0 success, 2 start point outside the swath or an unbounded
+program, 3 numerical failure or iteration limit, 4 parse/input error,
+including a usage error, a path that cannot be read or written and an
+instance that fails the checks in ``core``, which are the same for both
+formats (dependent constraints, a start point off ``A e0 = b`` or
+outside the open cone).
 """
 
 from __future__ import annotations
@@ -100,7 +102,25 @@ def _fail(exc: Exception, code: int):
     sys.exit(code)
 
 
-@click.group()
+class _Group(click.Group):
+    """Ends a usage error, which click exits with 2, with the input-error code."""
+
+    def make_context(self, *args, **kwargs):
+        try:
+            return super().make_context(*args, **kwargs)
+        except click.UsageError as exc:
+            exc.exit_code = _EXIT_PARSE
+            raise
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            exc.exit_code = _EXIT_PARSE
+            raise
+
+
+@click.group(cls=_Group)
 def main():
     """Affine-scaling interior-point solver for SDP and hyperbolic programs."""
 
@@ -117,14 +137,7 @@ def main():
     show_default=True,
 )
 @click.option("--trace", "trace_path", type=click.Path(path_type=pathlib.Path))
-@click.option(
-    "--format",
-    "trace_format",
-    type=click.Choice(["csv", "json"]),
-    default="csv",
-    show_default=True,
-)
-def solve(file, alpha, tol, max_iters, step, trace_path, trace_format):
+def solve(file, alpha, tol, max_iters, step, trace_path):
     """Run the solver on an instance file."""
     try:
         config = SolverConfig(
@@ -152,15 +165,16 @@ def solve(file, alpha, tol, max_iters, step, trace_path, trace_format):
         header = tracefile.trace_header(
             meta["id"], meta["backend"], config, meta["n"], meta["m"]
         )
+        fmt = "json" if trace_path.suffix == ".json" else "csv"
         try:
-            trace_path.write_text(tracefile.export_trace(result, header, trace_format))
+            trace_path.write_text(tracefile.export_trace(result, header, fmt))
         except OSError as exc:
             _fail(exc, _EXIT_PARSE)
 
-    final_gap = result.trace[-1].gap if result.trace else float("nan")
+    footer = tracefile.trace_footer(result)
     click.echo(
-        f"status={result.status.value} iterations={result.iterations} "
-        f"final_gap={final_gap:.6e} violations={result.violations}"
+        f"status={footer['status']} iterations={footer['iterations']} "
+        f"final_gap={footer['final_gap']:.6e} violations={footer['violations']}"
     )
     sys.exit(_STATUS_EXIT[result.status])
 

@@ -70,13 +70,13 @@ def read_hp_json(text: str) -> HpInstance:
     return inst
 
 
-# The writers put one field, and one matrix row, on a line.  Each piece is
-# encoded without indentation, which json does in C; indent=2 falls back to
-# the pure-Python encoder, which took 1.7 times as long on a d=200, m=100
-# instance.
-def _rows(M: np.ndarray) -> str:
-    """A matrix as a JSON array of rows, one row per line."""
-    return "[\n" + ",\n".join("    " + json.dumps(row) for row in M.tolist()) + "\n  ]"
+# The writers, here and in tracefile, put one field, and one matrix or trace
+# row, on a line.  Each piece is encoded without indentation, which json does
+# in C; indent=2 falls back to the pure-Python encoder, which took 1.7 times
+# as long on a d=200, m=100 instance.
+def _rows(rows: list) -> str:
+    """A list as a JSON array, one item per line."""
+    return "[\n" + ",\n".join("    " + json.dumps(row) for row in rows) + "\n  ]"
 
 
 def _document(fields: dict[str, str]) -> str:
@@ -92,7 +92,7 @@ def write_hp_json(inst: HpInstance, metadata: dict | None = None) -> str:
     return _document({
         "family": json.dumps(fam),
         "c": json.dumps(inst.c.tolist()),
-        "A": _rows(inst.A),
+        "A": _rows(inst.A.tolist()),
         "b": json.dumps(inst.b.tolist()),
         "e0": json.dumps(inst.e0.tolist()),
         "metadata": json.dumps(metadata or {}),
@@ -114,4 +114,4 @@ def read_start_point(text: str) -> np.ndarray:
 
 
 def write_start_point(E0: np.ndarray) -> str:
-    return _document({"E0": _rows(np.asarray(E0, dtype=float))})
+    return _document({"E0": _rows(np.asarray(E0, dtype=float).tolist())})

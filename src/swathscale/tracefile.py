@@ -1,20 +1,21 @@
 """Trace serialization: per-iteration records to CSV or JSON and back.
 
-Every float is written in a form that parses back to the same double:
-17 significant digits in the CSV rows, and Python's shortest round-trip
-repr in the JSON export and the CSV metadata lines.  A parse of the
-exported text reproduces every numeric field bit-exactly.
+Both formats write every value as JSON does, with floats in Python's
+shortest round-trip repr, so a parse of the exported text reproduces every
+field bit-exactly.  A CSV row is the JSON array of its values without the
+brackets, and a CSV metadata line is ``# key=<JSON value>``.
 """
 
 from __future__ import annotations
 
-import io
 import json
 
 from .core import schedule_constants
-from .driver import IterationRecord, SolveResult, SolverConfig
+from .driver import SolveResult, SolverConfig
 from .errors import ParseError
+from .hpjson import _document, _rows
 
+# The columns of a trace row, in the order export_trace lists a record's values.
 _ROW_FIELDS = (
     "k",
     "alpha",
@@ -28,26 +29,6 @@ _ROW_FIELDS = (
     "qtilde_c",
     "wallclock",
 )
-
-
-def _g17(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _row_values(rec: IterationRecord) -> list:
-    return [
-        rec.k,
-        rec.alpha,
-        rec.gap,
-        rec.t,
-        rec.x_norm_e,
-        rec.primal_obj,
-        rec.dual_obj,
-        rec.qtilde[0],
-        rec.qtilde[1],
-        rec.qtilde[2],
-        rec.wallclock,
-    ]
 
 
 def trace_header(
@@ -87,40 +68,39 @@ def trace_footer(result: SolveResult) -> dict:
 
 def export_trace(result: SolveResult, header: dict, fmt: str = "csv") -> str:
     """Render a run as text; fmt is "csv" or "json"."""
+    values = [
+        [rec.k, rec.alpha, rec.gap, rec.t, rec.x_norm_e, rec.primal_obj, rec.dual_obj,
+         *rec.qtilde, rec.wallclock]
+        for rec in result.trace
+    ]
     if fmt == "json":
-        payload = {
-            "header": header,
-            "rows": [
-                dict(zip(_ROW_FIELDS, _row_values(rec))) for rec in result.trace
-            ],
-            "footer": trace_footer(result),
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        return _document({
+            "header": json.dumps(header),
+            "rows": _rows([dict(zip(_ROW_FIELDS, row)) for row in values]),
+            "footer": json.dumps(trace_footer(result)),
+        })
     if fmt != "csv":
         raise ValueError(f"unknown trace format {fmt!r}")
-
-    buf = io.StringIO()
-    for key, value in header.items():
-        buf.write(f"# {key}={json.dumps(value)}\n")
-    buf.write(",".join(_ROW_FIELDS) + "\n")
-    for rec in result.trace:
-        cells = [
-            str(v) if isinstance(v, int) else _g17(v) for v in _row_values(rec)
-        ]
-        buf.write(",".join(cells) + "\n")
-    for key, value in trace_footer(result).items():
-        buf.write(f"# {key}={json.dumps(value)}\n")
-    return buf.getvalue()
+    lines = [f"# {key}={json.dumps(value)}" for key, value in header.items()]
+    lines.append(",".join(_ROW_FIELDS))
+    lines += [json.dumps(row, separators=(",", ":"))[1:-1] for row in values]
+    lines += [f"# {key}={json.dumps(value)}" for key, value in trace_footer(result).items()]
+    return "\n".join(lines) + "\n"
 
 
 def parse_trace(text: str) -> dict:
     """Recover {header, rows, footer} from either export format."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         try:
-            return json.loads(text)
+            doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad trace JSON: {exc}")
+        doc_rows = doc.get("rows")
+        if not isinstance(doc_rows, list) or not all(
+            isinstance(part, dict) for part in (doc.get("header"), doc.get("footer"), *doc_rows)
+        ):
+            raise ParseError("not a trace: needs header and footer objects and row objects")
+        return doc
 
     header: dict = {}
     footer: dict = {}
@@ -131,24 +111,23 @@ def parse_trace(text: str) -> dict:
         if not line:
             continue
         if line.startswith("#"):
-            body = line[1:].strip()
-            key, _, rhs = body.partition("=")
+            key, _, rhs = line[1:].partition("=")
             try:
                 value = json.loads(rhs)
             except json.JSONDecodeError:
                 raise ParseError("bad metadata line in trace", line=lineno)
             (footer if columns is not None else header)[key.strip()] = value
             continue
-        cells = line.split(",")
         if columns is None:
-            columns = cells
+            columns = line.split(",")
             continue
+        try:
+            cells = json.loads(f"[{line}]")
+        except json.JSONDecodeError:
+            raise ParseError("bad value in trace row", line=lineno)
         if len(cells) != len(columns):
             raise ParseError("trace row width mismatch", line=lineno)
-        row = {}
-        for name, cell in zip(columns, cells):
-            row[name] = int(cell) if name == "k" else float(cell)
-        rows.append(row)
+        rows.append(dict(zip(columns, cells)))
     if columns is None:
         raise ParseError("trace has no column header")
     return {"header": header, "rows": rows, "footer": footer}

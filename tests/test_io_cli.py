@@ -520,6 +520,61 @@ class TestTracefile:
         with pytest.raises(ParseError):
             sw.parse_trace("\n".join(lines))
 
+    def test_cell_that_is_not_a_number_names_its_line(self):
+        with pytest.raises(ParseError) as err:
+            sw.parse_trace("k,gap\n1,abc\n")
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"rows": 3},
+            {"header": {}, "rows": [], "footer": []},
+            {"header": [], "rows": [], "footer": {}},
+            {"header": {}, "rows": [{"k": 0}, 1.5], "footer": {}},
+            {"header": {}, "rows": {"k": 0}, "footer": {}},
+            {"header": {}, "rows": []},
+        ],
+    )
+    def test_json_document_that_is_not_a_trace(self, doc):
+        with pytest.raises(ParseError):
+            sw.parse_trace(json.dumps(doc))
+
+    def test_earlier_layout_parses_bit_exact(self):
+        # Traces were written with 17-significant-digit CSV cells, read back
+        # by a per-column int()/float() rule, and as an indent=2 JSON
+        # document; both still parse to the values of the run, bit for bit.
+        res, header = self.run_result()
+        footer = sw.trace_footer(res)
+        values = [
+            [rec.k, rec.alpha, rec.gap, rec.t, rec.x_norm_e, rec.primal_obj,
+             rec.dual_obj, *rec.qtilde, rec.wallclock]
+            for rec in res.trace
+        ]
+        fields = ("k", "alpha", "gap", "t", "x_norm_e", "primal_obj", "dual_obj",
+                  "qtilde_a", "qtilde_b", "qtilde_c", "wallclock")
+        lines = [f"# {key}={json.dumps(value)}" for key, value in header.items()]
+        lines.append(",".join(fields))
+        lines += [
+            ",".join(str(v) if isinstance(v, int) else f"{v:.17g}" for v in row)
+            for row in values
+        ]
+        lines += [f"# {key}={json.dumps(value)}" for key, value in footer.items()]
+        csv_text = "\n".join(lines) + "\n"
+        json_text = json.dumps(
+            {"header": header, "rows": [dict(zip(fields, row)) for row in values],
+             "footer": footer},
+            indent=2,
+        ) + "\n"
+        for text in (csv_text, json_text):
+            doc = sw.parse_trace(text)
+            assert doc["header"] == header and doc["footer"] == footer
+            assert [[row[name] for name in fields] for row in doc["rows"]] == values
+            for row, want in zip(doc["rows"], values):
+                assert [float(row[name]).hex() for name in fields] == [
+                    float(v).hex() for v in want
+                ]
+
 
 def indefinite_start(inst, E0):
     """A start on A e = b but not positive definite: far from E0 along a
@@ -592,13 +647,93 @@ class TestCli:
         assert out.exists() and (tmp_path / "inst.start.json").exists()
 
         trace = tmp_path / "trace.json"
-        r = runner.invoke(
-            main, ["solve", str(out), "--trace", str(trace), "--format", "json"]
-        )
+        r = runner.invoke(main, ["solve", str(out), "--trace", str(trace)])
         assert r.exit_code == 0, r.output
         assert "status=converged" in r.output
         doc = sw.parse_trace(trace.read_text())
         assert doc["footer"]["status"] == "converged"
+
+    def test_trace_format_follows_the_suffix(self, tmp_path):
+        runner = CliRunner()
+        out = tmp_path / "inst.dat-s"
+        runner.invoke(
+            main, ["generate", "sdp", "--n", "4", "--m", "6", "--seed", "0", "--out", str(out)]
+        )
+        docs = {}
+        for name in ("t.json", "t.csv"):
+            r = runner.invoke(main, ["solve", str(out), "--trace", str(tmp_path / name)])
+            assert r.exit_code == 0, r.output
+            text = (tmp_path / name).read_text()
+            assert text.startswith("{") == (name == "t.json")
+            docs[name] = sw.parse_trace(text)
+        as_json, as_csv = docs["t.json"], docs["t.csv"]
+        assert len(as_json["rows"]) == len(as_csv["rows"]) > 0
+        for a, b in zip(as_json["rows"], as_csv["rows"]):
+            assert a.keys() == b.keys()
+            assert {k: v for k, v in a.items() if k != "wallclock"} == {
+                k: v for k, v in b.items() if k != "wallclock"
+            }
+        assert as_json["header"] == as_csv["header"]
+        assert as_json["footer"] == as_csv["footer"]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["solve", "{lp}", "--alpha", "abc"],
+            ["solve", "{lp}", "--bogus"],
+            ["solve", "{dir}/missing.json"],
+            ["generate", "sdp", "--n", "3", "--m", "2", "--out", "{dir}/x"],
+            ["solve", "{lp}", "--trace", "{dir}/t.json", "--format", "json"],
+            ["solve"],
+            ["frobnicate"],
+            ["--bogus"],
+        ],
+        ids=[
+            "bad-float", "unknown-option", "missing-file", "missing-seed", "format",
+            "missing-argument", "unknown-command", "unknown-group-option",
+        ],
+    )
+    def test_usage_error_is_input_error(self, tmp_path, args):
+        # Click ends a usage error with 2, which here means a start point
+        # outside the swath; it keeps its usage text and its Error: line.
+        runner = CliRunner()
+        lp = tmp_path / "lp.json"
+        r = runner.invoke(
+            main, ["generate", "hp", "--n", "4", "--m", "2", "--seed", "0", "--out", str(lp)]
+        )
+        assert r.exit_code == 0, r.output
+        args = [a.format(lp=lp, dir=tmp_path) for a in args]
+        r = runner.invoke(main, args)
+        assert isinstance(r.exception, SystemExit), r.exception
+        assert r.exit_code == 4, r.output
+        assert "Usage:" in r.output and "Error:" in r.output
+        assert "Traceback" not in r.output
+        assert not (tmp_path / "t.json").exists()
+
+    @pytest.mark.parametrize("args", [["--help"], ["solve", "--help"]], ids=["main", "solve"])
+    def test_help_exits_zero(self, args):
+        r = CliRunner().invoke(main, args)
+        assert r.exit_code == 0, r.output
+        assert "Usage:" in r.output
+
+    def test_unbounded_program_is_not_in_swath_at_iterate_zero(self, tmp_path):
+        # min -x0 s.t. x1 + x2 = 2 over the orthant, and min -X11 s.t.
+        # X22 = 1 over 2x2 PSD matrices: the relaxation recedes at e0.
+        hp = tmp_path / "unbounded.json"
+        hp.write_text(json.dumps({
+            "family": {"name": "product", "d": 3},
+            "c": [-1.0, 0.0, 0.0], "A": [[0.0, 1.0, 1.0]], "b": [2.0],
+            "e0": [1.0, 1.0, 1.0],
+        }))
+        sdpa = tmp_path / "unbounded.dat-s"
+        sdpa.write_text(sw.write_sdpa(sw.SdpInstance(
+            C=np.diag([-1.0, 0.0]), constraints=[np.diag([0.0, 1.0])], b=np.array([1.0]),
+        )))
+        (tmp_path / "unbounded.start.json").write_text(sw.write_start_point(np.eye(2)))
+        for path in (hp, sdpa):
+            r = CliRunner().invoke(main, ["solve", str(path)])
+            assert r.exit_code == 2, r.output
+            assert "status=not_in_swath iterations=0 " in r.output
 
     def test_solve_hp_instance(self, tmp_path, monkeypatch):
         runner = CliRunner()
