@@ -92,14 +92,21 @@ class BarrierOracle:
     # column alone.
     hessian_factor: Callable[[Vector], tuple]
     # bind(A) takes the (m, d) constraint block once per run and returns
-    # mapped(e), the (d, m) block solve_Lt(A.T) of the frame at e, in
-    # column-major (Fortran) order: the relaxation's Gram product and its
-    # projection passes read each mapped constraint contiguously.  An oracle
-    # may unpack A here (the SDP oracle builds its matrix stack), so A must
-    # not change while the map is in use.  By default the transpose of a
-    # C-contiguous A is mapped through the frame at each point; every
-    # frame keeps the column-major order of such a block.
-    bind: Callable[[np.ndarray], Callable[[Vector], np.ndarray]] | None = None
+    # mapped(e) = (X, M).  X is the (d, m) block solve_Lt(A.T) of the frame
+    # at e, in column-major (Fortran) order: the relaxation's projection
+    # passes read each mapped constraint contiguously.  M is the Gram
+    # matrix X^T X = A H(e)^{-1} A^T that the relaxation factors.  An oracle
+    # may form M from the structure of H(e)^{-1} (the Lorentz oracle does,
+    # in O(md + m^2) work per point), but only in a form no less accurate
+    # than the product X^T X: the basis X R1^{-1} from M = R1^T R1 is
+    # orthonormal only up to the error of M relative to M, and near the
+    # cone boundary H(e) has condition numbers beyond 1e12.  An oracle may
+    # unpack A here (the SDP oracle builds its matrix stack, the Lorentz
+    # oracle forms A A^T), so A must not change while the map is in use.
+    # By default the transpose of a C-contiguous A is mapped through the
+    # frame at each point (every frame keeps the column-major order of
+    # such a block), and M = X^T X.
+    bind: Callable[[np.ndarray], Callable[[Vector], tuple]] | None = None
     # hessian_solve(e, w) = H(e)^{-1} w = L^{-1} L^{-T} w, by default through
     # the frame at e.
     hessian_solve: Callable[[Vector, Vector], Vector] | None = None
@@ -115,7 +122,12 @@ class BarrierOracle:
 
             def bind(A):
                 At = np.ascontiguousarray(A).T
-                return lambda e: factor(e)[1](At)
+
+                def mapped(e):
+                    X = factor(e)[1](At)
+                    return X, X.T @ X
+
+                return mapped
 
             object.__setattr__(self, "bind", bind)
         if self.hessian_solve is None:

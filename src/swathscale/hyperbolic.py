@@ -262,19 +262,21 @@ def _lorentz_oracle(d: int) -> BarrierOracle:
     # read H at a point; each point's frame is built once.
     frame = point_cache(frame)
 
+    def spectral_rows(mu, B, vt, Ct):
+        # mu_iso (v - B C) + B (mu_B C) for C = B^T v, from vt = v.T and
+        # Ct = vt @ B.  It works on the rows of vt, so a block comes back
+        # column-major, as BarrierOracle.bind promises for the constraint
+        # block.
+        return (mu[0] * (vt - Ct @ B.T) + (Ct * mu[1:]) @ B.T).T
+
     def spectral_apply(frame_e, v, power):
         """Apply H(e)^power for power in {1, 0.5, -0.5} via the closed
         eigendecomposition ``frame_e = frame(e)``, avoiding a Cholesky of
         the near-singular dense Hessian close to the cone boundary.
-        ``v`` is a ``(d,)`` vector or a ``(d, k)`` block:
-        ``mu_iso (v - B C) + B (mu_B C)`` with ``C = B^T v``.  It works on
-        the rows of ``v.T``, so a block comes back column-major, as
-        ``BarrierOracle.bind`` promises for the constraint block."""
+        ``v`` is a ``(d,)`` vector or a ``(d, k)`` block."""
         mu, B = frame_e
-        mu = mu**power
         vt = np.asarray(v, dtype=float).T
-        Ct = vt @ B
-        return (mu[0] * (vt - Ct @ B.T) + (Ct * mu[1:]) @ B.T).T
+        return spectral_rows(mu**power, B, vt, vt @ B)
 
     def value(e):
         e = guard(e)
@@ -306,10 +308,29 @@ def _lorentz_oracle(d: int) -> BarrierOracle:
 
         return apply_L, solve_any, solve_any
 
+    def bind(A):
+        # H(e)^{-1} = (I - B B^T) / mu_iso + B diag(mu_B)^{-1} B^T, so the
+        # Gram matrix A H(e)^{-1} A^T takes A A^T once per run and one A B
+        # per point, which the block shares: it is solve_Lt(A.T) bit for
+        # bit.  The projection off span(B) is taken before the 1/mu_iso
+        # scale: folding the two terms into A A^T (t-r)(t+r)/2 plus a rank-2
+        # term would leave the (t-r)^2/2 curvature along b1 as the
+        # difference of two terms of size (t-r) t.
+        A = np.ascontiguousarray(A, dtype=float)
+        AAt = A @ A.T
+
+        def mapped(e):
+            mu, B = frame(e)
+            AB = A @ B
+            M = (AAt - AB @ AB.T) / mu[0] + (AB / mu[1:]) @ AB.T
+            return spectral_rows(mu**-0.5, B, A, AB), M
+
+        return mapped
+
     return BarrierOracle(
         dim=d, degree=2, value=value, gradient=gradient,
         hessian_apply=hessian_apply, direction_power_sums=direction_power_sums,
-        hessian_factor=hessian_factor,
+        hessian_factor=hessian_factor, bind=bind,
     )
 
 

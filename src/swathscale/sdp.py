@@ -206,7 +206,8 @@ def det_barrier_oracle(n: int) -> BarrierOracle:
     def bind(A):
         # The constraint block is mapped at every iterate, so its (m, n, n)
         # matrix stack is unpacked once per run; each iterate maps it as
-        # solve_Lt(A.T) would, with one batched congruence by G^T.
+        # solve_Lt(A.T) would, with one batched congruence by G^T, and takes
+        # the block's Gram matrix as the default map does.
         S = smat(A)
         S.flags.writeable = False
         # The products of every iterate go to two buffers kept for the run.
@@ -218,7 +219,8 @@ def det_barrier_oracle(n: int) -> BarrierOracle:
 
         def mapped(e):
             G, _, _ = factor(e)
-            return stack_congruence(G.T, S, work)
+            X = stack_congruence(G.T, S, work)
+            return X, X.T @ X
 
         return mapped
 

@@ -65,10 +65,10 @@ def _stable_quadratic_roots(qa: float, qb: float, qc: float) -> list[float]:
 _ONE_PASS_COND = (np.finfo(float).eps / 2.0) ** (-1.0 / 3.0)
 
 
-def _gram_factor(Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Upper triangle ``R`` of ``Q^T Q = R^T R`` and its inverse."""
+def _gram_factor(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Upper triangle ``R`` of the Gram matrix ``M = R^T R`` and its inverse."""
     try:
-        R = np.linalg.cholesky(Q.T @ Q).T
+        R = np.linalg.cholesky(M).T
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(_RANK_DEFICIENT) from exc
     R_inv, info = dtrtri(R, lower=0)
@@ -78,12 +78,12 @@ def _gram_factor(Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _range_basis(
-    X: np.ndarray,
+    X: np.ndarray, M: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Basis ``B`` and upper triangle ``T`` with ``B T`` spanning ``range(X)``,
     orthonormal up to the error two correction steps remove.
 
-    One Gram pass factors ``X^T X = R1^T R1``.  When
+    One Gram pass factors the Gram matrix ``M = X^T X = R1^T R1``.  When
     ``cond_1(R1) <= u^{-1/3}`` it returns ``(X, R1^{-1}, None)``.
     Otherwise it runs CholeskyQR2's second pass on ``Q1 = X R1^{-1}``
     (Fukaya, Nakatsukasa, Yanagisawa and Yamamoto, 2014), formed
@@ -93,14 +93,14 @@ def _range_basis(
     positive definite or the triangle ``R`` of ``X = (B T) R`` has a
     negligible pivot.
     """
-    R1, R1_inv = _gram_factor(X)
+    R1, R1_inv = _gram_factor(M)
     # cond_1(R1) from the 1-norms, summed as np.linalg.norm(., 1) sums them.
     cond1 = np.abs(R1).sum(axis=0).max() * np.abs(R1_inv).sum(axis=0).max()
     if cond1 <= _ONE_PASS_COND:
         B, T, to_x, diag_R = X, R1_inv, None, np.abs(np.diag(R1))
     else:
         B = X @ R1_inv
-        R2, T = _gram_factor(B)
+        R2, T = _gram_factor(B.T @ B)
         to_x, diag_R = R1_inv, np.abs(np.diag(R2) * np.diag(R1))
     if diag_R.size == 0 or diag_R.min() <= 1e-13 * max(diag_R.max(), 1.0):
         raise NumericalFailure(_RANK_DEFICIENT)
@@ -130,12 +130,13 @@ def solve_qcp(
     c: np.ndarray,
     e: np.ndarray,
     alpha: float,
-    block: Callable[[np.ndarray], np.ndarray] | None = None,
+    block: Callable[[np.ndarray], tuple] | None = None,
 ) -> SubproblemSolution:
     """Optimal primal/dual pair of the quadratic-cone relaxation at e.
 
-    ``block`` is ``oracle.bind(A)``: a run binds its constraint block once
-    and hands the map to every call, and a call without it binds ``A``.
+    ``block`` is ``oracle.bind(A)``, which maps a point to the frame's
+    constraint block and its Gram matrix: a run binds its constraint block
+    once and hands the map to every call, and a call without it binds ``A``.
     Returns status NOT_IN_SWATH when the conic section has no minimizer
     (the relaxation is unbounded); raises NumericalFailure when the
     constraint map is rank-deficient at e.
@@ -170,8 +171,8 @@ def solve_qcp(
     apply_L, solve_Lt, solve_L = oracle.hessian_factor(e)
     ehat = apply_L(e)
     chat = solve_Lt(c)
-    At_hat = block(e)  # d x m, solve_Lt(A.T)
-    B, T, to_x = _range_basis(At_hat)
+    At_hat, gram = block(e)  # d x m solve_Lt(A.T), and At_hat^T At_hat
+    B, T, to_x = _range_basis(At_hat, gram)
 
     # Write w = w0 + u with w0 the least-norm solution of At_hat^T w = b,
     # which lies in range(B), and u orthogonal to it.  In the basis B the

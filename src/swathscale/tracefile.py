@@ -88,8 +88,15 @@ def export_trace(result: SolveResult, header: dict, fmt: str = "csv") -> str:
     return "\n".join(lines) + "\n"
 
 
+def _numbers(cells) -> bool:
+    # A cell is a JSON number: NaN and Infinity parse as floats, while a
+    # bool, although a Python int, is not a number here.
+    return all(type(cell) in (int, float) for cell in cells)
+
+
 def parse_trace(text: str) -> dict:
-    """Recover {header, rows, footer} from either export format."""
+    """Recover {header, rows, footer} from either export format; every
+    row cell is a number."""
     if text.lstrip().startswith("{"):
         try:
             doc = json.loads(text)
@@ -100,6 +107,9 @@ def parse_trace(text: str) -> dict:
             isinstance(part, dict) for part in (doc.get("header"), doc.get("footer"), *doc_rows)
         ):
             raise ParseError("not a trace: needs header and footer objects and row objects")
+        for index, row in enumerate(doc_rows):
+            if not _numbers(row.values()):
+                raise ParseError(f"trace row {index} has a value that is not a number")
         return doc
 
     header: dict = {}
@@ -125,6 +135,8 @@ def parse_trace(text: str) -> dict:
             cells = json.loads(f"[{line}]")
         except json.JSONDecodeError:
             raise ParseError("bad value in trace row", line=lineno)
+        if not _numbers(cells):
+            raise ParseError("trace row has a value that is not a number", line=lineno)
         if len(cells) != len(columns):
             raise ParseError("trace row width mismatch", line=lineno)
         rows.append(dict(zip(columns, cells)))

@@ -395,16 +395,19 @@ class TestRun:
         assert res.status is sw.RunStatus.CONVERGED
         assert all(v == 0 for v in res.violations.values()), res.violations
 
-    @pytest.mark.parametrize("seed", range(63352, 63360))
+    @pytest.mark.parametrize("seed", [*range(8), *range(63352, 63360)])
     def test_full_size_lorentz_tight_tolerance(self, seed):
-        # The benchmark's Lorentz d=200, m=100 instances of pool seed 7919 at
-        # a 1e-12 gap ratio, where the constraint block reaches condition
-        # numbers ~5e6: with one Gram pass alone, even with the relaxation's
-        # correction steps, these runs fail.
+        # The benchmark's Lorentz d=200, m=100 instances of pool seeds 0 and
+        # 7919 at a 1e-12 gap ratio, where the constraint block reaches
+        # condition numbers ~5e6 and CholeskyQR2's second pass runs: with
+        # one Gram pass alone, even with the relaxation's correction steps,
+        # these runs fail.  Each takes 36 iterations, a tripwire for a
+        # change to the relaxation's Gram matrix.
         inst, e = sw.gen_hp_instance(sw.second_order_family(200), 100, seed=seed)
         oracle = sw.hp_barrier_oracle(inst.family)
         res = sw.run(oracle, inst.A, inst.b, inst.c, e, sw.SolverConfig(gap_tol=1e-12))
         assert res.status is sw.RunStatus.CONVERGED
+        assert res.iterations == 36
         assert all(v == 0 for v in res.violations.values()), res.violations
 
     def test_benchmark_pools_keep_their_iterates(self):

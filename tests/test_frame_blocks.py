@@ -11,11 +11,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import swathscale as sw
 from swathscale.errors import DimensionMismatch
+from swathscale.hyperbolic import SECOND_ORDER
 
 FAMILIES = [
     sw.product_family(7),
@@ -95,10 +97,11 @@ def test_frame_accepts_transposed_rows(family, seed):
 
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
 def test_bound_map_is_the_frames_block_map(family):
-    # bind(A) maps the constraint block at each point bit for bit as the
-    # frame's solve_Lt(A.T) does (the SDP oracle from a matrix stack it
-    # unpacks once, through work buffers it keeps for the run; a returned
-    # block never shares them, so a later call leaves it as it was).  An
+    # The block X of bind(A) maps the constraint block at each point bit for
+    # bit as the frame's solve_Lt(A.T) does (the SDP oracle from a matrix
+    # stack it unpacks once, through work buffers it keeps for the run; a
+    # returned block never shares them, so a later call leaves it as it
+    # was; the Lorentz oracle through the A B it shares with M).  An
     # unbound block is mapped from its contents at each call, so one
     # changed in place maps from its new entries.
     rng = np.random.default_rng(0)
@@ -109,7 +112,7 @@ def test_bound_map_is_the_frames_block_map(family):
     for _ in range(3):
         e = interior_point(family, rng)
         _, solve_Lt, _ = oracle.hessian_factor(e)
-        blocks.append((mapped(e), solve_Lt(A.T)))
+        blocks.append((mapped(e)[0], solve_Lt(A.T)))
     for got, want in blocks:
         np.testing.assert_array_equal(got, want)
     before = solve_Lt(A.T)
@@ -132,10 +135,63 @@ def test_bound_block_is_column_major(family):
     e = interior_point(family, rng)
     _, solve_Lt, _ = oracle.hessian_factor(e)
     for rows in (A, np.asfortranarray(A)):
-        block = oracle.bind(rows)(e)
+        block, _ = oracle.bind(rows)(e)
         assert block.shape == (family.d, 5)
         assert block.flags.f_contiguous
         assert_columns_match(lambda _: block, solve_Lt, A.T)
+
+
+def lorentz_gram_errors(ratio):
+    """Errors of the Lorentz map's M and of X^T X at a point with
+    (t - r)/t = ratio, for a random (100, 200) block A.
+
+    The reference is M_ref = A H(e)^{-1} A^T in long double, from
+    H(e)^{-1} = e e^T - (p(e)/2) J with J = diag(-1, ..., -1, 1) and
+    p(e) = (t - r)(t + r).  The norm is ||M_ref^{-1/2} (G - M_ref) M_ref^{-1/2}||_2,
+    the one that bounds how orthonormal the relaxation's basis is.
+    """
+    d, m = 200, 100
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((m, d))
+    u = rng.standard_normal(d - 1)
+    e = np.append((1.0 - ratio) * u / np.linalg.norm(u), 1.0)
+    X, M = sw.hp_barrier_oracle(sw.second_order_family(d)).bind(A)(e)
+    el, Al = e.astype(np.longdouble), A.astype(np.longdouble)
+    t, r = el[-1], np.sqrt(np.sum(el[:-1] ** 2))
+    J = np.append(-np.ones(d - 1), 1.0).astype(np.longdouble)
+    Ae = Al @ el
+    M_ref = np.outer(Ae, Ae) - ((t - r) * (t + r) / 2) * ((Al * J) @ Al.T)
+    L = np.linalg.cholesky(M_ref.astype(float))
+
+    def error(G):
+        D = (G.astype(np.longdouble) - M_ref).astype(float)
+        W = scipy.linalg.solve_triangular(L, D, lower=True)
+        return np.linalg.norm(scipy.linalg.solve_triangular(L, W.T, lower=True), 2)
+
+    return error(M), error(X.T @ X)
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
+def test_bound_gram_is_the_blocks_gram(family):
+    # The map returns beside X its Gram matrix M = X^T X = A H(e)^{-1} A^T:
+    # the product itself, except that the Lorentz oracle forms it from the
+    # closed-form H(e)^{-1}.  That agrees with the product to rounding, and
+    # near the cone boundary, where H(e) has condition number about
+    # 4 / ratio^2 at (t - r)/t = ratio, it is no less accurate.
+    rng = np.random.default_rng(2)
+    oracle = sw.hp_barrier_oracle(family)
+    mapped = oracle.bind(rng.standard_normal((5, family.d)))
+    for _ in range(5):
+        X, M = mapped(interior_point(family, rng))
+        assert M.shape == (5, 5)
+        if family.name == SECOND_ORDER:
+            assert np.linalg.norm(M - X.T @ X) <= 1e-13 * np.linalg.norm(X.T @ X)
+        else:
+            np.testing.assert_array_equal(M, X.T @ X)
+    if family.name == SECOND_ORDER:
+        for ratio in (1e-6, 1e-12):
+            closed_form, product = lorentz_gram_errors(ratio)
+            assert closed_form <= product, ratio
 
 
 @settings(max_examples=25, deadline=None)

@@ -2,6 +2,7 @@
 
 import functools
 import json
+import math
 import pathlib
 import random
 
@@ -525,6 +526,23 @@ class TestTracefile:
             sw.parse_trace("k,gap\n1,abc\n")
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("cell", ['"abc"', "null", "[1,2]", "true", '{"a":1}'])
+    def test_cell_that_is_json_but_not_a_number_names_its_line(self, cell):
+        # Every cell is a number; a bool is not one, although Python's bool
+        # is an int.
+        with pytest.raises(ParseError) as err:
+            sw.parse_trace(f"k,gap\n0,1.5\n1,{cell}\n")
+        assert err.value.line == 3
+
+    def test_non_finite_cells_parse(self):
+        # export_trace writes a non-finite float as JSON's NaN or Infinity.
+        rows = [{"k": 0, "gap": math.inf}, {"k": 1, "gap": -math.inf}, {"k": 2, "gap": math.nan}]
+        csv_text = "k,gap\n0,Infinity\n1,-Infinity\n2,NaN\n"
+        json_text = json.dumps({"header": {}, "rows": rows, "footer": {}})
+        for text in (csv_text, json_text):
+            gaps = [row["gap"] for row in sw.parse_trace(text)["rows"]]
+            assert gaps[:2] == [math.inf, -math.inf] and math.isnan(gaps[2])
+
     @pytest.mark.parametrize(
         "doc",
         [
@@ -534,6 +552,9 @@ class TestTracefile:
             {"header": {}, "rows": [{"k": 0}, 1.5], "footer": {}},
             {"header": {}, "rows": {"k": 0}, "footer": {}},
             {"header": {}, "rows": []},
+            {"header": {}, "rows": [{"k": "x", "gap": None}], "footer": {}},
+            {"header": {}, "rows": [{"k": 0, "gap": 1.5}, {"k": True}], "footer": {}},
+            {"header": {}, "rows": [{"k": 0, "gap": [1.5]}], "footer": {}},
         ],
     )
     def test_json_document_that_is_not_a_trace(self, doc):

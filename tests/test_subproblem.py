@@ -239,7 +239,7 @@ class TestCholeskyQr2:
     @example(**IN_ONE_PASS_BAND)
     def test_second_pass_iff_one_pass_too_coarse(self, seed, m, extra, log_kappa):
         X = spread_block(seed, m + extra, m, log_kappa)
-        B, T, to_x = _range_basis(X)
+        B, T, to_x = _range_basis(X, X.T @ X)
         R1 = np.linalg.cholesky(X.T @ X).T
         two_pass = np.linalg.cond(R1, 1) > ONE_PASS_COND
         assert (to_x is not None) == two_pass
@@ -252,7 +252,7 @@ class TestCholeskyQr2:
     @example(seed=0, m=12, extra=30, log_kappa=6.0)
     def test_orthonormal_factor_of_spread_block(self, seed, m, extra, log_kappa):
         X = spread_block(seed, m + extra, m, log_kappa)
-        B, T, R1_inv = _range_basis(X)
+        B, T, R1_inv = _range_basis(X, X.T @ X)
         if R1_inv is None:
             return  # one pass; the projection test covers it
         # Two passes: B = Q1 = X R1^{-1}, T = R2^{-1}, and X = Q R with
@@ -274,7 +274,7 @@ class TestCholeskyQr2:
         # either factorization has: u times the condition number, with
         # margin.
         X = spread_block(seed, m + extra, m, log_kappa)
-        B, T, _ = _range_basis(X)
+        B, T, _ = _range_basis(X, X.T @ X)
         v = np.random.default_rng([seed, 1]).standard_normal(m + extra)
         v /= np.linalg.norm(v)
         Z, rest = _split_off_range(B, T, v[:, None])
@@ -298,4 +298,4 @@ class TestCholeskyQr2:
         X = spread_block(seed, m + extra, m, 0.0)
         X[:, data.draw(st.integers(0, m - 1))] = 0.0
         with pytest.raises(NumericalFailure):
-            _range_basis(X)
+            _range_basis(X, X.T @ X)
