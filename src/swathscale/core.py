@@ -98,11 +98,12 @@ class BarrierOracle:
     # matrix X^T X = A H(e)^{-1} A^T that the relaxation factors.  An oracle
     # may form M from the structure of H(e)^{-1} (the Lorentz oracle does,
     # in O(md + m^2) work per point), but only in a form no less accurate
-    # than the product X^T X: the basis X R1^{-1} from M = R1^T R1 is
-    # orthonormal only up to the error of M relative to M, and near the
-    # cone boundary H(e) has condition numbers beyond 1e12.  An oracle may
-    # unpack A here (the SDP oracle builds its matrix stack, the Lorentz
-    # oracle forms A A^T), so A must not change while the map is in use.
+    # than the product X^T X: M's relative error, times cond(M), sets the
+    # rate at which the relaxation's refinement passes against the factor
+    # of M contract, and near the cone boundary H(e) has condition numbers
+    # beyond 1e12.  An oracle may unpack A here (the SDP oracle builds its
+    # matrix stack, the Lorentz oracle forms A A^T), so A must not change
+    # while the map is in use.
     # By default the transpose of a C-contiguous A is mapped through the
     # frame at each point (every frame keeps the column-major order of
     # such a block), and M = X^T X.

@@ -128,7 +128,7 @@ def det_barrier_oracle(n: int) -> BarrierOracle:
     # BLAS threads, a threaded scipy call between numpy calls waits on
     # numpy's spinning workers, which once made an n=40 iteration 3.5 times
     # slower on two cores.  The only scipy call, dtrtri, is a triangular
-    # inverse that the relaxation's range basis runs as well.
+    # inverse that the relaxation's Gram factor runs as well.
     def build(e):
         """(G, G^{-1}, E^{-1}) at e."""
         try:

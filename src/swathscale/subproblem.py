@@ -60,67 +60,62 @@ def _stable_quadratic_roots(qa: float, qb: float, qc: float) -> list[float]:
     return roots
 
 
-# u^{-1/3} for the unit roundoff u, about 2.1e5: up to this condition number
-# one Gram pass and two correction steps reach O(u) (see solve_qcp).
-_ONE_PASS_COND = (np.finfo(float).eps / 2.0) ** (-1.0 / 3.0)
+# The unit roundoff u = 2^-53.
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 
 
-def _gram_factor(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Upper triangle ``R`` of the Gram matrix ``M = R^T R`` and its inverse."""
+def _pass_count(cond1: float) -> int:
+    """Refinement passes against the factor ``R`` of a Gram matrix that
+    bring the error of a least-squares solve to about ``u``.
+
+    Each pass leaves about ``u cond(X)^2`` of the error the pass before
+    left, with ``cond_1(R)`` as a cheap, mostly high, estimate of
+    ``cond(X)``.  Three passes reach ``u`` up to
+    ``cond_1(R) = u^{-1/3}``, about 2.1e5; above it the count grows, and
+    the clip at 1/2 caps it at 53.
+    """
+    log_u = math.log(_UNIT_ROUNDOFF)
+    log_rate = min(math.log(0.5), log_u + 2.0 * math.log(cond1))
+    return max(3, math.ceil(log_u / log_rate))
+
+
+def _gram_factor(M: np.ndarray) -> tuple[np.ndarray, int]:
+    """Inverse of the upper triangle ``R`` of the Gram matrix ``M = R^T R``
+    and the refinement pass count ``cond_1(R)`` calls for.
+
+    Raises NumericalFailure when ``M`` is not numerically positive definite
+    or ``R`` has a negligible pivot.
+    """
     try:
         R = np.linalg.cholesky(M).T
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(_RANK_DEFICIENT) from exc
     R_inv, info = dtrtri(R, lower=0)
-    if info != 0:
+    diag_R = np.abs(np.diag(R))
+    if info != 0 or diag_R.size == 0 or diag_R.min() <= 1e-13 * max(diag_R.max(), 1.0):
         raise NumericalFailure(_RANK_DEFICIENT)
-    return R, R_inv
+    # cond_1(R) from the 1-norms, summed as np.linalg.norm(., 1) sums them.
+    cond1 = np.abs(R).sum(axis=0).max() * np.abs(R_inv).sum(axis=0).max()
+    return R_inv, _pass_count(cond1)
 
 
-def _range_basis(
-    X: np.ndarray, M: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Basis ``B`` and upper triangle ``T`` with ``B T`` spanning ``range(X)``,
-    orthonormal up to the error two correction steps remove.
-
-    One Gram pass factors the Gram matrix ``M = X^T X = R1^T R1``.  When
-    ``cond_1(R1) <= u^{-1/3}`` it returns ``(X, R1^{-1}, None)``.
-    Otherwise it runs CholeskyQR2's second pass on ``Q1 = X R1^{-1}``
-    (Fukaya, Nakatsukasa, Yanagisawa and Yamamoto, 2014), formed
-    explicitly, and returns ``(Q1, R2^{-1}, R1^{-1})``: there ``X = Q1 R1``,
-    so ``R1^{-1}`` maps coefficients in ``Q1`` back to coefficients in
-    ``X``.  Raises NumericalFailure when a Gram matrix is not numerically
-    positive definite or the triangle ``R`` of ``X = (B T) R`` has a
-    negligible pivot.
-    """
-    R1, R1_inv = _gram_factor(M)
-    # cond_1(R1) from the 1-norms, summed as np.linalg.norm(., 1) sums them.
-    cond1 = np.abs(R1).sum(axis=0).max() * np.abs(R1_inv).sum(axis=0).max()
-    if cond1 <= _ONE_PASS_COND:
-        B, T, to_x, diag_R = X, R1_inv, None, np.abs(np.diag(R1))
-    else:
-        B = X @ R1_inv
-        R2, T = _gram_factor(B.T @ B)
-        to_x, diag_R = R1_inv, np.abs(np.diag(R2) * np.diag(R1))
-    if diag_R.size == 0 or diag_R.min() <= 1e-13 * max(diag_R.max(), 1.0):
-        raise NumericalFailure(_RANK_DEFICIENT)
-    return B, T, to_x
-
-
-def _split_off_range(
-    B: np.ndarray, T: np.ndarray, F: np.ndarray
+def _refined_solve(
+    X: np.ndarray, M: np.ndarray, rhs: np.ndarray, V: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``(Z, F - B Z)`` with ``B Z`` the projection of ``F`` on ``range(B T)``.
+    """``(Z, V - X Z)`` for the ``Z`` with ``X^T (V - X Z) = -rhs``.
 
-    The projection ``B T T^T B^T`` runs three times, each on the remainder
-    of the last, and the coefficients of the runs are summed, so the
-    remainder is orthogonal to the range to working accuracy.
+    ``M = X^T X``.  Each pass solves ``M Z_k = rhs + X^T V`` with the factor
+    of ``M`` for the current remainder ``V``, and ``Z`` sums the passes
+    (Bjorck, 1987).  With ``rhs = 0`` the remainder is ``V``'s part
+    orthogonal to ``range(X)``; with ``V = 0`` it is ``-X Z`` for the
+    least-norm solution ``X Z`` of ``X^T w = rhs``.
     """
+    T, passes = _gram_factor(M)
     Z = 0.0
-    for _ in range(3):
-        Zk = T @ (T.T @ (B.T @ F))
-        Z, F = Z + Zk, F - B @ Zk
-    return Z, F
+    for _ in range(passes):
+        Zk = T @ (T.T @ (rhs + X.T @ V))
+        Z, V = Z + Zk, V - X @ Zk
+    return Z, V
 
 
 def solve_qcp(
@@ -154,43 +149,30 @@ def solve_qcp(
     # Work in local coordinates w = L x with H = L^T L, where the cone is
     # the isotropic circular cone around ehat = L e (||ehat|| = sqrt(n)).
     # The ill-conditioning of H is confined to triangular solves and to the
-    # range of At_hat = L^{-T} A^T, which a basis B T from _range_basis
-    # spans.  One Cholesky pass of the Gram matrix leaves that basis
-    # orthonormal to about eps = u cond(At_hat)^2, and each correction step
-    # multiplies the error left in the least-norm solution and the
-    # projections below by about eps.  They take two steps, which bring it
-    # to about u while cond(At_hat) <= u^{-1/3} ~ 2.1e5 (one step would
-    # need cond(At_hat) <= u^{-1/4} ~ 9.7e3).  Beyond it the second
-    # CholeskyQR2 pass runs, which restores orthogonality to O(u) while
-    # cond(At_hat) < u^{-1/2} ~ 7e7.  On generated SDP (n=40, m=80) and
-    # Lorentz (d=200, m=100) instances, cond(At_hat) measured up to 5.5e4
-    # at a 1e-8 gap ratio and 4.9e6 at 1e-12; one pass everywhere, even
-    # with the correction steps, lost Lorentz runs to a 1e-12 ratio.
+    # range of At_hat = L^{-T} A^T, whose Gram matrix is factored once.  The
+    # refined solve takes as many passes against that factor as its
+    # condition number calls for: at a 1e-12 gap ratio the block reaches
+    # condition numbers near 5e6, where three passes lose Lorentz runs.
     if block is None:
         block = oracle.bind(A)
     apply_L, solve_Lt, solve_L = oracle.hessian_factor(e)
     ehat = apply_L(e)
     chat = solve_Lt(c)
     At_hat, gram = block(e)  # d x m solve_Lt(A.T), and At_hat^T At_hat
-    B, T, to_x = _range_basis(At_hat, gram)
 
-    # Write w = w0 + u with w0 the least-norm solution of At_hat^T w = b,
-    # which lies in range(B), and u orthogonal to it.  In the basis B the
-    # constraints read B^T w = b_B, with b_B = R1^{-T} b after the second
-    # pass (At_hat = B R1).  Only the parts of u along f = ehat_perp and
-    # g = chat_perp move the objective or loosen the cone, so the optimum
-    # lies in their plane, where the feasible set is a conic section:
-    # bounded (an ellipse) iff ||f|| < alpha, a parabola at ||f|| = alpha.
-    # Stationarity puts the optimum at
+    # Write w = w0 + u with w0 the least-norm solution of At_hat^T w = b and
+    # u orthogonal to range(At_hat).  Only the parts of u along
+    # f = ehat_perp and g = chat_perp move the objective or loosen the cone,
+    # so the optimum lies in their plane, where the feasible set is a conic
+    # section: bounded (an ellipse) iff ||f|| < alpha, a parabola at
+    # ||f|| = alpha.  Stationarity puts the optimum at
     # u = beta0 (f - kappa g) / (alpha^2 - <f, f - kappa g>) for a kappa > 0
     # that the boundary equation makes a root of one scalar quadratic.
-    b_B = b if to_x is None else to_x.T @ b
-    z0 = T @ (T.T @ b_B)
-    for _ in range(2):
-        z0 = z0 + T @ (T.T @ (b_B - B.T @ (B @ z0)))
-    w0 = B @ z0
-    Z, F = _split_off_range(B, T, np.column_stack([ehat, chat]))
-    f, g = F[:, 0], F[:, 1]
+    rhs = np.zeros((m, 3))
+    rhs[:, 0] = b
+    V = np.column_stack([np.zeros(d), ehat, chat])
+    Z, V = _refined_solve(At_hat, gram, rhs, V)
+    w0, f, g = -V[:, 0], V[:, 1], V[:, 2]
     ff, fg, gg = float(np.dot(f, f)), float(np.dot(f, g)), float(np.dot(g, g))
     beta0 = float(np.dot(ehat, w0))
     rho2 = float(np.dot(w0, w0))
@@ -212,14 +194,12 @@ def solve_qcp(
     # Pairing the stationarity equation with x and with e gives the
     # multiplier identity lambda * gap = -(n - alpha^2) <e, x>_e.  The dual
     # slack in the frame is shat = (gap / (n - alpha^2)) (ehat - (alpha^2/ip) w),
-    # and chat - shat = At_hat y lies in range(B): its coefficients in B are
-    # those of chat and shat, and R1^{-1} maps them to y after the second pass.
+    # and chat - shat = At_hat y: y combines the coefficients in At_hat of
+    # the range parts of chat, ehat and w, which the refined solve returned.
     ip = float(np.dot(ehat, w))  # <e, x>_e
     scale = gap / (n - alpha**2)
     lam = -ip / scale
-    y_e = Z[:, 1] - scale * (Z[:, 0] - (alpha**2 / ip) * z0)
-    if to_x is not None:
-        y_e = to_x @ y_e
+    y_e = Z[:, 2] - scale * (Z[:, 1] - (alpha**2 / ip) * Z[:, 0])
     s_e = scale * oracle.hessian_apply(e, e - (alpha**2 / ip) * x)
     return SubproblemSolution(
         x, y_e, s_e, lam, gap, SubStatus.SOLVED,

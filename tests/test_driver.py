@@ -277,9 +277,9 @@ class TestRun:
         # Each point is factored once and every oracle call at it reads that
         # factor: the SDP oracle takes one n x n Cholesky per point, and
         # nothing eigendecomposes or inverts a matrix.  The relaxation takes
-        # one m x m Cholesky factor of its Gram matrix per point, and a
-        # second where the constraint block is too ill-conditioned for one;
-        # this run reaches both cases.
+        # one m x m Cholesky factor of its Gram matrix per point, however
+        # ill-conditioned the constraint block: the refined solve takes more
+        # passes against it instead of a second factor.
         n, m = 10, 20
         oracle, A, b, c, e, _, _ = make_sdp(n, m=m, seed=0)
         calls = {"solve_qcp": 0, "eigh": 0, "inv": 0, (n, n): 0, (m, m): 0}
@@ -312,7 +312,7 @@ class TestRun:
         assert solves == res.iterations
         assert calls["eigh"] == 0 and calls["inv"] == 0
         assert calls[(n, n)] == solves
-        assert solves < calls[(m, m)] < 2 * solves
+        assert calls[(m, m)] == solves
 
         # The esym oracle builds its split Hessian factor, and the Lorentz
         # oracle its spectral frame, once per point.
@@ -358,7 +358,7 @@ class TestRun:
         # numpy and scipy each bundle a BLAS with its own thread pool.  A
         # threaded scipy call between numpy calls waits on numpy's idle
         # workers, so the loop applies every triangle through numpy, from
-        # the explicit inverses that CholeskyQR2's dtrtri returns.
+        # the explicit inverses that dtrtri returns.
         inst, e_lor = sw.gen_hp_instance(sw.second_order_family(30), 15, 1.0, 0)
         runs = [
             make_sdp(10, m=20, seed=0)[:5],
@@ -399,16 +399,38 @@ class TestRun:
     def test_full_size_lorentz_tight_tolerance(self, seed):
         # The benchmark's Lorentz d=200, m=100 instances of pool seeds 0 and
         # 7919 at a 1e-12 gap ratio, where the constraint block reaches
-        # condition numbers ~5e6 and CholeskyQR2's second pass runs: with
-        # one Gram pass alone, even with the relaxation's correction steps,
-        # these runs fail.  Each takes 36 iterations, a tripwire for a
-        # change to the relaxation's Gram matrix.
+        # condition numbers ~5e6 and the refined solve takes more than three
+        # passes against the Gram factor: with three passes alone these
+        # runs fail.  Each takes 36 iterations, a tripwire for a change to
+        # the relaxation's Gram matrix.
         inst, e = sw.gen_hp_instance(sw.second_order_family(200), 100, seed=seed)
         oracle = sw.hp_barrier_oracle(inst.family)
         res = sw.run(oracle, inst.A, inst.b, inst.c, e, sw.SolverConfig(gap_tol=1e-12))
         assert res.status is sw.RunStatus.CONVERGED
         assert res.iterations == 36
         assert all(v == 0 for v in res.violations.values()), res.violations
+
+    def test_full_size_sdp_dual_pair_at_tight_tolerance(self):
+        # The benchmark's sdp-n40 seed-0 pool (generator seeds 0-3) at a
+        # 1e-10 gap ratio, where the frame-transformed constraint block is
+        # ill-conditioned enough that the refined solve takes up to five
+        # passes: the dual vector it recovers must still pair with the dual
+        # slack to ||A^T y + s - c|| / (1 + ||c||) <= 2e-6, and the iterates
+        # must keep their counts.
+        iterations = []
+        for seed in range(4):
+            inst, E0 = sw.gen_central_path_sdp(40, 80, seed=seed)
+            A, c = inst.constraint_rows(), sw.svec(inst.C)
+            res = sw.run(
+                sw.det_barrier_oracle(40), A, inst.b, c, sw.svec(E0),
+                sw.SolverConfig(gap_tol=1e-10),
+            )
+            assert res.status is sw.RunStatus.CONVERGED
+            assert all(v == 0 for v in res.violations.values()), res.violations
+            residual = np.abs(A.T @ res.final_y + res.final_s - c).max()
+            assert residual <= 2e-6 * (1.0 + np.abs(c).max()), (seed, residual)
+            iterations.append(res.iterations)
+        assert iterations == [100, 105, 106, 106]
 
     def test_benchmark_pools_keep_their_iterates(self):
         # A tripwire for speedups: the iteration counts of the benchmark's

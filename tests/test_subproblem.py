@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import swathscale as sw
 from swathscale.errors import DimensionMismatch, DomainError, NumericalFailure
-from swathscale.subproblem import _range_basis, _split_off_range
+from swathscale.subproblem import _gram_factor, _pass_count, _refined_solve
 
 from conftest import diag2_problem, make_sdp
 
@@ -215,77 +215,87 @@ def spread_block(seed, d, m, log_kappa):
     return (U * sv) @ V.T
 
 
-# u^{-1/3} for the unit roundoff u = 2^-53: above this cond_1(R1) one
-# Cholesky pass is not accurate enough and CholeskyQR2's second pass runs.
-ONE_PASS_COND = 2.0 ** (53.0 / 3.0)
-# A block with u^{-1/4} < cond_1(R1) ~ 1.4e5 <= u^{-1/3}: one pass, where
-# the relaxation's two correction steps are needed.
-IN_ONE_PASS_BAND = dict(seed=1, m=30, extra=70, log_kappa=4.3)
+# u^{-1/3} for the unit roundoff u = 2^-53: up to this cond_1(R) of the
+# Gram factor three refinement passes reach u.
+THREE_PASS_COND = 2.0 ** (53.0 / 3.0)
+# A block with u^{-1/4} < cond_1(R) ~ 1.4e5 <= u^{-1/3}: three passes, where
+# two would not be enough.
+IN_THREE_PASS_BAND = dict(seed=1, m=30, extra=70, log_kappa=4.3)
 
 spread_blocks = given(
     seed=st.integers(0, 2**32 - 1),
     m=st.integers(1, 30),
     extra=st.integers(0, 70),
-    log_kappa=st.floats(0.0, 6.0),
+    log_kappa=st.floats(0.0, 8.0),
 )
 
 
-class TestCholeskyQr2:
-    """The basis of the frame-transformed constraints' range: one Gram
-    pass, or CholeskyQR2 when one pass is not accurate enough."""
+class TestRefinedSolve:
+    """Least-squares solves against one Gram factor, refined by as many
+    passes as the factor's condition number calls for."""
+
+    def test_pass_count_bounds(self):
+        assert _pass_count(1.0) == 3
+        assert _pass_count(0.99 * THREE_PASS_COND) == 3
+        assert _pass_count(1.01 * THREE_PASS_COND) == 4
+        counts = [_pass_count(k) for k in np.logspace(5.5, 9.0, 50)]
+        assert counts == sorted(counts)
+        # From u cond^2 = 1/2 on, the rate is clipped at 1/2, and 53
+        # halvings reach u = 2^-53.
+        assert _pass_count(1e8) == _pass_count(1e300) == _pass_count(math.inf) == 53
 
     @settings(max_examples=60, deadline=None)
     @spread_blocks
-    @example(**IN_ONE_PASS_BAND)
-    def test_second_pass_iff_one_pass_too_coarse(self, seed, m, extra, log_kappa):
+    @example(**IN_THREE_PASS_BAND)
+    def test_pass_count_follows_cond1(self, seed, m, extra, log_kappa):
         X = spread_block(seed, m + extra, m, log_kappa)
-        B, T, to_x = _range_basis(X, X.T @ X)
-        R1 = np.linalg.cholesky(X.T @ X).T
-        two_pass = np.linalg.cond(R1, 1) > ONE_PASS_COND
-        assert (to_x is not None) == two_pass
-        if not two_pass:
-            assert B is X
-            assert np.linalg.norm(T @ R1 - np.eye(m), 2) <= 1e-13 * np.linalg.cond(R1)
+        T, passes = _gram_factor(X.T @ X)
+        R = np.linalg.cholesky(X.T @ X).T
+        assert np.linalg.norm(T @ R - np.eye(m), 2) <= 1e-13 * np.linalg.cond(R)
+        cond1 = np.linalg.cond(R, 1)
+        assert 3 <= passes <= 53
+        if cond1 <= 0.99 * THREE_PASS_COND:
+            assert passes == 3
+        elif cond1 >= 1.01 * THREE_PASS_COND:
+            assert passes > 3
 
     @settings(max_examples=60, deadline=None)
     @spread_blocks
-    @example(seed=0, m=12, extra=30, log_kappa=6.0)
-    def test_orthonormal_factor_of_spread_block(self, seed, m, extra, log_kappa):
-        X = spread_block(seed, m + extra, m, log_kappa)
-        B, T, R1_inv = _range_basis(X, X.T @ X)
-        if R1_inv is None:
-            return  # one pass; the projection test covers it
-        # Two passes: B = Q1 = X R1^{-1}, T = R2^{-1}, and X = Q R with
-        # Q = Q1 R2^{-1}, R = R2 R1.
-        R1 = np.linalg.cholesky(X.T @ X).T
-        assert np.linalg.norm(R1 @ R1_inv - np.eye(m), 2) <= 1e-13 * np.linalg.cond(R1)
-        Q, R = B @ T, scipy.linalg.solve_triangular(T, R1)
-        assert Q.shape == X.shape and R.shape == (m, m)
-        assert np.linalg.norm(Q.T @ Q - np.eye(m), 2) <= 1e-12
-        assert np.linalg.norm(Q @ R - X, 2) <= 1e-12 * np.linalg.norm(X, 2)
-        assert np.all(np.tril(R, -1) == 0.0)
-
-    @settings(max_examples=60, deadline=None)
-    @spread_blocks
-    @example(**IN_ONE_PASS_BAND)
+    @example(**IN_THREE_PASS_BAND)
+    @example(seed=0, m=12, extra=30, log_kappa=8.0)
     def test_projection_matches_householder(self, seed, m, extra, log_kappa):
-        # For every condition number, one-pass band included, the repeated
+        # For every condition number, three-pass band included, the refined
         # projection onto the range matches Householder's to the accuracy
         # either factorization has: u times the condition number, with
         # margin.
         X = spread_block(seed, m + extra, m, log_kappa)
-        B, T, _ = _range_basis(X, X.T @ X)
         v = np.random.default_rng([seed, 1]).standard_normal(m + extra)
         v /= np.linalg.norm(v)
-        Z, rest = _split_off_range(B, T, v[:, None])
+        Z, rest = _refined_solve(X, X.T @ X, np.zeros((m, 1)), v[:, None])
         assert Z.shape == (m, 1) and rest.shape == (m + extra, 1)
         Qh, _ = np.linalg.qr(X)
         tol = 1e-13 * 10.0**log_kappa
         assert np.linalg.norm((v - rest[:, 0]) - Qh @ (Qh.T @ v)) <= tol
-        # Repeated projection leaves the remainder orthogonal to the range to
-        # about u times the condition number; one projection alone leaves
-        # up to u cond^2 on a one-pass basis.
+        # The refined remainder is orthogonal to the range to about u times
+        # the condition number; one projection alone leaves up to u cond^2.
         assert np.linalg.norm(Qh.T @ rest) <= 0.1 * tol
+
+    @settings(max_examples=60, deadline=None)
+    @spread_blocks
+    @example(**IN_THREE_PASS_BAND)
+    @example(seed=0, m=12, extra=30, log_kappa=8.0)
+    def test_least_norm_solution_matches_householder(self, seed, m, extra, log_kappa):
+        # With V = 0 the remainder is minus the least-norm solution w0 of
+        # X^T w = b, and X Z = w0.  Householder gives w0 = Q R^{-T} b; both
+        # are scaled by ||w0|| for the comparison.
+        X = spread_block(seed, m + extra, m, log_kappa)
+        b = np.random.default_rng([seed, 2]).standard_normal(m)
+        Z, rest = _refined_solve(X, X.T @ X, b[:, None], np.zeros((m + extra, 1)))
+        Qh, Rh = np.linalg.qr(X)
+        w0 = Qh @ scipy.linalg.solve_triangular(Rh, b, trans="T")
+        tol = 1e-13 * 10.0**log_kappa * np.linalg.norm(w0)
+        assert np.linalg.norm(-rest[:, 0] - w0) <= tol
+        assert np.linalg.norm(X @ Z[:, 0] - w0) <= tol
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -298,4 +308,4 @@ class TestCholeskyQr2:
         X = spread_block(seed, m + extra, m, 0.0)
         X[:, data.draw(st.integers(0, m - 1))] = 0.0
         with pytest.raises(NumericalFailure):
-            _range_basis(X, X.T @ X)
+            _refined_solve(X, X.T @ X, np.zeros((m, 1)), np.zeros((m + extra, 1)))
