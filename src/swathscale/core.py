@@ -15,10 +15,13 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.linalg.lapack import dtrtri
 
-from .errors import DomainError, InvariantViolation, NotInterior
+from .errors import DomainError, InvariantViolation, NotInterior, NumericalFailure
 
 Vector = np.ndarray
+
+RANK_DEFICIENT = "constraint map is rank-deficient at this point"
 
 
 def check_constraints(A: np.ndarray, b: Vector, c: Vector) -> None:
@@ -92,21 +95,25 @@ class BarrierOracle:
     # column alone.
     hessian_factor: Callable[[Vector], tuple]
     # bind(A) takes the (m, d) constraint block once per run and returns
-    # mapped(e) = (X, M).  X is the (d, m) block solve_Lt(A.T) of the frame
-    # at e, in column-major (Fortran) order: the relaxation's projection
-    # passes read each mapped constraint contiguously.  M is the Gram
-    # matrix X^T X = A H(e)^{-1} A^T that the relaxation factors.  An oracle
-    # may form M from the structure of H(e)^{-1} (the Lorentz oracle does,
-    # in O(md + m^2) work per point), but only in a form no less accurate
-    # than the product X^T X: M's relative error, times cond(M), sets the
-    # rate at which the relaxation's refinement passes against the factor
-    # of M contract, and near the cone boundary H(e) has condition numbers
-    # beyond 1e12.  An oracle may unpack A here (the SDP oracle builds its
-    # matrix stack, the Lorentz oracle forms A A^T), so A must not change
-    # while the map is in use.
+    # mapped(e) = (X, solve, cond).  X is the (d, m) block solve_Lt(A.T) of
+    # the frame at e, in column-major (Fortran) order: the relaxation's
+    # projection passes read each mapped constraint contiguously.  solve(r)
+    # applies M^{-1} to an (m, k) block r, for the Gram matrix
+    # M = X^T X = A H(e)^{-1} A^T, and cond estimates cond(X), from which
+    # the relaxation's refinement takes its pass count; the map raises
+    # NumericalFailure when M is numerically singular.  An oracle may solve
+    # with M through the structure of H(e)^{-1} (the Lorentz oracle does, in
+    # O(m^2) work per point and per application), but only with an error no
+    # larger than that of the Cholesky solve of X^T X: the solve's error
+    # sets the rate at which the refinement passes contract, and near the
+    # cone boundary H(e) has condition numbers beyond 1e12.  cond should
+    # err high, as cond_1(R) for M = R^T R mostly does: a low estimate
+    # costs accuracy, a high one costs passes.  An oracle may unpack A here
+    # (the SDP oracle builds its matrix stack, the Lorentz oracle factors
+    # A A^T), so A must not change while the map is in use.
     # By default the transpose of a C-contiguous A is mapped through the
     # frame at each point (every frame keeps the column-major order of
-    # such a block), and M = X^T X.
+    # such a block), and M = X^T X is solved by gram_solve.
     bind: Callable[[np.ndarray], Callable[[Vector], tuple]] | None = None
     # hessian_solve(e, w) = H(e)^{-1} w = L^{-1} L^{-T} w, by default through
     # the frame at e.
@@ -126,7 +133,7 @@ class BarrierOracle:
 
                 def mapped(e):
                     X = factor(e)[1](At)
-                    return X, X.T @ X
+                    return (X, *gram_solve(X.T @ X))
 
                 return mapped
 
@@ -138,6 +145,39 @@ class BarrierOracle:
                 return solve_L(solve_Lt(w))
 
             object.__setattr__(self, "hessian_solve", hessian_solve)
+
+
+def gram_factor(M: np.ndarray) -> tuple[np.ndarray, float]:
+    """Inverse of the upper triangle ``R`` of the Gram matrix ``M = R^T R``,
+    and ``cond_1(R)``.
+
+    Raises NumericalFailure when ``M`` is not numerically positive definite
+    or ``R`` has a negligible pivot.
+    """
+    try:
+        R = np.linalg.cholesky(M).T
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(RANK_DEFICIENT) from exc
+    R_inv, info = dtrtri(R, lower=0)
+    diag_R = np.abs(np.diag(R))
+    if info != 0 or diag_R.size == 0 or diag_R.min() <= 1e-13 * max(diag_R.max(), 1.0):
+        raise NumericalFailure(RANK_DEFICIENT)
+    # cond_1(R) from the 1-norms, summed as np.linalg.norm(., 1) sums them.
+    cond1 = np.abs(R).sum(axis=0).max() * np.abs(R_inv).sum(axis=0).max()
+    return R_inv, cond1
+
+
+def gram_solve(M: np.ndarray) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
+    """``(solve, cond_1(R))`` for the Gram matrix ``M = R^T R``: ``solve(r)``
+    applies ``M^{-1} = R^{-1} R^{-T}`` through the explicit inverse, two
+    products and no triangular solve.  The solve of a bound map by default,
+    and of the SDP map."""
+    R_inv, cond1 = gram_factor(M)
+
+    def solve(r):
+        return R_inv @ (R_inv.T @ r)
+
+    return solve, cond1
 
 
 def point_cache(build: Callable[[Vector], tuple]) -> Callable[[Vector], tuple]:

@@ -18,12 +18,20 @@ import numpy as np
 import scipy.linalg
 
 from . import sdp
-from .core import BarrierOracle, check_constraints, check_start, point_cache
+from .core import (
+    RANK_DEFICIENT,
+    BarrierOracle,
+    check_constraints,
+    check_start,
+    gram_factor,
+    point_cache,
+)
 from .errors import (
     DegenerateLeadingCoefficient,
     DimensionMismatch,
     DomainError,
     NotInterior,
+    NumericalFailure,
 )
 
 PRODUCT = "product"
@@ -231,6 +239,12 @@ def _product_oracle(d: int) -> BarrierOracle:
     )
 
 
+# An eigenvalue of the Lorentz map's I + C D C^T at or below this fraction
+# of the largest (and of 1) is lost in rounding, as it would be in a
+# Cholesky factor of M: the map's Gram matrix is then numerically singular.
+_NEGLIGIBLE_EIGENVALUE = np.finfo(float).eps
+
+
 def _lorentz_oracle(d: int) -> BarrierOracle:
     """Barrier ``-ln(t^2 - ||u||^2)`` on e = (u, t), all in closed form."""
     guard = _interior_guard(d, SECOND_ORDER, _lorentz_interior)
@@ -309,21 +323,46 @@ def _lorentz_oracle(d: int) -> BarrierOracle:
         return apply_L, solve_any, solve_any
 
     def bind(A):
-        # H(e)^{-1} = (I - B B^T) / mu_iso + B diag(mu_B)^{-1} B^T, so the
-        # Gram matrix A H(e)^{-1} A^T takes A A^T once per run and one A B
-        # per point, which the block shares: it is solve_Lt(A.T) bit for
-        # bit.  The projection off span(B) is taken before the 1/mu_iso
-        # scale: folding the two terms into A A^T (t-r)(t+r)/2 plus a rank-2
-        # term would leave the (t-r)^2/2 curvature along b1 as the
-        # difference of two terms of size (t-r) t.
+        # H(e)^{-1} = (I + B D B^T) / mu_iso with D = diag(mu_iso / mu_B - 1),
+        # so with A A^T = R_A^T R_A, factored once per run,
+        # M = A H(e)^{-1} A^T = R_A^T (I + C D C^T) R_A / mu_iso for the
+        # (m, 2) block C = R_A^{-T} A B, and by Woodbury
+        # M^{-1} = mu_iso R_A^{-1} (I - C K C^T) R_A^{-T} with the 2x2
+        # K = D (I + C^T C D)^{-1}.  A point takes one A B, which the block
+        # shares (it is solve_Lt(A.T) bit for bit), and one R_A^{-T} A B: no
+        # m x m matrix is formed or factored per point.  R_A is factored at
+        # the first point, so that a rank-deficient A fails inside the
+        # run's loop, as NumericalFailure.
         A = np.ascontiguousarray(A, dtype=float)
-        AAt = A @ A.T
+
+        @functools.cache
+        def rows_factor():
+            return gram_factor(A @ A.T)
 
         def mapped(e):
+            RA_inv, cond_A = rows_factor()
             mu, B = frame(e)
             AB = A @ B
-            M = (AAt - AB @ AB.T) / mu[0] + (AB / mu[1:]) @ AB.T
-            return spectral_rows(mu**-0.5, B, A, AB), M
+            C = RA_inv.T @ AB
+            d1, d2 = (mu[0] / mu[1:] - 1.0).tolist()
+            (g11, g12), (_, g22) = (C.T @ C).tolist()
+            # N = I + C^T C D has the eigenvalues of I + C D C^T other than 1.
+            n11, n12, n21, n22 = 1.0 + g11 * d1, g12 * d2, g12 * d1, 1.0 + g22 * d2
+            det = n11 * n22 - n12 * n21
+            half = 0.5 * (n11 + n22)
+            lam_hi = half + math.sqrt(max(half * half - det, 0.0))
+            lam_lo = det / lam_hi
+            if not lam_lo > _NEGLIGIBLE_EIGENVALUE * max(lam_hi, 1.0):
+                raise NumericalFailure(RANK_DEFICIENT)
+            K = np.array([[d1 * n22, -d1 * n12], [-d2 * n21, d2 * n11]]) / det
+            mu_iso = float(mu[0])
+
+            def solve(r):
+                s = RA_inv.T @ r
+                return mu_iso * (RA_inv @ (s - C @ (K @ (C.T @ s))))
+
+            cond = cond_A * math.sqrt(max(lam_hi, 1.0) / min(lam_lo, 1.0))
+            return spectral_rows(mu**-0.5, B, A, AB), solve, cond
 
         return mapped
 

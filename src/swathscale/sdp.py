@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dtrtri
 
-from .core import BarrierOracle, check_constraints, point_cache
+from .core import BarrierOracle, check_constraints, gram_solve, point_cache
 from .errors import DimensionMismatch, NotInterior
 
 _SQRT2 = np.sqrt(2.0)
@@ -206,8 +206,8 @@ def det_barrier_oracle(n: int) -> BarrierOracle:
     def bind(A):
         # The constraint block is mapped at every iterate, so its (m, n, n)
         # matrix stack is unpacked once per run; each iterate maps it as
-        # solve_Lt(A.T) would, with one batched congruence by G^T, and takes
-        # the block's Gram matrix as the default map does.
+        # solve_Lt(A.T) would, with one batched congruence by G^T, and solves
+        # with the block's Gram matrix as the default map does.
         S = smat(A)
         S.flags.writeable = False
         # The products of every iterate go to two buffers kept for the run.
@@ -220,7 +220,7 @@ def det_barrier_oracle(n: int) -> BarrierOracle:
         def mapped(e):
             G, _, _ = factor(e)
             X = stack_congruence(G.T, S, work)
-            return X, X.T @ X
+            return (X, *gram_solve(X.T @ X))
 
         return mapped
 

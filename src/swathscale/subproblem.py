@@ -16,12 +16,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dtrtri
 
 from .core import BarrierOracle
-from .errors import DimensionMismatch, DomainError, NumericalFailure
-
-_RANK_DEFICIENT = "constraint map is rank-deficient at this point"
+from .errors import DimensionMismatch, DomainError
 
 
 class SubStatus(enum.Enum):
@@ -64,56 +61,41 @@ def _stable_quadratic_roots(qa: float, qb: float, qc: float) -> list[float]:
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 
 
-def _pass_count(cond1: float) -> int:
-    """Refinement passes against the factor ``R`` of a Gram matrix that
+def _pass_count(cond: float) -> int:
+    """Refinement passes against a solve with the Gram matrix ``X^T X`` that
     bring the error of a least-squares solve to about ``u``.
 
     Each pass leaves about ``u cond(X)^2`` of the error the pass before
-    left, with ``cond_1(R)`` as a cheap, mostly high, estimate of
-    ``cond(X)``.  Three passes reach ``u`` up to
-    ``cond_1(R) = u^{-1/3}``, about 2.1e5; above it the count grows, and
-    the clip at 1/2 caps it at 53.
+    left, with the bound map's ``cond`` as a cheap, mostly high, estimate
+    of ``cond(X)`` (``cond_1(R)`` for a Cholesky factor ``R``).  Three
+    passes reach ``u`` up to ``cond = u^{-1/3}``, about 2.1e5; above it
+    the count grows, and the clip at 1/2 caps it at 53.
     """
     log_u = math.log(_UNIT_ROUNDOFF)
-    log_rate = min(math.log(0.5), log_u + 2.0 * math.log(cond1))
+    log_rate = min(math.log(0.5), log_u + 2.0 * math.log(cond))
     return max(3, math.ceil(log_u / log_rate))
 
 
-def _gram_factor(M: np.ndarray) -> tuple[np.ndarray, int]:
-    """Inverse of the upper triangle ``R`` of the Gram matrix ``M = R^T R``
-    and the refinement pass count ``cond_1(R)`` calls for.
-
-    Raises NumericalFailure when ``M`` is not numerically positive definite
-    or ``R`` has a negligible pivot.
-    """
-    try:
-        R = np.linalg.cholesky(M).T
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(_RANK_DEFICIENT) from exc
-    R_inv, info = dtrtri(R, lower=0)
-    diag_R = np.abs(np.diag(R))
-    if info != 0 or diag_R.size == 0 or diag_R.min() <= 1e-13 * max(diag_R.max(), 1.0):
-        raise NumericalFailure(_RANK_DEFICIENT)
-    # cond_1(R) from the 1-norms, summed as np.linalg.norm(., 1) sums them.
-    cond1 = np.abs(R).sum(axis=0).max() * np.abs(R_inv).sum(axis=0).max()
-    return R_inv, _pass_count(cond1)
-
-
 def _refined_solve(
-    X: np.ndarray, M: np.ndarray, rhs: np.ndarray, V: np.ndarray
+    X: np.ndarray,
+    solve: Callable[[np.ndarray], np.ndarray],
+    cond: float,
+    rhs: np.ndarray,
+    V: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(Z, V - X Z)`` for the ``Z`` with ``X^T (V - X Z) = -rhs``.
 
-    ``M = X^T X``.  Each pass solves ``M Z_k = rhs + X^T V`` with the factor
-    of ``M`` for the current remainder ``V``, and ``Z`` sums the passes
-    (Bjorck, 1987).  With ``rhs = 0`` the remainder is ``V``'s part
-    orthogonal to ``range(X)``; with ``V = 0`` it is ``-X Z`` for the
-    least-norm solution ``X Z`` of ``X^T w = rhs``.
+    ``solve`` applies the inverse of the Gram matrix ``M = X^T X``, and
+    ``cond`` estimates ``cond(X)``.  Each pass solves
+    ``M Z_k = rhs + X^T V`` for the current remainder ``V``, and ``Z`` sums
+    the passes (Bjorck, 1987): the passes correct the solve's error through
+    ``X``, so ``solve`` need not be a triangular factor.  With ``rhs = 0``
+    the remainder is ``V``'s part orthogonal to ``range(X)``; with ``V = 0``
+    it is ``-X Z`` for the least-norm solution ``X Z`` of ``X^T w = rhs``.
     """
-    T, passes = _gram_factor(M)
     Z = 0.0
-    for _ in range(passes):
-        Zk = T @ (T.T @ (rhs + X.T @ V))
+    for _ in range(_pass_count(cond)):
+        Zk = solve(rhs + X.T @ V)
         Z, V = Z + Zk, V - X @ Zk
     return Z, V
 
@@ -130,8 +112,9 @@ def solve_qcp(
     """Optimal primal/dual pair of the quadratic-cone relaxation at e.
 
     ``block`` is ``oracle.bind(A)``, which maps a point to the frame's
-    constraint block and its Gram matrix: a run binds its constraint block
-    once and hands the map to every call, and a call without it binds ``A``.
+    constraint block, a solve with its Gram matrix and an estimate of the
+    block's condition number: a run binds its constraint block once and
+    hands the map to every call, and a call without it binds ``A``.
     Returns status NOT_IN_SWATH when the conic section has no minimizer
     (the relaxation is unbounded); raises NumericalFailure when the
     constraint map is rank-deficient at e.
@@ -149,16 +132,18 @@ def solve_qcp(
     # Work in local coordinates w = L x with H = L^T L, where the cone is
     # the isotropic circular cone around ehat = L e (||ehat|| = sqrt(n)).
     # The ill-conditioning of H is confined to triangular solves and to the
-    # range of At_hat = L^{-T} A^T, whose Gram matrix is factored once.  The
-    # refined solve takes as many passes against that factor as its
-    # condition number calls for: at a 1e-12 gap ratio the block reaches
-    # condition numbers near 5e6, where three passes lose Lorentz runs.
+    # range of At_hat = L^{-T} A^T, with whose Gram matrix the bound map
+    # solves.  The refined solve takes as many passes against that solve as
+    # the block's condition number calls for: at a 1e-12 gap ratio the
+    # block reaches condition numbers near 5e6, where three passes lose
+    # Lorentz runs.
     if block is None:
         block = oracle.bind(A)
     apply_L, solve_Lt, solve_L = oracle.hessian_factor(e)
     ehat = apply_L(e)
     chat = solve_Lt(c)
-    At_hat, gram = block(e)  # d x m solve_Lt(A.T), and At_hat^T At_hat
+    # d x m solve_Lt(A.T), the inverse of At_hat^T At_hat, and cond(At_hat)
+    At_hat, solve_gram, cond = block(e)
 
     # Write w = w0 + u with w0 the least-norm solution of At_hat^T w = b and
     # u orthogonal to range(At_hat).  Only the parts of u along
@@ -171,7 +156,7 @@ def solve_qcp(
     rhs = np.zeros((m, 3))
     rhs[:, 0] = b
     V = np.column_stack([np.zeros(d), ehat, chat])
-    Z, V = _refined_solve(At_hat, gram, rhs, V)
+    Z, V = _refined_solve(At_hat, solve_gram, cond, rhs, V)
     w0, f, g = -V[:, 0], V[:, 1], V[:, 2]
     ff, fg, gg = float(np.dot(f, f)), float(np.dot(f, g)), float(np.dot(g, g))
     beta0 = float(np.dot(ehat, w0))

@@ -279,7 +279,9 @@ class TestRun:
         # nothing eigendecomposes or inverts a matrix.  The relaxation takes
         # one m x m Cholesky factor of its Gram matrix per point, however
         # ill-conditioned the constraint block: the refined solve takes more
-        # passes against it instead of a second factor.
+        # passes against it instead of a second factor.  The Lorentz map
+        # solves with its Gram matrix in closed form from the factor of
+        # A A^T, so a Lorentz run takes one m x m Cholesky in all.
         n, m = 10, 20
         oracle, A, b, c, e, _, _ = make_sdp(n, m=m, seed=0)
         calls = {"solve_qcp": 0, "eigh": 0, "inv": 0, (n, n): 0, (m, m): 0}
@@ -313,6 +315,23 @@ class TestRun:
         assert calls["eigh"] == 0 and calls["inv"] == 0
         assert calls[(n, n)] == solves
         assert calls[(m, m)] == solves
+
+        inst, e_lor = sw.gen_hp_instance(sw.second_order_family(30), 15, 1.0, 0)
+        shapes = []
+
+        def recorded(M, *args, **kwargs):
+            shapes.append(np.shape(M))
+            return cholesky(M, *args, **kwargs)
+
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", recorded)
+        res = sw.run(
+            sw.hp_barrier_oracle(inst.family), inst.A, inst.b, inst.c, e_lor,
+            sw.SolverConfig(),
+        )
+        monkeypatch.undo()
+        assert res.status is sw.RunStatus.CONVERGED and res.iterations > 1
+        assert shapes == [(15, 15)]
 
         # The esym oracle builds its split Hessian factor, and the Lorentz
         # oracle its spectral frame, once per point.
@@ -400,9 +419,9 @@ class TestRun:
         # The benchmark's Lorentz d=200, m=100 instances of pool seeds 0 and
         # 7919 at a 1e-12 gap ratio, where the constraint block reaches
         # condition numbers ~5e6 and the refined solve takes more than three
-        # passes against the Gram factor: with three passes alone these
-        # runs fail.  Each takes 36 iterations, a tripwire for a change to
-        # the relaxation's Gram matrix.
+        # passes against the Gram solve: with three passes alone these runs
+        # fail.  Each takes 36 iterations, a tripwire for a change to the
+        # relaxation's Gram solve.
         inst, e = sw.gen_hp_instance(sw.second_order_family(200), 100, seed=seed)
         oracle = sw.hp_barrier_oracle(inst.family)
         res = sw.run(oracle, inst.A, inst.b, inst.c, e, sw.SolverConfig(gap_tol=1e-12))
@@ -431,6 +450,26 @@ class TestRun:
             assert residual <= 2e-6 * (1.0 + np.abs(c).max()), (seed, residual)
             iterations.append(res.iterations)
         assert iterations == [100, 105, 106, 106]
+
+    def test_full_size_lorentz_dual_pair_at_tight_tolerance(self):
+        # The benchmark's lorentz-d200 seed-0 pool (generator seeds 0-7) at a
+        # 1e-10 gap ratio, where the refined solve takes up to ten passes
+        # against the Lorentz map's closed-form Gram solve: the dual vector
+        # must pair with the dual slack to
+        # ||A^T y + s - c|| / (1 + ||c||) <= 2e-6, and each run must keep
+        # its 30 iterations.
+        family = sw.second_order_family(200)
+        for seed in range(8):
+            inst, e = sw.gen_hp_instance(family, 100, seed=seed)
+            res = sw.run(
+                sw.hp_barrier_oracle(family), inst.A, inst.b, inst.c, e,
+                sw.SolverConfig(gap_tol=1e-10),
+            )
+            assert res.status is sw.RunStatus.CONVERGED
+            assert res.iterations == 30, seed
+            assert all(v == 0 for v in res.violations.values()), res.violations
+            residual = np.abs(inst.A.T @ res.final_y + res.final_s - inst.c).max()
+            assert residual <= 2e-6 * (1.0 + np.abs(inst.c).max()), (seed, residual)
 
     def test_benchmark_pools_keep_their_iterates(self):
         # A tripwire for speedups: the iteration counts of the benchmark's

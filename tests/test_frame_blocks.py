@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import swathscale as sw
-from swathscale.errors import DimensionMismatch
+from swathscale.core import gram_solve
+from swathscale.errors import DimensionMismatch, NumericalFailure
 from swathscale.hyperbolic import SECOND_ORDER
 
 FAMILIES = [
@@ -101,7 +102,8 @@ def test_bound_map_is_the_frames_block_map(family):
     # bit as the frame's solve_Lt(A.T) does (the SDP oracle from a matrix
     # stack it unpacks once, through work buffers it keeps for the run; a
     # returned block never shares them, so a later call leaves it as it
-    # was; the Lorentz oracle through the A B it shares with M).  An
+    # was; the Lorentz oracle through the A B it shares with its Gram
+    # solve).  An
     # unbound block is mapped from its contents at each call, so one
     # changed in place maps from its new entries.
     rng = np.random.default_rng(0)
@@ -135,63 +137,97 @@ def test_bound_block_is_column_major(family):
     e = interior_point(family, rng)
     _, solve_Lt, _ = oracle.hessian_factor(e)
     for rows in (A, np.asfortranarray(A)):
-        block, _ = oracle.bind(rows)(e)
+        block, _, _ = oracle.bind(rows)(e)
         assert block.shape == (family.d, 5)
         assert block.flags.f_contiguous
         assert_columns_match(lambda _: block, solve_Lt, A.T)
 
 
-def lorentz_gram_errors(ratio):
-    """Errors of the Lorentz map's M and of X^T X at a point with
-    (t - r)/t = ratio, for a random (100, 200) block A.
+def cholesky_long_double(M):
+    """Lower Cholesky factor of a long-double matrix, in long double."""
+    L = np.zeros_like(M)
+    for j in range(M.shape[0]):
+        pivot = np.sqrt(M[j, j] - L[j, :j] @ L[j, :j])
+        L[j, j] = pivot
+        L[j + 1 :, j] = (M[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / pivot
+    return L
 
-    The reference is M_ref = A H(e)^{-1} A^T in long double, from
-    H(e)^{-1} = e e^T - (p(e)/2) J with J = diag(-1, ..., -1, 1) and
-    p(e) = (t - r)(t + r).  The norm is ||M_ref^{-1/2} (G - M_ref) M_ref^{-1/2}||_2,
-    the one that bounds how orthonormal the relaxation's basis is.
+
+def lorentz_solve_errors(ratio):
+    """Errors of the Lorentz map's Gram solve and of the Cholesky solve of
+    X^T X at a point with (t - r)/t = ratio, for a random (100, 200) block A.
+
+    The reference is M_ref = A H(e)^{-1} A^T = L_ref L_ref^T in long double,
+    from H(e)^{-1} = e e^T - (p(e)/2) J with J = diag(-1, ..., -1, 1) and
+    p(e) = (t - r)(t + r).  The error of a solve that applies the matrix S
+    is ||L_ref^T S L_ref - I||_2, the factor by which a refinement pass
+    leaves the error of the pass before.
     """
     d, m = 200, 100
     rng = np.random.default_rng(0)
     A = rng.standard_normal((m, d))
     u = rng.standard_normal(d - 1)
     e = np.append((1.0 - ratio) * u / np.linalg.norm(u), 1.0)
-    X, M = sw.hp_barrier_oracle(sw.second_order_family(d)).bind(A)(e)
+    X, solve, _ = sw.hp_barrier_oracle(sw.second_order_family(d)).bind(A)(e)
     el, Al = e.astype(np.longdouble), A.astype(np.longdouble)
     t, r = el[-1], np.sqrt(np.sum(el[:-1] ** 2))
     J = np.append(-np.ones(d - 1), 1.0).astype(np.longdouble)
     Ae = Al @ el
     M_ref = np.outer(Ae, Ae) - ((t - r) * (t + r) / 2) * ((Al * J) @ Al.T)
-    L = np.linalg.cholesky(M_ref.astype(float))
+    L = cholesky_long_double(M_ref)
 
-    def error(G):
-        D = (G.astype(np.longdouble) - M_ref).astype(float)
-        W = scipy.linalg.solve_triangular(L, D, lower=True)
-        return np.linalg.norm(scipy.linalg.solve_triangular(L, W.T, lower=True), 2)
+    def error(solve):
+        S = solve(np.eye(m)).astype(np.longdouble)
+        return np.linalg.norm((L.T @ S @ L - np.eye(m)).astype(float), 2)
 
-    return error(M), error(X.T @ X)
+    return error(solve), error(gram_solve(X.T @ X)[0])
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
 def test_bound_gram_is_the_blocks_gram(family):
-    # The map returns beside X its Gram matrix M = X^T X = A H(e)^{-1} A^T:
-    # the product itself, except that the Lorentz oracle forms it from the
-    # closed-form H(e)^{-1}.  That agrees with the product to rounding, and
-    # near the cone boundary, where H(e) has condition number about
-    # 4 / ratio^2 at (t - r)/t = ratio, it is no less accurate.
+    # Beside X the map returns a solve with its Gram matrix
+    # M = X^T X = A H(e)^{-1} A^T and an estimate of cond(X): the Cholesky
+    # solve of the product X^T X and cond_1 of its factor, bit for bit,
+    # except that the Lorentz oracle solves in closed form through
+    # H(e)^{-1} and the factor of A A^T.  That inverts X^T X to rounding,
+    # its estimate errs high, and near the cone boundary, where H(e) has
+    # condition number about 4 / ratio^2 at (t - r)/t = ratio, its solve
+    # is no less accurate than the Cholesky solve.
     rng = np.random.default_rng(2)
     oracle = sw.hp_barrier_oracle(family)
     mapped = oracle.bind(rng.standard_normal((5, family.d)))
     for _ in range(5):
-        X, M = mapped(interior_point(family, rng))
-        assert M.shape == (5, 5)
+        X, solve, cond = mapped(interior_point(family, rng))
+        r = rng.standard_normal((5, 3))
         if family.name == SECOND_ORDER:
-            assert np.linalg.norm(M - X.T @ X) <= 1e-13 * np.linalg.norm(X.T @ X)
+            back = solve(X.T @ X @ r)
+            assert np.linalg.norm(back - r) <= 1e-12 * np.linalg.norm(r)
+            assert cond >= np.linalg.cond(X)
         else:
-            np.testing.assert_array_equal(M, X.T @ X)
+            cholesky_solve, cholesky_cond = gram_solve(X.T @ X)
+            np.testing.assert_array_equal(solve(r), cholesky_solve(r))
+            assert cond == cholesky_cond
     if family.name == SECOND_ORDER:
         for ratio in (1e-6, 1e-12):
-            closed_form, product = lorentz_gram_errors(ratio)
-            assert closed_form <= product, ratio
+            closed_form, cholesky = lorentz_solve_errors(ratio)
+            assert closed_form <= cholesky, ratio
+
+
+def test_lorentz_gram_solve_rank_verdicts():
+    # The Lorentz map judges rank where a Cholesky factor of M would: a
+    # repeated constraint row fails the pivot test of A A^T's factor, and a
+    # constraint along b1 at (t - r)/t = 2^-53 has curvature (t - r)^2/2
+    # lost in rounding against the unit eigenvalue of I + C D C^T.
+    oracle = sw.hp_barrier_oracle(sw.second_order_family(3))
+    e = np.array([1.0 - 2.0**-53, 0.0, 1.0])
+    repeated = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
+    along_b1 = np.array([[-1.0, 0.0, 1.0]]) / math.sqrt(2.0)
+    for A in (repeated, along_b1):
+        with pytest.raises(NumericalFailure):
+            oracle.bind(A)(e)
+    # The same constraint off the boundary solves.
+    _, solve, _ = oracle.bind(along_b1)(np.array([0.5, 0.0, 1.0]))
+    assert np.isfinite(solve(np.ones((1, 1)))).all()
 
 
 @settings(max_examples=25, deadline=None)

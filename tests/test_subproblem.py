@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import swathscale as sw
 from swathscale.errors import DimensionMismatch, DomainError, NumericalFailure
-from swathscale.subproblem import _gram_factor, _pass_count, _refined_solve
+from swathscale.core import gram_factor, gram_solve
+from swathscale.subproblem import _pass_count, _refined_solve
 
 from conftest import diag2_problem, make_sdp
 
@@ -231,8 +232,8 @@ spread_blocks = given(
 
 
 class TestRefinedSolve:
-    """Least-squares solves against one Gram factor, refined by as many
-    passes as the factor's condition number calls for."""
+    """Least-squares solves against one Gram solve, refined by as many
+    passes as the block's estimated condition number calls for."""
 
     def test_pass_count_bounds(self):
         assert _pass_count(1.0) == 3
@@ -249,10 +250,12 @@ class TestRefinedSolve:
     @example(**IN_THREE_PASS_BAND)
     def test_pass_count_follows_cond1(self, seed, m, extra, log_kappa):
         X = spread_block(seed, m + extra, m, log_kappa)
-        T, passes = _gram_factor(X.T @ X)
+        T, cond = gram_factor(X.T @ X)
+        passes = _pass_count(cond)
         R = np.linalg.cholesky(X.T @ X).T
         assert np.linalg.norm(T @ R - np.eye(m), 2) <= 1e-13 * np.linalg.cond(R)
         cond1 = np.linalg.cond(R, 1)
+        assert cond == pytest.approx(cond1, rel=1e-6)
         assert 3 <= passes <= 53
         if cond1 <= 0.99 * THREE_PASS_COND:
             assert passes == 3
@@ -271,7 +274,7 @@ class TestRefinedSolve:
         X = spread_block(seed, m + extra, m, log_kappa)
         v = np.random.default_rng([seed, 1]).standard_normal(m + extra)
         v /= np.linalg.norm(v)
-        Z, rest = _refined_solve(X, X.T @ X, np.zeros((m, 1)), v[:, None])
+        Z, rest = _refined_solve(X, *gram_solve(X.T @ X), np.zeros((m, 1)), v[:, None])
         assert Z.shape == (m, 1) and rest.shape == (m + extra, 1)
         Qh, _ = np.linalg.qr(X)
         tol = 1e-13 * 10.0**log_kappa
@@ -290,7 +293,7 @@ class TestRefinedSolve:
         # are scaled by ||w0|| for the comparison.
         X = spread_block(seed, m + extra, m, log_kappa)
         b = np.random.default_rng([seed, 2]).standard_normal(m)
-        Z, rest = _refined_solve(X, X.T @ X, b[:, None], np.zeros((m + extra, 1)))
+        Z, rest = _refined_solve(X, *gram_solve(X.T @ X), b[:, None], np.zeros((m + extra, 1)))
         Qh, Rh = np.linalg.qr(X)
         w0 = Qh @ scipy.linalg.solve_triangular(Rh, b, trans="T")
         tol = 1e-13 * 10.0**log_kappa * np.linalg.norm(w0)
@@ -308,4 +311,4 @@ class TestRefinedSolve:
         X = spread_block(seed, m + extra, m, 0.0)
         X[:, data.draw(st.integers(0, m - 1))] = 0.0
         with pytest.raises(NumericalFailure):
-            _refined_solve(X, X.T @ X, np.zeros((m, 1)), np.zeros((m + extra, 1)))
+            _refined_solve(X, *gram_solve(X.T @ X), np.zeros((m, 1)), np.zeros((m + extra, 1)))

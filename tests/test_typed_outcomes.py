@@ -81,6 +81,19 @@ def test_sdp_run_outcome_is_typed(n, m_choice, log10_cond, seed):
     assert outcome is None or isinstance(outcome, sw.RunStatus)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1.0 + 1e-13])
+def test_rank_deficient_lorentz_block_is_numerical_failure(scale):
+    # A repeated constraint row, exact or off by a relative 1e-13: the
+    # Lorentz map factors A A^T at the run's first point, inside the loop,
+    # so the run ends numerical_failure at iterate 0 instead of raising.
+    inst, e0 = sw.gen_hp_instance(sw.second_order_family(30), 15, 1.0, 0)
+    A = np.vstack([inst.A, scale * inst.A[:1]])
+    b = np.append(inst.b, scale * inst.b[0])
+    res = sw.run(sw.hp_barrier_oracle(inst.family), A, b, inst.c, e0, sw.SolverConfig())
+    assert res.status is sw.RunStatus.NUMERICAL_FAILURE
+    assert res.iterations == 0
+
+
 @pytest.mark.parametrize("d, seed", ESYM_TINY_LEADING)
 def test_esym_tiny_leading_coefficient_run_ends_in_status(d, seed):
     # The step's power sums read the restricted polynomial relative to its
