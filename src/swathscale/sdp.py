@@ -168,18 +168,56 @@ def det_barrier_oracle(n: int) -> BarrierOracle:
 
     upper, _, scale, _, _, _ = _svec_index(n)
 
-    def stack_congruence(T, S, work=(None, None)):
+    def stack_congruence(T, S):
         # The (d, k) block of svec(T S_i T^T) over a (k, n, n) matrix stack,
-        # in one batched product; T S T^T is symmetric, so its upper triangle
-        # is its svec.  smat's np.take returns a C-contiguous stack, so
-        # numpy's matmul hands it straight to BLAS.  The two products go to
-        # the (k, n, n) buffers in work, or to new arrays.  np.take gathers
-        # the triangles into a C-contiguous (k, d) array, whose transpose is
-        # the column-major block that bind promises.
-        half, full = work
-        full = np.matmul(np.matmul(T, S, out=half), T.T, out=full)
+        # in one batched product, for the apply_L and solve_L blocks, which
+        # the iteration never calls; T S T^T is symmetric, so its upper
+        # triangle is its svec.  np.take gathers the triangles into a
+        # C-contiguous (k, d) array, whose transpose is a column-major block.
+        full = T @ S @ T.T
         out = np.take(full.reshape(-1, n * n), upper, axis=1)
         out *= scale
+        return out.T
+
+    # The congruence by G^T of the frame's solve_Lt splits at h: G is
+    # lower-triangular, so the rows of G^T from h on are zero left of h, and
+    # the upper triangle of G^T S G is read from
+    #   [Z11 | Z12] = Y_top G  and  Z22 = (G22^T S22) G22
+    # with Y_top = (G^T)[:h] S, for the trailing q x q blocks G22 and S22
+    # (S22 read in place, with row stride n: a contiguous copy was no
+    # faster): 5n^3/4 multiply-adds per matrix where the full product takes
+    # 2n^3.  Splitting Y_top G further, into Y_top G[:, :h] and
+    # Y_top[:, h:] G22, saves another n^3/8 but made an n=40 iteration
+    # about 3% slower: the smaller products run slower per multiply-add.
+    # Each matrix's [Z11 | Z12] rows (h x n) and Z22 (q x q) lie side by
+    # side in a (k, h n + q^2) array, from which one np.take gathers the
+    # upper triangle in svec order.  The last two products multiply by
+    # sqrt(2) G, which gives every entry the svec scale of an off-diagonal
+    # one, and the gather scales the n diagonal entries back: a pass over
+    # n entries per matrix in place of one over all d.
+    h = n // 2
+    q = n - h
+    iu, ju = np.triu_indices(n)
+    split_upper = np.where(iu < h, upper, h * n + (iu - h) * q + (ju - h))
+    diagonal = np.flatnonzero(iu == ju)
+
+    def split_work(k):
+        # Y_top, G22^T S22 and the [Z11 | Z12] rows beside Z22, for k matrices.
+        return np.empty((k, h, n)), np.empty((k, q, q)), np.empty((k, h * n + q * q))
+
+    def split_congruence(G, S, work):
+        # The column-major (d, k) block of svec(G^T S_i G) over a (k, n, n)
+        # stack S; the products go to the buffers in work, and the block is
+        # a new array.
+        Y_top, Y22, Z = work
+        k = len(S)
+        G_scaled = _SQRT2 * G
+        np.matmul(G.T[:h], S, out=Y_top)
+        np.matmul(G[h:, h:].T, S[:, h:, h:], out=Y22)
+        np.matmul(Y_top, G_scaled, out=Z[:, : h * n].reshape(k, h, n))
+        np.matmul(Y22, G_scaled[h:, h:], out=Z[:, h * n :].reshape(k, q, q))
+        out = np.take(Z, split_upper, axis=1)
+        out[:, diagonal] /= _SQRT2
         return out.T
 
     def congruence(T, v):
@@ -196,7 +234,10 @@ def det_barrier_oracle(n: int) -> BarrierOracle:
             return congruence(G_inv, v)
 
         def solve_Lt(s):
-            return congruence(G.T, s)
+            if np.ndim(s) == 1:
+                return congruence(G.T, s)
+            S = smat(np.transpose(s))
+            return split_congruence(G, S, split_work(len(S)))
 
         def solve_L(w):
             return congruence(G, w)
@@ -206,20 +247,20 @@ def det_barrier_oracle(n: int) -> BarrierOracle:
     def bind(A):
         # The constraint block is mapped at every iterate, so its (m, n, n)
         # matrix stack is unpacked once per run; each iterate maps it as
-        # solve_Lt(A.T) would, with one batched congruence by G^T, and solves
-        # with the block's Gram matrix as the default map does.
+        # solve_Lt(A.T) would, by the split congruence, and solves with the
+        # block's Gram matrix as the default map does.
         S = smat(A)
         S.flags.writeable = False
-        # The products of every iterate go to two buffers kept for the run.
-        # Two new (m, n, n) arrays per iterate can make glibc trim the heap
-        # and fault its pages back in: in a process that built its n=40,
-        # m=80 instances from the generators, that cost 468 page faults per
+        # The products of every iterate go to buffers kept for the run.  New
+        # (m, n, n) arrays per iterate can make glibc trim the heap and fault
+        # its pages back in: in a process that built its n=40, m=80
+        # instances from the generators, that cost 468 page faults per
         # iterate and made each iterate about 1.5 times as slow.
-        work = (np.empty_like(S), np.empty_like(S))
+        work = split_work(len(S))
 
         def mapped(e):
             G, _, _ = factor(e)
-            X = stack_congruence(G.T, S, work)
+            X = split_congruence(G, S, work)
             return (X, *gram_solve(X.T @ X))
 
         return mapped

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .core import BarrierOracle
-from .errors import DimensionMismatch, DomainError
+from .errors import DimensionMismatch, DomainError, NumericalFailure
 
 
 class SubStatus(enum.Enum):
@@ -62,14 +62,19 @@ _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 
 
 def _pass_count(cond: float) -> int:
-    """Refinement passes against a solve with the Gram matrix ``X^T X`` that
-    bring the error of a least-squares solve to about ``u``.
+    """Refinement passes against a solve with the Gram matrix ``X^T X``: a
+    budget meant to bring the error of a least-squares solve to about ``u``.
 
-    Each pass leaves about ``u cond(X)^2`` of the error the pass before
-    left, with the bound map's ``cond`` as a cheap, mostly high, estimate
-    of ``cond(X)`` (``cond_1(R)`` for a Cholesky factor ``R``).  Three
-    passes reach ``u`` up to ``cond = u^{-1/3}``, about 2.1e5; above it
-    the count grows, and the clip at 1/2 caps it at 53.
+    The count assumes that each pass leaves ``u cond(X)^2`` of the error
+    the pass before left, with the bound map's ``cond`` as a cheap, mostly
+    high, estimate of ``cond(X)`` (``cond_1(R)`` for a Cholesky factor
+    ``R``).  Three passes reach ``u`` up to ``cond = u^{-1/3}``, about
+    2.1e5; above it the count grows, and from ``u cond^2 = 1/2`` on the
+    rate is clipped at 1/2, which caps the count at 53.  The rate a pass
+    attains is about ``c u cond(X)^2``, with ``c`` up to about 7 on small
+    blocks, so where ``u cond(X)^2`` nears 1 the passes may stop
+    contracting; :func:`_refined_solve` reports a last pass that did not
+    contract.
     """
     log_u = math.log(_UNIT_ROUNDOFF)
     log_rate = min(math.log(0.5), log_u + 2.0 * math.log(cond))
@@ -92,11 +97,24 @@ def _refined_solve(
     ``X``, so ``solve`` need not be a triangular factor.  With ``rhs = 0``
     the remainder is ``V``'s part orthogonal to ``range(X)``; with ``V = 0``
     it is ``-X Z`` for the least-norm solution ``X Z`` of ``X^T w = rhs``.
+
+    Raises NumericalFailure when the last pass still moves the remainder
+    by more than ``sqrt(u)`` of its scale, the root sum of squares of the
+    remainder and of the first correction: the passes stopped contracting
+    before they reached rounding level.  The test reads the whole block,
+    not each column: the columns share the passes, so a pass contracts
+    their errors alike, and per-column sums over the block's strided
+    columns cost about 5% of an n=40 SDP iteration.
     """
     Z = 0.0
-    for _ in range(_pass_count(cond)):
+    for k in range(_pass_count(cond)):
         Zk = solve(rhs + X.T @ V)
-        Z, V = Z + Zk, V - X @ Zk
+        step = X @ Zk
+        Z, V = Z + Zk, V - step
+        if k == 0:
+            first = np.vdot(step, step)
+    if np.vdot(step, step) > _UNIT_ROUNDOFF * (first + np.vdot(V, V)):
+        raise NumericalFailure("least-squares refinement did not converge")
     return Z, V
 
 
@@ -117,7 +135,8 @@ def solve_qcp(
     hands the map to every call, and a call without it binds ``A``.
     Returns status NOT_IN_SWATH when the conic section has no minimizer
     (the relaxation is unbounded); raises NumericalFailure when the
-    constraint map is rank-deficient at e.
+    constraint map is rank-deficient at e or its refined solve does not
+    converge.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     m, d = A.shape

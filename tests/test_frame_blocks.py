@@ -143,6 +143,53 @@ def test_bound_block_is_column_major(family):
         assert_columns_match(lambda _: block, solve_Lt, A.T)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=SEEDS,
+    n=st.integers(2, 11),
+    m=st.sampled_from([1, 4]),
+    log_spread=st.floats(0.0, 8.0),
+)
+def test_sdp_bound_map_split_matches_dense_congruence(seed, n, m, log_spread):
+    # The SDP bound map reads the upper triangle of G^T S_i G from products
+    # split at h = n // 2 (one row in a block at n = 2, 3), into buffers it
+    # keeps for the run; the frame's block solve_Lt runs the same products.
+    # Each column matches the dense svec(G^T S_i G), the block is
+    # column-major and the bound map's block is solve_Lt(A.T) bit for bit,
+    # and a block handed out earlier is left as it was by later calls.
+    # At n = 2 the d = 3 coordinates admit at most 3 independent rows.
+    m = min(m, sw.sym_dim(n))
+    rng = np.random.default_rng(seed)
+    oracle = sw.det_barrier_oracle(n)
+    A = rng.standard_normal((m, sw.sym_dim(n)))
+    S = sw.smat(A)
+    mapped = oracle.bind(A)
+    blocks = []
+    for _ in range(2):
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        e = sw.svec((Q * np.logspace(0.0, log_spread, n)) @ Q.T)
+        _, solve_Lt, _ = oracle.hessian_factor(e)
+        X = solve_Lt(A.T)
+        assert X.shape == (sw.sym_dim(n), m)
+        assert X.flags.f_contiguous
+        G = np.linalg.cholesky(sw.smat(e))
+        for j in range(m):
+            ref = sw.svec(G.T @ S[j] @ G)
+            assert np.linalg.norm(X[:, j] - ref) <= 1e-13 * np.linalg.norm(ref)
+        try:
+            block = mapped(e)[0]
+        except NumericalFailure:
+            # The Gram solve judged the block rank-deficient: at a wide
+            # spread its Gram matrix can have a condition number near 1/u.
+            continue
+        np.testing.assert_array_equal(block, X)
+        blocks.append((block, block.copy()))
+    for block, kept in blocks:
+        np.testing.assert_array_equal(block, kept)
+    if len(blocks) == 2:
+        assert not np.shares_memory(blocks[0][0], blocks[1][0])
+
+
 def cholesky_long_double(M):
     """Lower Cholesky factor of a long-double matrix, in long double."""
     L = np.zeros_like(M)
