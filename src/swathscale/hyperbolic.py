@@ -99,10 +99,6 @@ def _lorentz_restriction(x: np.ndarray, e: np.ndarray) -> tuple[float, float, fl
     return _minkowski(x, x), 2.0 * _minkowski(x, e), _minkowski(e, e)
 
 
-def _lorentz_interior(x: np.ndarray) -> bool:
-    return x[-1] > np.linalg.norm(x[:-1])
-
-
 def _esym_values(x: np.ndarray, k: int) -> np.ndarray:
     """e_0(x)..e_k(x) by the stable column recurrence."""
     e = np.zeros(k + 1)
@@ -247,67 +243,70 @@ _NEGLIGIBLE_EIGENVALUE = np.finfo(float).eps
 
 def _lorentz_oracle(d: int) -> BarrierOracle:
     """Barrier ``-ln(t^2 - ||u||^2)`` on e = (u, t), all in closed form."""
-    guard = _interior_guard(d, SECOND_ORDER, _lorentz_interior)
-
     def frame(e):
         """Spectral frame of the Lorentz barrier Hessian at e.
 
         With t = e[-1] and r = ||e[:-1]||, the Hessian has eigenvalue
         2/(t-r)^2 on b1, 2/(t+r)^2 on b2, and 2/((t-r)(t+r)) on the
         orthogonal complement, where b1, b2 mix the last axis with the
-        radial direction.  Returns ``(mu, B)``: ``mu`` holds those three
-        eigenvalues, complement first, and ``B = [b1 b2]`` is ``(d, 2)``
-        (zero at r = 0, where the three eigenvalues coincide).
+        radial direction.  Returns ``(mu, B, a, W)``: ``mu`` holds those
+        three eigenvalues, complement first, and ``B = [b1 b2]`` is
+        ``(d, 2)`` (zero at r = 0, where the three eigenvalues coincide).
+        Rows 0, 1, 2 of ``a`` and ``W`` serve H(e)^p for p = 1, 1/2, -1/2:
+        ``H(e)^p = a_p I + B W_p`` with ``a_p = mu_iso^p`` and the ``(2, d)``
+        ``W_p = diag(mu_B^p - a_p) B^T``.
         """
-        e = guard(e)
-        t = float(e[-1])
-        r = float(np.linalg.norm(e[:-1]))
+        e = _check_dim(d, e)
+        t, u = float(e[-1]), e[:-1]
+        r = math.sqrt(float(np.dot(u, u)))
+        if not t > r:
+            raise NotInterior(f"point outside the open {SECOND_ORDER} cone")
         lo, hi = t - r, t + r
         mu = np.array([2.0 / (lo * hi), 2.0 / lo**2, 2.0 / hi**2])
         B = np.zeros((d, 2))
         if r > 0.0:
             B[-1, :] = 1.0 / math.sqrt(2.0)
-            radial = (e[:-1] / r) / math.sqrt(2.0)
-            B[:-1, 0] = -radial
-            B[:-1, 1] = radial
-        return mu, B
+            B[:-1, 1] = (u / r) / math.sqrt(2.0)
+            B[:-1, 0] = -B[:-1, 1]
+        powers = np.array([mu, mu**0.5, mu**-0.5])
+        a = powers[:, 0]
+        # W scales the rows of a contiguous copy of B^T: a strided B.T is slower.
+        return mu, B, a, (powers[:, 1:] - a[:, None])[:, :, None] * B.T.copy()
 
-    # The relaxation's frame, the dual slack and the carry-over check all
-    # read H at a point; each point's frame is built once.
+    # The relaxation's frame, the dual slack, the carry-over check and the
+    # interiority probe read H at a point; each point's frame is built once.
     frame = point_cache(frame)
-
-    def spectral_rows(mu, B, vt, Ct):
-        # mu_iso (v - B C) + B (mu_B C) for C = B^T v, from vt = v.T and
-        # Ct = vt @ B.  It works on the rows of vt, so a block comes back
-        # column-major, as BarrierOracle.bind promises for the constraint
-        # block.
-        return (mu[0] * (vt - Ct @ B.T) + (Ct * mu[1:]) @ B.T).T
+    HESSIAN, ROOT, INV_ROOT = range(3)
 
     def spectral_apply(frame_e, v, power):
-        """Apply H(e)^power for power in {1, 0.5, -0.5} via the closed
-        eigendecomposition ``frame_e = frame(e)``, avoiding a Cholesky of
-        the near-singular dense Hessian close to the cone boundary.
-        ``v`` is a ``(d,)`` vector or a ``(d, k)`` block."""
-        mu, B = frame_e
+        """Apply H(e)^p, row ``power`` of the frame's maps, as
+        ``(a_p v^T + (v^T B) W_p)^T`` from ``frame_e = frame(e)``: no Cholesky
+        of the near-singular dense Hessian near the cone boundary.  ``v`` is a
+        ``(d,)`` vector or a ``(d, k)`` block; mapping the rows of ``v^T``
+        returns a block column-major, as BarrierOracle.bind promises."""
+        _, B, a, W = frame_e
         vt = np.asarray(v, dtype=float).T
-        return spectral_rows(mu**power, B, vt, vt @ B)
+        return (a[power] * vt + (vt @ B) @ W[power]).T
+
+    def point(e):
+        frame(e)  # the point's one interiority test
+        return np.asarray(e, dtype=float)
 
     def value(e):
-        e = guard(e)
+        e = point(e)
         return -math.log(_minkowski(e, e))
 
     def gradient(e):
-        e = guard(e)
+        e = point(e)
         Je = np.concatenate([-e[:-1], e[-1:]])  # J = diag(-1, ..., -1, 1)
         return -(2.0 * Je) / _minkowski(e, e)
 
     def hessian_apply(e, v):
-        return spectral_apply(frame(e), v, 1.0)
+        return spectral_apply(frame(e), v, HESSIAN)
 
     def direction_power_sums(e, x):
         # Newton's identities on the restricted quadratic, as for e_k.
-        e = guard(e)
-        return power_sums_from_coeffs(_lorentz_restriction(_check_dim(d, x), e))
+        return power_sums_from_coeffs(_lorentz_restriction(_check_dim(d, x), point(e)))
 
     def hessian_factor(e):
         # Symmetric square root from the closed eigendecomposition;
@@ -315,10 +314,10 @@ def _lorentz_oracle(d: int) -> BarrierOracle:
         frame_e = frame(e)
 
         def apply_L(v):
-            return spectral_apply(frame_e, v, 0.5)
+            return spectral_apply(frame_e, v, ROOT)
 
         def solve_any(w):
-            return spectral_apply(frame_e, w, -0.5)
+            return spectral_apply(frame_e, w, INV_ROOT)
 
         return apply_L, solve_any, solve_any
 
@@ -341,7 +340,7 @@ def _lorentz_oracle(d: int) -> BarrierOracle:
 
         def mapped(e):
             RA_inv, cond_A = rows_factor()
-            mu, B = frame(e)
+            mu, B, a, W = frame(e)
             AB = A @ B
             C = RA_inv.T @ AB
             d1, d2 = (mu[0] / mu[1:] - 1.0).tolist()
@@ -362,7 +361,7 @@ def _lorentz_oracle(d: int) -> BarrierOracle:
                 return mu_iso * (RA_inv @ (s - C @ (K @ (C.T @ s))))
 
             cond = cond_A * math.sqrt(max(lam_hi, 1.0) / min(lam_lo, 1.0))
-            return spectral_rows(mu**-0.5, B, A, AB), solve, cond
+            return (a[INV_ROOT] * A + AB @ W[INV_ROOT]).T, solve, cond
 
         return mapped
 

@@ -146,7 +146,7 @@ def solve_qcp(
     if d != oracle.dim or c.shape != (d,) or e.shape != (d,):
         raise DimensionMismatch("A, c, e inconsistent with the oracle dimension")
     # Written so that a NaN residual fails the test too.
-    if not np.max(np.abs(A @ e - b)) <= 1e-8 * (1.0 + np.abs(b).max(initial=0.0)):
+    if not np.abs(A @ e - b).max() <= 1e-8 * (1.0 + np.abs(b).max(initial=0.0)):
         raise DomainError("e is not feasible: A e != b")
     # Work in local coordinates w = L x with H = L^T L, where the cone is
     # the isotropic circular cone around ehat = L e (||ehat|| = sqrt(n)).
@@ -174,7 +174,8 @@ def solve_qcp(
     # that the boundary equation makes a root of one scalar quadratic.
     rhs = np.zeros((m, 3))
     rhs[:, 0] = b
-    V = np.column_stack([np.zeros(d), ehat, chat])
+    V = np.empty((d, 3))
+    V[:, 0], V[:, 1], V[:, 2] = 0.0, ehat, chat
     Z, V = _refined_solve(At_hat, solve_gram, cond, rhs, V)
     w0, f, g = -V[:, 0], V[:, 1], V[:, 2]
     ff, fg, gg = float(np.dot(f, f)), float(np.dot(f, g)), float(np.dot(g, g))

@@ -473,22 +473,25 @@ class TestRun:
 
     def test_benchmark_pools_keep_their_iterates(self):
         # A tripwire for speedups: the iteration counts of the benchmark's
-        # seed-0 pools (sdp-n40: generator seeds 0-3; lorentz-d200: 0-7) at
-        # the default config.  A change that moves the iterates changes
-        # what the benchmark compares.
+        # seed-0 pools (sdp-n40: generator seeds 0-3; lorentz-d200: 0-7) and
+        # held-out seed-7919 pools (sdp-n40: 31676-31679; lorentz-d200:
+        # 63352-63359) at the default config.  A change that moves the
+        # iterates changes what the benchmark compares.
         runs = []
-        for seed in range(4):
+        for seed in [*range(4), *range(31676, 31680)]:
             inst, E0 = sw.gen_central_path_sdp(40, 80, seed=seed)
             runs.append((
                 sw.det_barrier_oracle(40), inst.constraint_rows(), inst.b,
                 sw.svec(inst.C), sw.svec(E0),
             ))
         family = sw.second_order_family(200)
-        for seed in range(8):
+        for seed in [*range(8), *range(63352, 63360)]:
             inst, e = sw.gen_hp_instance(family, 100, seed=seed)
             runs.append((sw.hp_barrier_oracle(family), inst.A, inst.b, inst.c, e))
         results = [sw.run(*args, sw.SolverConfig()) for args in runs]
-        assert [res.iterations for res in results] == [81, 85, 85, 86] + [25] * 8
+        assert [res.iterations for res in results] == (
+            [81, 85, 85, 86] + [80, 85, 86, 85] + [25] * 16
+        )
         for res in results:
             assert res.status is sw.RunStatus.CONVERGED
             assert all(v == 0 for v in res.violations.values()), res.violations

@@ -277,6 +277,75 @@ def test_lorentz_gram_solve_rank_verdicts():
     assert np.isfinite(solve(np.ones((1, 1)))).all()
 
 
+def lorentz_point_with_exact_radius(d, ratio, rng):
+    """e = (u, t) with (t - r)/t = ratio up to rounding of t, where u is an
+    integer vector whose sum of squares is the perfect square r^2.  Then
+    r = ||u|| and t - r are exact in floating point, so the frame and the
+    reference below see the same eigenvalues; with a rounded r, t - r at
+    ratio 1e-12 would carry a relative error near u / ratio."""
+    w = rng.integers(-50, 51, d - 2)
+    if int(w @ w) % 4 == 2:
+        w[0] += 1
+    S = int(w @ w)
+    # (r - z)(r + z) = S with r - z = 1 for odd S and r - z = 2 for S = 0 mod 4.
+    z, r = ((S - 1) // 2, (S + 1) // 2) if S % 2 else (S // 4 - 1, S // 4 + 1)
+    u = rng.permutation(np.append(w, z)).astype(float)
+    return np.append(u, r / (1.0 - ratio))
+
+
+@pytest.mark.parametrize("ratio", [0.5, 1e-6, 1e-12])
+@pytest.mark.parametrize("d", [2, 7, 200])
+def test_lorentz_frame_near_the_boundary(d, ratio):
+    # The frame maps v to H(e)^p v, p = 1/2 (apply_L), -1/2 (solve_Lt and
+    # solve_L) and 1 (hessian_apply), as a scaled identity plus a rank-2
+    # update.  The reference is the closed-form eigendecomposition in long
+    # double: mu_1^p on b1 = (-u/r, 1)/sqrt(2), mu_2^p on b2 = (u/r, 1)/sqrt(2)
+    # and mu_iso^p on their complement, with mu_1 = 2/(t-r)^2,
+    # mu_2 = 2/(t+r)^2 and mu_iso = 2/((t-r)(t+r)), applied through explicit
+    # projections.  Bound: each mapped column v, as a (d, k) block and as a
+    # vector, is within 8 sqrt(d) u ||H(e)^p||_2 ||v|| of the reference
+    # (u = 2^-53), the rounding of B's entries and of the d-term sums v^T B
+    # scaled by the largest eigenvalue.  At (t - r)/t = 1e-12, H(e) has
+    # condition number about 4e24.
+    rng = np.random.default_rng([d, int(-math.log10(ratio))])
+    e = lorentz_point_with_exact_radius(d, ratio, rng)
+    oracle = sw.hp_barrier_oracle(sw.second_order_family(d))
+    apply_L, solve_Lt, solve_L = oracle.hessian_factor(e)
+    el = e.astype(np.longdouble)
+    t, r = el[-1], np.sqrt(np.sum(el[:-1] ** 2))
+    lo, hi = t - r, t + r
+    mu_iso, mu_B = 2 / (lo * hi), np.array([2 / lo**2, 2 / hi**2])
+    B = np.zeros((d, 2), dtype=np.longdouble)
+    B[:-1, 0], B[:-1, 1] = -el[:-1] / r, el[:-1] / r
+    B[-1, :] = 1
+    B /= np.sqrt(np.longdouble(2))
+    # Random columns, b1, b2, and (for d > 2) a column in the complement.
+    Bf = B.astype(float)
+    V = np.column_stack([rng.standard_normal((d, 4)), Bf])
+    if d > 2:
+        c = rng.standard_normal(d)
+        V = np.column_stack([V, c - Bf @ (Bf.T @ c)])
+
+    def reference(v, p):
+        C = B.T @ v.astype(np.longdouble)
+        return (mu_iso**p * (v - B @ C) + B @ (mu_B[:, None] ** p * C)).astype(float)
+
+    maps = [
+        (apply_L, 0.5), (solve_Lt, -0.5), (solve_L, -0.5),
+        (lambda v: oracle.hessian_apply(e, v), 1.0),
+    ]
+    u = np.finfo(float).eps / 2
+    for fn, p in maps:
+        want = reference(V, p)
+        norm_Hp = float(max(mu_iso**p, *(mu_B**p)))
+        block = fn(V)
+        assert block.shape == V.shape
+        for j in range(V.shape[1]):
+            bound = 8 * math.sqrt(d) * u * norm_Hp * np.linalg.norm(V[:, j])
+            assert np.linalg.norm(block[:, j] - want[:, j]) <= bound, (p, j)
+            assert np.linalg.norm(fn(V[:, j]) - want[:, j]) <= bound, (p, j)
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=SEEDS, n=st.integers(1, 9), batch=st.lists(st.integers(0, 4), max_size=2))
 def test_batched_svec_smat_match_per_matrix(seed, n, batch):
