@@ -196,7 +196,7 @@ def solve(file, alpha, tol, max_iters, step, trace_path):
 )
 @click.option("--k", type=int, default=None, help="elementary-symmetric degree")
 @click.option("--mu", type=float, default=1.0, show_default=True)
-@click.option("--seed", type=int, required=True)
+@click.option("--seed", type=click.IntRange(min=0), required=True)
 @click.option("--out", type=click.Path(path_type=pathlib.Path), required=True)
 def generate_cmd(kind, n, m, family, k, mu, seed, out):
     """Write a random solvable instance plus its interior start point."""

@@ -90,30 +90,32 @@ class BarrierOracle:
     # H(e) = L^T L, mapping to and from local coordinates w = L x: apply_L
     # applies L, solve_Lt applies L^{-T} and solve_L applies L^{-1}.  L
     # need not be symmetric; the relaxation, its dual pair and the step are
-    # the same for every such factor.  Each closure takes a (d,) vector or
-    # a (d, k) block of columns and maps every column as it would map that
-    # column alone.
+    # the same for every such factor.  Each closure maps one (d,) vector;
+    # blocks are mapped by bind.
     hessian_factor: Callable[[Vector], tuple]
     # bind(A) takes the (m, d) constraint block once per run and returns
-    # mapped(e) = (X, solve, cond).  X is the (d, m) block solve_Lt(A.T) of
-    # the frame at e, in column-major (Fortran) order: the relaxation's
-    # projection passes read each mapped constraint contiguously.  solve(r)
-    # applies M^{-1} to an (m, k) block r, for the Gram matrix
-    # M = X^T X = A H(e)^{-1} A^T, and cond estimates cond(X), from which
-    # the relaxation's refinement takes its pass count; the map raises
-    # NumericalFailure when M is numerically singular.  An oracle may solve
-    # with M through the structure of H(e)^{-1} (the Lorentz oracle does, in
-    # O(m^2) work per point and per application), but only with an error no
-    # larger than that of the Cholesky solve of X^T X: the solve's error
-    # sets the rate at which the refinement passes contract, and near the
-    # cone boundary H(e) has condition numbers beyond 1e12.  cond should
+    # mapped(e) = (X, solve, cond).  X is the (d, m) block whose column i
+    # is solve_Lt(A[i]) of the frame at e, in column-major (Fortran) order:
+    # the relaxation's projection passes read each mapped constraint
+    # contiguously.  solve(r) applies M^{-1} to an (m, k) block r, for the
+    # Gram matrix M = X^T X = A H(e)^{-1} A^T, and cond estimates cond(X),
+    # from which the relaxation's refinement takes its pass count; the map
+    # raises NumericalFailure when M is numerically singular.  An oracle may
+    # solve with M through the structure of H(e)^{-1} (the Lorentz oracle
+    # does, in O(m^2) work per point and per application), but only with an
+    # error no larger than that of the Cholesky solve of X^T X: the solve's
+    # error sets the rate at which the refinement passes contract, and near
+    # the cone boundary H(e) has condition numbers beyond 1e12.  cond should
     # err high, as cond_1(R) for M = R^T R mostly does: a low estimate
     # costs accuracy, a high one costs passes.  An oracle may unpack A here
     # (the SDP oracle builds its matrix stack, the Lorentz oracle factors
     # A A^T), so A must not change while the map is in use.
-    # By default the transpose of a C-contiguous A is mapped through the
-    # frame at each point (every frame keeps the column-major order of
-    # such a block), and M = X^T X is solved by gram_solve.
+    # The default bind hands the frame's solve_Lt the transpose of a
+    # C-contiguous A at each point and solves M = X^T X by gram_solve.  An
+    # oracle that keeps it needs a solve_Lt that maps a (d, k) block column
+    # by column and keeps its column-major order: the product frame's does
+    # through numpy broadcasting, the esym frame's through a matrix product
+    # and a triangular solve.
     bind: Callable[[np.ndarray], Callable[[Vector], tuple]] | None = None
     # hessian_solve(e, w) = H(e)^{-1} w = L^{-1} L^{-T} w, by default through
     # the frame at e.

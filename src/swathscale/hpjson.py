@@ -53,8 +53,9 @@ def read_hp_json(text: str) -> HpInstance:
     try:
         fam = doc["family"]
         d, k = fam["d"], fam.get("k")
-        # int() would truncate d = 5.7, and k = 2.5 would pass the range check.
-        if not all(isinstance(v, int) for v in (d, k) if v is not None):
+        # int() would truncate d = 5.7, and k = 2.5 would pass the range check;
+        # a bool, although a Python int, is not an integer here.
+        if not all(type(v) is int for v in (d, k) if v is not None):
             raise ParseError(f"family d and k must be integers, got {d!r}, {k!r}")
         family = family_from_tag(fam["name"], d, k)
         inst = HpInstance(

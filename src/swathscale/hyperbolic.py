@@ -280,13 +280,14 @@ def _lorentz_oracle(d: int) -> BarrierOracle:
 
     def spectral_apply(frame_e, v, power):
         """Apply H(e)^p, row ``power`` of the frame's maps, as
-        ``(a_p v^T + (v^T B) W_p)^T`` from ``frame_e = frame(e)``: no Cholesky
-        of the near-singular dense Hessian near the cone boundary.  ``v`` is a
-        ``(d,)`` vector or a ``(d, k)`` block; mapping the rows of ``v^T``
-        returns a block column-major, as BarrierOracle.bind promises."""
+        ``a_p v + W_p^T (B^T v)`` from ``frame_e = frame(e)``: no Cholesky
+        of the near-singular dense Hessian near the cone boundary.  ``v`` is
+        one ``(d,)`` vector, as the frame closures take; the bound map
+        applies H(e)^{-1/2} to the constraint rows with the same a_p and
+        W_p."""
         _, B, a, W = frame_e
-        vt = np.asarray(v, dtype=float).T
-        return (a[power] * vt + (vt @ B) @ W[power]).T
+        v = np.asarray(v, dtype=float)
+        return a[power] * v + (v @ B) @ W[power]
 
     def point(e):
         frame(e)  # the point's one interiority test
@@ -328,7 +329,8 @@ def _lorentz_oracle(d: int) -> BarrierOracle:
         # (m, 2) block C = R_A^{-T} A B, and by Woodbury
         # M^{-1} = mu_iso R_A^{-1} (I - C K C^T) R_A^{-T} with the 2x2
         # K = D (I + C^T C D)^{-1}.  A point takes one A B, which the block
-        # shares (it is solve_Lt(A.T) bit for bit), and one R_A^{-T} A B: no
+        # shares (its column i is H(e)^{-1/2} A[i], as solve_Lt(A[i]) maps
+        # it through the same frame), and one R_A^{-T} A B: no
         # m x m matrix is formed or factored per point.  R_A is factored at
         # the first point, so that a rank-deficient A fails inside the
         # run's loop, as NumericalFailure.

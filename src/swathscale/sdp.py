@@ -35,17 +35,17 @@ def mat_order(d: int) -> int:
 @functools.lru_cache(maxsize=None)
 def _svec_index(n: int) -> tuple[np.ndarray, ...]:
     """For order n: flat positions of the upper triangle in an (n, n)
-    matrix and of its mirror image in the lower triangle, the
-    per-coordinate scale (sqrt 2 off the diagonal) and half of it, the
-    (n, n) map from each matrix entry to its coordinate, and the scale of
-    each entry's coordinate."""
+    matrix and of its mirror image in the lower triangle, half the
+    per-coordinate scale (sqrt 2 off the diagonal), the (n, n) map from
+    each matrix entry to its coordinate, and the scale of each entry's
+    coordinate."""
     iu, ju = np.triu_indices(n)
     upper = iu * n + ju
     lower = ju * n + iu
     scale = np.where(iu == ju, 1.0, _SQRT2)
     coord = np.empty((n, n), dtype=np.intp)
     coord[iu, ju] = coord[ju, iu] = np.arange(iu.size)
-    tables = (upper, lower, scale, 0.5 * scale, coord, scale[coord])
+    tables = (upper, lower, 0.5 * scale, coord, scale[coord])
     for arr in tables:
         arr.flags.writeable = False  # shared by every caller
     return tables
@@ -61,7 +61,7 @@ def svec(X: np.ndarray) -> np.ndarray:
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[-1]
-    upper, lower, _, half_scale, _, _ = _svec_index(n)
+    upper, lower, half_scale, _, _ = _svec_index(n)
     flat = X.reshape(*X.shape[:-2], n * n)
     # (X_ij + X_ji) * (0.5 scale) rounds as 0.5 (X_ij + X_ji) * scale does:
     # halving is exact.
@@ -166,66 +166,9 @@ def det_barrier_oracle(n: int) -> BarrierOracle:
             float(np.vdot(W, W2)), float(np.vdot(W2, W2)),
         )
 
-    upper, _, scale, _, _, _ = _svec_index(n)
-
-    def stack_congruence(T, S):
-        # The (d, k) block of svec(T S_i T^T) over a (k, n, n) matrix stack,
-        # in one batched product, for the apply_L and solve_L blocks, which
-        # the iteration never calls; T S T^T is symmetric, so its upper
-        # triangle is its svec.  np.take gathers the triangles into a
-        # C-contiguous (k, d) array, whose transpose is a column-major block.
-        full = T @ S @ T.T
-        out = np.take(full.reshape(-1, n * n), upper, axis=1)
-        out *= scale
-        return out.T
-
-    # The congruence by G^T of the frame's solve_Lt splits at h: G is
-    # lower-triangular, so the rows of G^T from h on are zero left of h, and
-    # the upper triangle of G^T S G is read from
-    #   [Z11 | Z12] = Y_top G  and  Z22 = (G22^T S22) G22
-    # with Y_top = (G^T)[:h] S, for the trailing q x q blocks G22 and S22
-    # (S22 read in place, with row stride n: a contiguous copy was no
-    # faster): 5n^3/4 multiply-adds per matrix where the full product takes
-    # 2n^3.  Splitting Y_top G further, into Y_top G[:, :h] and
-    # Y_top[:, h:] G22, saves another n^3/8 but made an n=40 iteration
-    # about 3% slower: the smaller products run slower per multiply-add.
-    # Each matrix's [Z11 | Z12] rows (h x n) and Z22 (q x q) lie side by
-    # side in a (k, h n + q^2) array, from which one np.take gathers the
-    # upper triangle in svec order.  The last two products multiply by
-    # sqrt(2) G, which gives every entry the svec scale of an off-diagonal
-    # one, and the gather scales the n diagonal entries back: a pass over
-    # n entries per matrix in place of one over all d.
-    h = n // 2
-    q = n - h
-    iu, ju = np.triu_indices(n)
-    split_upper = np.where(iu < h, upper, h * n + (iu - h) * q + (ju - h))
-    diagonal = np.flatnonzero(iu == ju)
-
-    def split_work(k):
-        # Y_top, G22^T S22 and the [Z11 | Z12] rows beside Z22, for k matrices.
-        return np.empty((k, h, n)), np.empty((k, q, q)), np.empty((k, h * n + q * q))
-
-    def split_congruence(G, S, work):
-        # The column-major (d, k) block of svec(G^T S_i G) over a (k, n, n)
-        # stack S; the products go to the buffers in work, and the block is
-        # a new array.
-        Y_top, Y22, Z = work
-        k = len(S)
-        G_scaled = _SQRT2 * G
-        np.matmul(G.T[:h], S, out=Y_top)
-        np.matmul(G[h:, h:].T, S[:, h:, h:], out=Y22)
-        np.matmul(Y_top, G_scaled, out=Z[:, : h * n].reshape(k, h, n))
-        np.matmul(Y22, G_scaled[h:, h:], out=Z[:, h * n :].reshape(k, q, q))
-        out = np.take(Z, split_upper, axis=1)
-        out[:, diagonal] /= _SQRT2
-        return out.T
-
     def congruence(T, v):
-        # svec(T smat(v) T^T) for a vector v, and for each column of a (d, k)
-        # block.
-        if np.ndim(v) == 1:
-            return svec(T @ smat(v) @ T.T)
-        return stack_congruence(T, smat(np.transpose(v)))
+        # svec(T smat(v) T^T) for a (d,) vector v.
+        return svec(T @ smat(v) @ T.T)
 
     def hessian_factor(e):
         G, G_inv, _ = factor(e)
@@ -234,10 +177,7 @@ def det_barrier_oracle(n: int) -> BarrierOracle:
             return congruence(G_inv, v)
 
         def solve_Lt(s):
-            if np.ndim(s) == 1:
-                return congruence(G.T, s)
-            S = smat(np.transpose(s))
-            return split_congruence(G, S, split_work(len(S)))
+            return congruence(G.T, s)
 
         def solve_L(w):
             return congruence(G, w)
@@ -246,21 +186,53 @@ def det_barrier_oracle(n: int) -> BarrierOracle:
 
     def bind(A):
         # The constraint block is mapped at every iterate, so its (m, n, n)
-        # matrix stack is unpacked once per run; each iterate maps it as
-        # solve_Lt(A.T) would, by the split congruence, and solves with the
-        # block's Gram matrix as the default map does.
+        # matrix stack S is unpacked once per run.  Each iterate maps it as
+        # solve_Lt maps each row of A, to the column-major (d, m) block of
+        # svec(G^T S_i G), and solves with the block's Gram matrix as the
+        # default map does.
         S = smat(A)
         S.flags.writeable = False
+        k = len(S)
+        # The congruence splits at h: G is lower-triangular, so the rows of
+        # G^T from h on are zero left of h, and the upper triangle of
+        # G^T S G is read from
+        #   [Z11 | Z12] = Y_top G  and  Z22 = (G22^T S22) G22
+        # with Y_top = (G^T)[:h] S, for the trailing q x q blocks G22 and S22
+        # (S22 read in place, with row stride n: a contiguous copy was no
+        # faster): 5n^3/4 multiply-adds per matrix where the full product
+        # takes 2n^3.  Splitting Y_top G further, into Y_top G[:, :h] and
+        # Y_top[:, h:] G22, saves another n^3/8 but made an n=40 iteration
+        # about 3% slower: the smaller products run slower per multiply-add.
+        # Each matrix's [Z11 | Z12] rows (h x n) and Z22 (q x q) lie side by
+        # side in a (k, h n + q^2) array, from which one np.take gathers the
+        # upper triangle in svec order.  The last two products multiply by
+        # sqrt(2) G, which gives every entry the svec scale of an
+        # off-diagonal one, and the gather scales the n diagonal entries
+        # back: a pass over n entries per matrix in place of one over all d.
+        h = n // 2
+        q = n - h
+        iu, ju = np.triu_indices(n)
+        split_upper = np.where(iu < h, iu * n + ju, h * n + (iu - h) * q + (ju - h))
+        diagonal = np.flatnonzero(iu == ju)
         # The products of every iterate go to buffers kept for the run.  New
         # (m, n, n) arrays per iterate can make glibc trim the heap and fault
         # its pages back in: in a process that built its n=40, m=80
         # instances from the generators, that cost 468 page faults per
-        # iterate and made each iterate about 1.5 times as slow.
-        work = split_work(len(S))
+        # iterate and made each iterate about 1.5 times as slow.  The
+        # gathered block is a new array, which no later iterate overwrites.
+        Y_top, Y22 = np.empty((k, h, n)), np.empty((k, q, q))
+        Z = np.empty((k, h * n + q * q))
 
         def mapped(e):
             G, _, _ = factor(e)
-            X = split_congruence(G, S, work)
+            G_scaled = _SQRT2 * G
+            np.matmul(G.T[:h], S, out=Y_top)
+            np.matmul(G[h:, h:].T, S[:, h:, h:], out=Y22)
+            np.matmul(Y_top, G_scaled, out=Z[:, : h * n].reshape(k, h, n))
+            np.matmul(Y22, G_scaled[h:, h:], out=Z[:, h * n :].reshape(k, q, q))
+            rows = np.take(Z, split_upper, axis=1)
+            rows[:, diagonal] /= _SQRT2
+            X = rows.T
             return (X, *gram_solve(X.T @ X))
 
         return mapped

@@ -161,7 +161,8 @@ def solve_qcp(
     apply_L, solve_Lt, solve_L = oracle.hessian_factor(e)
     ehat = apply_L(e)
     chat = solve_Lt(c)
-    # d x m solve_Lt(A.T), the inverse of At_hat^T At_hat, and cond(At_hat)
+    # The d x m block At_hat whose column i is solve_Lt(A[i]), the inverse
+    # of At_hat^T At_hat, and cond(At_hat)
     At_hat, solve_gram, cond = block(e)
 
     # Write w = w0 + u with w0 the least-norm solution of At_hat^T w = b and

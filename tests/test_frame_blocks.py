@@ -1,10 +1,10 @@
-"""Block-capable local frames, the bound constraint-block map, and
-batched svec/smat.
+"""Local frames, the bound constraint-block map, and batched svec/smat.
 
-Every frame closure maps a ``(d, k)`` block column by column, the bound
-map of a block is the frame's map of it, and the batched vectorization
-maps a stack of matrices matrix by matrix.  The single-vector calls are
-the reference.
+The frame closures map single vectors and ``bind`` is each oracle's one
+block map: each column of the bound map's block is the frame's
+``solve_Lt`` of that constraint row, and the batched vectorization maps a
+stack of matrices matrix by matrix.  The single-vector calls are the
+reference.
 """
 
 import math
@@ -40,29 +40,10 @@ def interior_point(family, rng):
     return e0 + (radius / math.sqrt(float(np.dot(w, oracle.hessian_apply(e0, w))))) * w
 
 
-def assert_columns_match(block_fn, single_fn, B):
-    out = block_fn(B)
-    assert out.shape == B.shape
-    for j in range(B.shape[1]):
-        ref = single_fn(B[:, j])
-        assert np.linalg.norm(out[:, j] - ref) <= REL * np.linalg.norm(ref)
-
-
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
 @settings(max_examples=25, deadline=None)
-@given(seed=SEEDS, k=st.integers(1, 9))
-def test_frame_block_matches_columns(family, seed, k):
-    rng = np.random.default_rng(seed)
-    e = interior_point(family, rng)
-    B = rng.standard_normal((family.d, k))
-    for closure in sw.hp_barrier_oracle(family).hessian_factor(e):
-        assert_columns_match(closure, closure, B)
-
-
-@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
-@settings(max_examples=25, deadline=None)
-@given(seed=SEEDS, k=st.integers(1, 5))
-def test_frame_factors_hessian(family, seed, k):
+@given(seed=SEEDS)
+def test_frame_factors_hessian(family, seed):
     # The contract of BarrierOracle.hessian_factor: H(e) = L^T L, solve_L
     # inverts L and solve_Lt inverts L^T.  L need not be symmetric (the SDP
     # frame is the congruence by G^{-1} for E = G G^T), so L L != H there.
@@ -70,42 +51,27 @@ def test_frame_factors_hessian(family, seed, k):
     e = interior_point(family, rng)
     oracle = sw.hp_barrier_oracle(family)
     apply_L, solve_Lt, solve_L = oracle.hessian_factor(e)
-    U, V = rng.standard_normal((2, family.d, k))
-    HV = np.column_stack([oracle.hessian_apply(e, v) for v in V.T])
+    u, v = rng.standard_normal((2, family.d))
+    hv = oracle.hessian_apply(e, v)
 
     def close(got, want, scale):
         assert np.max(np.abs(got - want)) <= 1e-10 * scale
 
-    # (d, k) blocks, then single vectors.
-    for u, v, hv in ((U, V, HV), (U[:, 0], V[:, 0], HV[:, 0])):
-        Lu, Lv = apply_L(u), apply_L(v)
-        close(Lu.T @ Lv, u.T @ hv, np.linalg.norm(Lu) * np.linalg.norm(Lv))
-        close(solve_L(Lv), v, np.linalg.norm(v))
-        close(solve_Lt(u).T @ Lv, u.T @ v, np.linalg.norm(u) * np.linalg.norm(v))
-
-
-@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
-@settings(max_examples=10, deadline=None)
-@given(seed=SEEDS)
-def test_frame_accepts_transposed_rows(family, seed):
-    # solve_qcp hands the frame A.T, a non-contiguous view of the rows.
-    rng = np.random.default_rng(seed)
-    e = interior_point(family, rng)
-    A = rng.standard_normal((5, family.d))
-    _, solve_Lt, _ = sw.hp_barrier_oracle(family).hessian_factor(e)
-    assert_columns_match(solve_Lt, solve_Lt, A.T)
+    Lu, Lv = apply_L(u), apply_L(v)
+    close(Lu @ Lv, u @ hv, np.linalg.norm(Lu) * np.linalg.norm(Lv))
+    close(solve_L(Lv), v, np.linalg.norm(v))
+    close(solve_Lt(u) @ Lv, u @ v, np.linalg.norm(u) * np.linalg.norm(v))
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
 def test_bound_map_is_the_frames_block_map(family):
-    # The block X of bind(A) maps the constraint block at each point bit for
-    # bit as the frame's solve_Lt(A.T) does (the SDP oracle from a matrix
-    # stack it unpacks once, through work buffers it keeps for the run; a
-    # returned block never shares them, so a later call leaves it as it
-    # was; the Lorentz oracle through the A B it shares with its Gram
-    # solve).  An
-    # unbound block is mapped from its contents at each call, so one
-    # changed in place maps from its new entries.
+    # At each point the block X of bind(A) is, bit for bit, what a map bound
+    # afresh to A returns there: what the map keeps for the run (the SDP
+    # oracle's matrix stack and work buffers, the Lorentz oracle's factor
+    # of A A^T) carries nothing from one point to the next.  A returned
+    # block never shares the work buffers, so a later call leaves it as it
+    # was.  test_bound_block_is_column_major checks each column against the
+    # frame's solve_Lt.
     rng = np.random.default_rng(0)
     oracle = sw.hp_barrier_oracle(family)
     A = rng.standard_normal((4, family.d))
@@ -113,34 +79,35 @@ def test_bound_map_is_the_frames_block_map(family):
     blocks = []
     for _ in range(3):
         e = interior_point(family, rng)
-        _, solve_Lt, _ = oracle.hessian_factor(e)
-        blocks.append((mapped(e)[0], solve_Lt(A.T)))
-    for got, want in blocks:
-        np.testing.assert_array_equal(got, want)
-    before = solve_Lt(A.T)
-    A[1, 3] += 1.0
-    after = solve_Lt(A.T)
-    _, fresh, _ = sw.hp_barrier_oracle(family).hessian_factor(e)
-    np.testing.assert_array_equal(after, fresh(A.T))
-    assert not np.array_equal(after, before)
+        X = mapped(e)[0]
+        np.testing.assert_array_equal(X, oracle.bind(A)(e)[0])
+        blocks.append((X, X.copy()))
+    for X, kept in blocks:
+        np.testing.assert_array_equal(X, kept)
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
-def test_bound_block_is_column_major(family):
+@settings(max_examples=25, deadline=None)
+@given(seed=SEEDS, k=st.integers(1, 9))
+def test_bound_block_is_column_major(family, seed, k):
     # The relaxation's Gram product and projection passes read each mapped
     # constraint contiguously, so every oracle's bound map returns the
-    # (d, m) block in column-major order, each column the frame's map of
-    # that constraint row, whatever the memory order of A.
-    rng = np.random.default_rng(1)
+    # (d, k) block in column-major order, each column the frame's solve_Lt
+    # of that constraint row, whatever the memory order of A.  A block of
+    # full row rank has at most d rows.
+    k = min(k, family.d)
+    rng = np.random.default_rng(seed)
     oracle = sw.hp_barrier_oracle(family)
-    A = rng.standard_normal((5, family.d))
+    A = rng.standard_normal((k, family.d))
     e = interior_point(family, rng)
     _, solve_Lt, _ = oracle.hessian_factor(e)
     for rows in (A, np.asfortranarray(A)):
         block, _, _ = oracle.bind(rows)(e)
-        assert block.shape == (family.d, 5)
+        assert block.shape == (family.d, k)
         assert block.flags.f_contiguous
-        assert_columns_match(lambda _: block, solve_Lt, A.T)
+        for j in range(k):
+            ref = solve_Lt(A[j])
+            assert np.linalg.norm(block[:, j] - ref) <= REL * np.linalg.norm(ref)
 
 
 @settings(max_examples=40, deadline=None)
@@ -153,11 +120,10 @@ def test_bound_block_is_column_major(family):
 def test_sdp_bound_map_split_matches_dense_congruence(seed, n, m, log_spread):
     # The SDP bound map reads the upper triangle of G^T S_i G from products
     # split at h = n // 2 (one row in a block at n = 2, 3), into buffers it
-    # keeps for the run; the frame's block solve_Lt runs the same products.
-    # Each column matches the dense svec(G^T S_i G), the block is
-    # column-major and the bound map's block is solve_Lt(A.T) bit for bit,
-    # and a block handed out earlier is left as it was by later calls.
-    # At n = 2 the d = 3 coordinates admit at most 3 independent rows.
+    # keeps for the run.  Each column matches the dense svec(G^T S_i G),
+    # the block is column-major, and a block handed out earlier is left as
+    # it was by later calls.  At n = 2 the d = 3 coordinates admit at most
+    # 3 independent rows.
     m = min(m, sw.sym_dim(n))
     rng = np.random.default_rng(seed)
     oracle = sw.det_barrier_oracle(n)
@@ -168,22 +134,19 @@ def test_sdp_bound_map_split_matches_dense_congruence(seed, n, m, log_spread):
     for _ in range(2):
         Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         e = sw.svec((Q * np.logspace(0.0, log_spread, n)) @ Q.T)
-        _, solve_Lt, _ = oracle.hessian_factor(e)
-        X = solve_Lt(A.T)
+        try:
+            X = mapped(e)[0]
+        except NumericalFailure:
+            # The Gram solve judged the block rank-deficient: at a wide
+            # spread its Gram matrix can have a condition number near 1/u.
+            continue
         assert X.shape == (sw.sym_dim(n), m)
         assert X.flags.f_contiguous
         G = np.linalg.cholesky(sw.smat(e))
         for j in range(m):
             ref = sw.svec(G.T @ S[j] @ G)
             assert np.linalg.norm(X[:, j] - ref) <= 1e-13 * np.linalg.norm(ref)
-        try:
-            block = mapped(e)[0]
-        except NumericalFailure:
-            # The Gram solve judged the block rank-deficient: at a wide
-            # spread its Gram matrix can have a condition number near 1/u.
-            continue
-        np.testing.assert_array_equal(block, X)
-        blocks.append((block, block.copy()))
+        blocks.append((X, X.copy()))
     for block, kept in blocks:
         np.testing.assert_array_equal(block, kept)
     if len(blocks) == 2:
@@ -302,11 +265,13 @@ def test_lorentz_frame_near_the_boundary(d, ratio):
     # double: mu_1^p on b1 = (-u/r, 1)/sqrt(2), mu_2^p on b2 = (u/r, 1)/sqrt(2)
     # and mu_iso^p on their complement, with mu_1 = 2/(t-r)^2,
     # mu_2 = 2/(t+r)^2 and mu_iso = 2/((t-r)(t+r)), applied through explicit
-    # projections.  Bound: each mapped column v, as a (d, k) block and as a
-    # vector, is within 8 sqrt(d) u ||H(e)^p||_2 ||v|| of the reference
-    # (u = 2^-53), the rounding of B's entries and of the d-term sums v^T B
-    # scaled by the largest eigenvalue.  At (t - r)/t = 1e-12, H(e) has
-    # condition number about 4e24.
+    # projections.  Bound: each mapped vector v is within
+    # 8 sqrt(d) u ||H(e)^p||_2 ||v|| of the reference (u = 2^-53), the
+    # rounding of B's entries and of the d-term sums v^T B scaled by the
+    # largest eigenvalue.  Each column of the bound map's block, the p = -1/2
+    # map of a constraint row, is held to the same bound, for a block of
+    # full row rank that the map's rank verdict accepts at every point here.
+    # At (t - r)/t = 1e-12, H(e) has condition number about 4e24.
     rng = np.random.default_rng([d, int(-math.log10(ratio))])
     e = lorentz_point_with_exact_radius(d, ratio, rng)
     oracle = sw.hp_barrier_oracle(sw.second_order_family(d))
@@ -335,15 +300,20 @@ def test_lorentz_frame_near_the_boundary(d, ratio):
         (lambda v: oracle.hessian_apply(e, v), 1.0),
     ]
     u = np.finfo(float).eps / 2
+
+    def bound(v, p):
+        norm_Hp = float(max(mu_iso**p, *(mu_B**p)))
+        return 8 * math.sqrt(d) * u * norm_Hp * np.linalg.norm(v)
+
     for fn, p in maps:
         want = reference(V, p)
-        norm_Hp = float(max(mu_iso**p, *(mu_B**p)))
-        block = fn(V)
-        assert block.shape == V.shape
         for j in range(V.shape[1]):
-            bound = 8 * math.sqrt(d) * u * norm_Hp * np.linalg.norm(V[:, j])
-            assert np.linalg.norm(block[:, j] - want[:, j]) <= bound, (p, j)
-            assert np.linalg.norm(fn(V[:, j]) - want[:, j]) <= bound, (p, j)
+            assert np.linalg.norm(fn(V[:, j]) - want[:, j]) <= bound(V[:, j], p), (p, j)
+    A = rng.standard_normal((min(d - 1, 4), d))
+    X, _, _ = oracle.bind(A)(e)
+    want = reference(A.T, -0.5)
+    for j, row in enumerate(A):
+        assert np.linalg.norm(X[:, j] - want[:, j]) <= bound(row, -0.5), j
 
 
 @settings(max_examples=25, deadline=None)

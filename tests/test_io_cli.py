@@ -480,6 +480,18 @@ class TestHpJson:
         with pytest.raises(ParseError):
             sw.read_hp_json(json.dumps({"family": {"name": "nope", "d": 3}}))
 
+    @pytest.mark.parametrize("family", [
+        {"name": "product", "d": True},
+        {"name": "elementary_symmetric", "d": 4, "k": True},
+        {"name": "product", "d": 5.7},
+    ], ids=["bool-d", "bool-k", "float-d"])
+    def test_family_parameters_must_be_integers(self, family):
+        # JSON true parses as a bool, which is a Python int: it is rejected
+        # as no integer, not read as d = 1 or k = 1.
+        doc = {"family": family, "c": [1.0], "A": [[1.0]], "b": [1.0], "e0": [1.0]}
+        with pytest.raises(ParseError, match="family d and k must be integers"):
+            sw.read_hp_json(json.dumps(doc))
+
     def test_start_point_roundtrip(self):
         _, E0 = sw.gen_central_path_sdp(3, 2, 1.0, 0)
         text = sw.write_start_point(E0)
@@ -704,13 +716,15 @@ class TestCli:
             ["solve", "{lp}", "--bogus"],
             ["solve", "{dir}/missing.json"],
             ["generate", "sdp", "--n", "3", "--m", "2", "--out", "{dir}/x"],
+            ["generate", "sdp", "--n", "4", "--m", "3", "--seed", "-1", "--out", "{dir}/x"],
             ["solve", "{lp}", "--trace", "{dir}/t.json", "--format", "json"],
             ["solve"],
             ["frobnicate"],
             ["--bogus"],
         ],
         ids=[
-            "bad-float", "unknown-option", "missing-file", "missing-seed", "format",
+            "bad-float", "unknown-option", "missing-file", "missing-seed",
+            "negative-seed", "format",
             "missing-argument", "unknown-command", "unknown-group-option",
         ],
     )
