@@ -70,7 +70,7 @@ def test_bound_map_is_the_frames_block_map(family):
     # oracle's matrix stack and work buffers, the Lorentz oracle's factor
     # of A A^T) carries nothing from one point to the next.  A returned
     # block never shares the work buffers, so a later call leaves it as it
-    # was.  test_bound_block_is_column_major checks each column against the
+    # was.  test_frame_block_matches_columns checks each column against the
     # frame's solve_Lt.
     rng = np.random.default_rng(0)
     oracle = sw.hp_barrier_oracle(family)
@@ -86,28 +86,72 @@ def test_bound_map_is_the_frames_block_map(family):
         np.testing.assert_array_equal(X, kept)
 
 
+def assert_columns_match(block, single_fn, A):
+    # Column j of block is single_fn(A[j]), within REL.
+    assert block.shape == (A.shape[1], A.shape[0])
+    for j in range(A.shape[0]):
+        ref = single_fn(np.ascontiguousarray(A[j]))
+        assert np.linalg.norm(block[:, j] - ref) <= REL * np.linalg.norm(ref)
+
+
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
 @settings(max_examples=25, deadline=None)
 @given(seed=SEEDS, k=st.integers(1, 9))
-def test_bound_block_is_column_major(family, seed, k):
-    # The relaxation's Gram product and projection passes read each mapped
-    # constraint contiguously, so every oracle's bound map returns the
-    # (d, k) block in column-major order, each column the frame's solve_Lt
-    # of that constraint row, whatever the memory order of A.  A block of
-    # full row rank has at most d rows.
+def test_frame_block_matches_columns(family, seed, k):
+    # bind is the one block map: column j of the bound map's (d, k) block
+    # is the frame's vector solve_Lt of constraint row j.  A block of full
+    # row rank has at most d rows.
     k = min(k, family.d)
     rng = np.random.default_rng(seed)
     oracle = sw.hp_barrier_oracle(family)
     A = rng.standard_normal((k, family.d))
     e = interior_point(family, rng)
     _, solve_Lt, _ = oracle.hessian_factor(e)
+    assert_columns_match(oracle.bind(A)(e)[0], solve_Lt, A)
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
+@settings(max_examples=10, deadline=None)
+@given(seed=SEEDS)
+def test_frame_accepts_transposed_rows(family, seed):
+    # A held as the transpose of a (d, k) array has non-contiguous rows.
+    # Each frame closure maps such a strided row as it maps a contiguous
+    # copy, and the bound map of the transposed A is, column by column,
+    # the frame's solve_Lt of its rows.
+    rng = np.random.default_rng(seed)
+    oracle = sw.hp_barrier_oracle(family)
+    A = rng.standard_normal((family.d, 5)).T
+    assert not A[0].flags.c_contiguous
+    e = interior_point(family, rng)
+    closures = oracle.hessian_factor(e)
+    for closure in closures:
+        for row in A:
+            ref = closure(np.ascontiguousarray(row))
+            assert np.linalg.norm(closure(row) - ref) <= REL * np.linalg.norm(ref)
+    assert_columns_match(oracle.bind(A)(e)[0], closures[1], A)
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
+@settings(max_examples=25, deadline=None)
+@given(seed=SEEDS, k=st.integers(1, 9))
+def test_bound_block_is_column_major(family, seed, k):
+    # The relaxation's Gram product and projection passes read each mapped
+    # constraint contiguously, so every oracle's bound map returns the
+    # (d, k) block in column-major order whatever the memory order of A;
+    # the blocks of C-order and F-order A agree column by column.
+    k = min(k, family.d)
+    rng = np.random.default_rng(seed)
+    oracle = sw.hp_barrier_oracle(family)
+    A = rng.standard_normal((k, family.d))
+    e = interior_point(family, rng)
+    blocks = []
     for rows in (A, np.asfortranarray(A)):
         block, _, _ = oracle.bind(rows)(e)
         assert block.shape == (family.d, k)
         assert block.flags.f_contiguous
-        for j in range(k):
-            ref = solve_Lt(A[j])
-            assert np.linalg.norm(block[:, j] - ref) <= REL * np.linalg.norm(ref)
+        blocks.append(block)
+    for got, ref in zip(blocks[1].T, blocks[0].T):
+        assert np.linalg.norm(got - ref) <= REL * np.linalg.norm(ref)
 
 
 @settings(max_examples=40, deadline=None)
