@@ -42,8 +42,10 @@ def gen_central_path_sdp(
     E0 is an orthogonal conjugation of eigenvalues drawn from [0.5, 2];
     C = sum_i y0_i A_i + mu E0^{-1}.  Deterministic in seed.
     """
-    if n < 2 or not 1 <= m <= sym_dim(n) - 1:
-        raise InvariantViolation(f"need n >= 2 and 1 <= m <= {sym_dim(n) - 1}")
+    if n < 2:
+        raise InvariantViolation(f"need n >= 2, got {n}")
+    if not 1 <= m <= sym_dim(n) - 1:
+        raise InvariantViolation(f"need 1 <= m <= {sym_dim(n) - 1}")
     if not (math.isfinite(mu) and mu > 0.0):
         raise InvariantViolation(f"mu={mu} must be positive and finite")
     rng = np.random.default_rng(seed)

@@ -91,7 +91,9 @@ def _check_dim(d: int, x: np.ndarray) -> np.ndarray:
 
 
 def _minkowski(u: np.ndarray, v: np.ndarray) -> float:
-    return float(u[-1] * v[-1] - np.dot(u[:-1], v[:-1]))
+    # On Python floats, which round as numpy scalars do at less cost per call;
+    # ndarray.dot is np.dot without its dispatch.
+    return u.item(-1) * v.item(-1) - float(u[:-1].dot(v[:-1]))
 
 
 def _lorentz_restriction(x: np.ndarray, e: np.ndarray) -> tuple[float, float, float]:
@@ -258,17 +260,22 @@ def _lorentz_oracle(d: int) -> BarrierOracle:
         """
         e = _check_dim(d, e)
         t, u = float(e[-1]), e[:-1]
-        r = math.sqrt(float(np.dot(u, u)))
+        r = math.sqrt(float(u.dot(u)))
         if not t > r:
             raise NotInterior(f"point outside the open {SECOND_ORDER} cone")
         lo, hi = t - r, t + r
-        mu = np.array([2.0 / (lo * hi), 2.0 / lo**2, 2.0 / hi**2])
+        # Rows mu, mu^(1/2) and mu^(-1/2), filled in place: np.array of a
+        # list of arrays costs more than the arithmetic.
+        powers = np.empty((3, 3))
+        mu = powers[0]
+        mu[:] = 2.0 / (lo * hi), 2.0 / lo**2, 2.0 / hi**2
+        np.sqrt(mu, out=powers[1])
+        np.power(mu, -0.5, out=powers[2])
         B = np.zeros((d, 2))
         if r > 0.0:
             B[-1, :] = 1.0 / math.sqrt(2.0)
             B[:-1, 1] = (u / r) / math.sqrt(2.0)
             B[:-1, 0] = -B[:-1, 1]
-        powers = np.array([mu, mu**0.5, mu**-0.5])
         a = powers[:, 0]
         # W scales the rows of a contiguous copy of B^T: a strided B.T is slower.
         return mu, B, a, (powers[:, 1:] - a[:, None])[:, :, None] * B.T.copy()
@@ -340,13 +347,20 @@ def _lorentz_oracle(d: int) -> BarrierOracle:
         def rows_factor():
             return gram_factor(A @ A.T)
 
+        # The product (A B) W_p goes to a buffer kept for the run, and the
+        # block is summed into a new array: no other (m, d) temporary per point.
+        ABW = np.empty_like(A)
+
         def mapped(e):
             RA_inv, cond_A = rows_factor()
+            RA_inv_T = RA_inv.T
             mu, B, a, W = frame(e)
             AB = A @ B
-            C = RA_inv.T @ AB
-            d1, d2 = (mu[0] / mu[1:] - 1.0).tolist()
-            (g11, g12), (_, g22) = (C.T @ C).tolist()
+            C = RA_inv_T @ AB
+            C_T = C.T
+            mu_iso, mu_1, mu_2 = mu.tolist()
+            d1, d2 = mu_iso / mu_1 - 1.0, mu_iso / mu_2 - 1.0
+            (g11, g12), (_, g22) = (C_T @ C).tolist()
             # N = I + C^T C D has the eigenvalues of I + C D C^T other than 1.
             n11, n12, n21, n22 = 1.0 + g11 * d1, g12 * d2, g12 * d1, 1.0 + g22 * d2
             det = n11 * n22 - n12 * n21
@@ -355,15 +369,18 @@ def _lorentz_oracle(d: int) -> BarrierOracle:
             lam_lo = det / lam_hi
             if not lam_lo > _NEGLIGIBLE_EIGENVALUE * max(lam_hi, 1.0):
                 raise NumericalFailure(RANK_DEFICIENT)
-            K = np.array([[d1 * n22, -d1 * n12], [-d2 * n21, d2 * n11]]) / det
-            mu_iso = float(mu[0])
+            K = np.array(
+                [[d1 * n22 / det, -d1 * n12 / det], [-d2 * n21 / det, d2 * n11 / det]]
+            )
 
             def solve(r):
-                s = RA_inv.T @ r
-                return mu_iso * (RA_inv @ (s - C @ (K @ (C.T @ s))))
+                s = RA_inv_T @ r
+                return mu_iso * (RA_inv @ (s - C @ (K @ (C_T @ s))))
 
             cond = cond_A * math.sqrt(max(lam_hi, 1.0) / min(lam_lo, 1.0))
-            return (a[INV_ROOT] * A + AB @ W[INV_ROOT]).T, solve, cond
+            X = a[INV_ROOT] * A
+            X += np.matmul(AB, W[INV_ROOT], out=ABW)
+            return X.T, solve, cond
 
         return mapped
 
@@ -488,12 +505,27 @@ def power_sums_from_coeffs(coeffs: np.ndarray) -> tuple[float, float, float, flo
     the Newton identities.  Coefficients below index 0 count as zero.
     """
     a = np.asarray(coeffs, dtype=float)
-    n = a.size - 1
-    an = a[-1]
+    values = a.tolist()
+    mags = [abs(v) for v in values]
+    if math.isnan(sum(mags)):
+        # np.max of a NaN is NaN, so the test below never fails here, and the
+        # sums stay on numpy scalars: they divide by zero to inf or NaN where
+        # a Python float raises.
+        return _newton_power_sums(a)
     # Relative only: the coefficients scale with p, and a well-scaled
     # polynomial whose p(e) is below 1e-12 is not degenerate.
-    if abs(an) <= 1e-12 * np.max(np.abs(a)):
+    if abs(values[-1]) <= 1e-12 * max(mags):
         raise DegenerateLeadingCoefficient("leading coefficient is numerically zero")
+    # Past the test a_n is nonzero and every |e_k| is below 1e12, so Python
+    # floats, which round as numpy scalars do at a fraction of the cost per
+    # operation, neither divide by zero nor overflow.
+    return _newton_power_sums(values)
+
+
+def _newton_power_sums(a) -> tuple[float, float, float, float]:
+    """Newton's identities on the ascending coefficients ``a``."""
+    n = len(a) - 1
+    an = a[-1]
 
     def elem(k):
         return a[n - k] / an if n - k >= 0 else 0.0

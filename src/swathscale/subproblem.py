@@ -106,9 +106,9 @@ def _refined_solve(
     their errors alike, and per-column sums over the block's strided
     columns cost about 5% of an n=40 SDP iteration.
     """
-    Z = 0.0
+    Z, XT = 0.0, X.T
     for k in range(_pass_count(cond)):
-        Zk = solve(rhs + X.T @ V)
+        Zk = solve(rhs + XT @ V)
         step = X @ Zk
         Z, V = Z + Zk, V - step
         if k == 0:
@@ -179,9 +179,9 @@ def solve_qcp(
     V[:, 0], V[:, 1], V[:, 2] = 0.0, ehat, chat
     Z, V = _refined_solve(At_hat, solve_gram, cond, rhs, V)
     w0, f, g = -V[:, 0], V[:, 1], V[:, 2]
-    ff, fg, gg = float(np.dot(f, f)), float(np.dot(f, g)), float(np.dot(g, g))
-    beta0 = float(np.dot(ehat, w0))
-    rho2 = float(np.dot(w0, w0))
+    ff, fg, gg = float(f.dot(f)), float(f.dot(g)), float(g.dot(g))
+    beta0 = float(ehat.dot(w0))
+    rho2 = float(w0.dot(w0))
     D = alpha**2 - ff
     q = rho2 * D - beta0**2
     roots = _stable_quadratic_roots(rho2 * fg**2 + beta0**2 * gg, 2.0 * fg * q, D * q)
@@ -193,7 +193,7 @@ def solve_qcp(
     kappa = min(kappas, key=lambda kap: (fg - kap * gg) / (D + kap * fg))
     w = w0 + (beta0 / (D + kappa * fg)) * (f - kappa * g)
     x = solve_L(w)
-    gap = float(np.dot(c, e - x))
+    gap = float(c.dot(e - x))
     if gap <= 0.0:
         return SubproblemSolution(None, None, None, None, None, SubStatus.NOT_IN_SWATH)
 
@@ -202,14 +202,14 @@ def solve_qcp(
     # slack in the frame is shat = (gap / (n - alpha^2)) (ehat - (alpha^2/ip) w),
     # and chat - shat = At_hat y: y combines the coefficients in At_hat of
     # the range parts of chat, ehat and w, which the refined solve returned.
-    ip = float(np.dot(ehat, w))  # <e, x>_e
+    ip = float(ehat.dot(w))  # <e, x>_e
     scale = gap / (n - alpha**2)
     lam = -ip / scale
     y_e = Z[:, 2] - scale * (Z[:, 1] - (alpha**2 / ip) * Z[:, 0])
     s_e = scale * oracle.hessian_apply(e, e - (alpha**2 / ip) * x)
     return SubproblemSolution(
         x, y_e, s_e, lam, gap, SubStatus.SOLVED,
-        e_dot_x=ip, x_norm_sq=float(np.dot(w, w)),
+        e_dot_x=ip, x_norm_sq=float(w.dot(w)),
     )
 
 

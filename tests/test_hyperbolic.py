@@ -410,6 +410,23 @@ class TestPowerSums:
         with pytest.raises(DegenerateLeadingCoefficient):
             sw.power_sums_from_coeffs(np.array([1.0, 1.0, 0.0]))
 
+    def test_python_floats_give_the_numpy_scalar_sums(self, rng):
+        # The identities run on Python floats, and on numpy scalars where a
+        # coefficient is NaN: both ways give the same bits, and a NaN with a
+        # zero leading coefficient divides as numpy does instead of raising
+        # ZeroDivisionError.
+        cases = [
+            rng.standard_normal(deg) * 10.0 ** rng.uniform(-30.0, 30.0)
+            for deg in (2, 3, 4, 5, 9)
+            for _ in range(40)
+        ]
+        cases += [np.array([np.nan, 1.0, 0.0]), np.array([2.0, np.nan, 1.0])]
+        for a in cases:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                got = sw.power_sums_from_coeffs(a)
+                ref = swathscale.hyperbolic._newton_power_sums(a)
+            assert np.array(got).tobytes() == np.array(ref).tobytes(), a
+
 
 class TestHyperbolicitySampling:
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.name)

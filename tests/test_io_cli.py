@@ -1085,22 +1085,26 @@ class TestCli:
         assert "error: requested check applies to SDP instances only" in r.output
 
     @pytest.mark.parametrize(
-        "args",
+        "args, message",
         [
-            ["sdp", "--n", "1", "--m", "1"],  # InvariantViolation
-            ["hp", "--family", "elementary_symmetric", "--n", "6", "--m", "3"],  # no --k
+            # InvariantViolation; the order is tested before the m range,
+            # whose bound it sets.
+            (["sdp", "--n", "1", "--m", "1"], "error: need n >= 2, got 1"),
+            (["sdp", "--n", "-3", "--m", "3"], "error: need n >= 2, got -3"),
+            # No --k.
+            (["hp", "--family", "elementary_symmetric", "--n", "6", "--m", "3"], "error:"),
             # A non-finite mu is rejected before any draw, not after ten.
-            ["hp", "--family", "product", "--n", "5", "--m", "2", "--mu", "nan"],
-            ["sdp", "--n", "4", "--m", "3", "--mu", "inf"],
+            (["hp", "--family", "product", "--n", "5", "--m", "2", "--mu", "nan"], "error:"),
+            (["sdp", "--n", "4", "--m", "3", "--mu", "inf"], "error:"),
         ],
-        ids=["order-1", "esym-without-k", "hp-mu-nan", "sdp-mu-inf"],
+        ids=["order-1", "order-negative", "esym-without-k", "hp-mu-nan", "sdp-mu-inf"],
     )
-    def test_generate_input_error_exit_code(self, tmp_path, args):
+    def test_generate_input_error_exit_code(self, tmp_path, args, message):
         r = CliRunner().invoke(
             main, ["generate", *args, "--seed", "0", "--out", str(tmp_path / "x")]
         )
         assert r.exit_code == 4, r.output
-        assert "error:" in r.output
+        assert message in r.output
 
     def test_generate_retry_exhausted_exit_code(self, tmp_path, monkeypatch):
         def exhausted(*args, **kwargs):
