@@ -48,7 +48,7 @@ def check_constraints(A: np.ndarray, b: Vector, c: Vector) -> None:
 def check_start(A: np.ndarray, b: Vector, e0: Vector, oracle: BarrierOracle) -> None:
     """The start test of both backends: ``e0`` finite, on ``A e0 = b`` to
     ``1e-9 (1 + ||b||_inf)``, and in the open cone: the oracle's frame
-    ``hessian_factor(e0)`` exists, and a caching oracle keeps it for the run."""
+    ``hessian_factor(e0)`` exists, and each oracle's point cache keeps it."""
     if not np.isfinite(e0).all():
         raise InvariantViolation("start point entries must be finite")
     if np.max(np.abs(A @ e0 - b)) > 1e-9 * (1.0 + np.abs(b).max()):
@@ -65,16 +65,15 @@ class BarrierOracle:
 
     All callables act on ambient coordinate vectors of length ``dim``.
     ``degree`` is the degree of the underlying polynomial; the barrier is
-    ``-ln p``.  ``hessian_apply``, ``hessian_solve`` and ``hessian_factor``
-    must raise :class:`~swathscale.errors.NotInterior` off the cone
-    interior.  The iteration needs the local frame (``hessian_factor``)
-    and the constraint block mapped into it (``bind``, once per run),
-    Hessian products, the first four power sums of the eigenvalues of
-    ``x`` in direction ``e`` (``direction_power_sums``), and ``value`` as
-    an interiority probe.  ``hessian_solve`` serves the diagnostics and
-    the tests; ``gradient`` serves the instance generators and the
-    diagnostics.  ``bind`` and ``hessian_solve`` default to their
-    frame-generic forms, built from ``hessian_factor``.
+    ``-ln p``.  Every callable that reads a point must raise
+    :class:`~swathscale.errors.NotInterior` off the open cone.  The
+    iteration needs the local frame (``hessian_factor``) and the constraint
+    block mapped into it (``bind``, once per run), Hessian products, the
+    first four power sums of the eigenvalues of ``x`` in direction ``e``
+    (``direction_power_sums``), and ``value`` as an interiority probe.
+    ``hessian_solve`` serves the diagnostics and the tests; ``gradient`` the
+    instance generators and the diagnostics.  ``bind`` and ``hessian_solve``
+    default to their frame-generic forms, built from ``hessian_factor``.
     """
 
     dim: int

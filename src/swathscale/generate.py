@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from .core import local_norm
 from .errors import InvariantViolation, RetryExhausted
 from .hyperbolic import (
     DETERMINANT,
@@ -114,8 +115,7 @@ def gen_hp_instance(
 
     e_can = family.canonical_direction()
     w = rng.standard_normal(d)
-    norm = float(np.sqrt(np.dot(w, oracle.hessian_apply(e_can, w))))
-    e0 = e_can + (0.5 / norm) * w
+    e0 = e_can + (0.5 / local_norm(oracle, e_can, w)) * w
     g0 = oracle.gradient(e0)
 
     for _ in range(_MAX_RETRIES):

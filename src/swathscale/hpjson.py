@@ -88,8 +88,8 @@ def _document(fields: dict[str, str]) -> str:
 
 def write_hp_json(inst: HpInstance, metadata: dict | None = None) -> str:
     fam: dict = {"name": inst.family.name, "d": inst.family.d}
-    if inst.family.k is not None:
-        fam["k"] = inst.family.k
+    if inst.family.name == ELEMENTARY_SYMMETRIC:
+        fam["k"] = inst.family.degree
     return _document({
         "family": json.dumps(fam),
         "c": json.dumps(inst.c.tolist()),

@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -42,12 +41,11 @@ ELEMENTARY_SYMMETRIC = "elementary_symmetric"
 
 @dataclass(frozen=True)
 class HpFamily:
-    """Descriptor of one hyperbolic polynomial: name, ambient dim, degree."""
+    """One hyperbolic polynomial: name, ambient dim, degree (k for e_k)."""
 
     name: str
     d: int
     degree: int
-    k: int | None = None  # elementary_symmetric only
 
     def canonical_direction(self) -> np.ndarray:
         if self.name == SECOND_ORDER:
@@ -80,7 +78,7 @@ def determinant_family(n: int) -> HpFamily:
 def elementary_symmetric_family(d: int, k: int) -> HpFamily:
     if not 2 <= k <= d:
         raise DomainError("elementary symmetric family needs 2 <= k <= d")
-    return HpFamily(ELEMENTARY_SYMMETRIC, d, k, k=k)
+    return HpFamily(ELEMENTARY_SYMMETRIC, d, k)
 
 
 def _check_dim(d: int, x: np.ndarray) -> np.ndarray:
@@ -110,19 +108,13 @@ def _esym_values(x: np.ndarray, k: int) -> np.ndarray:
     return e
 
 
-def _esym_interior(x: np.ndarray, k: int) -> bool:
-    # The cone in direction 1 is cut out by the positivity of all lower
-    # elementary symmetric polynomials.
-    return bool(np.all(_esym_values(x, k)[1:] > 0.0))
-
-
-def _esym_deflations(x: np.ndarray, k: int) -> np.ndarray:
-    """``D[i, j] = e_j(x without x_i)`` for j = 0..k, in k vector steps; column
-    k - 1 is the gradient of e_k itself (not the barrier)."""
-    e_full = _esym_values(x, k)
-    D = np.ones((x.size, k + 1))
-    for j in range(1, k + 1):
-        D[:, j] = e_full[j] - x * D[:, j - 1]
+def _esym_deflations(x: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``D[i, j] = e_j(x without x_i)`` for j = 0..k, in k vector steps from
+    ``values = _esym_values(x, k)``; column k - 1 is the gradient of e_k
+    itself (not the barrier)."""
+    D = np.ones((x.size, values.size))
+    for j in range(1, values.size):
+        D[:, j] = values[j] - x * D[:, j - 1]
     return D
 
 
@@ -157,7 +149,7 @@ def eval_p(family: HpFamily, x: np.ndarray) -> float:
         return _minkowski(x, x)
     if family.name == DETERMINANT:
         return float(np.linalg.det(sdp.smat(x)))
-    return float(_esym_values(x, family.k)[family.k])
+    return float(_esym_values(x, family.degree)[-1])
 
 
 def is_member(family: HpFamily, x: np.ndarray, tol: float = 1e-9) -> bool:
@@ -169,9 +161,9 @@ def is_member(family: HpFamily, x: np.ndarray, tol: float = 1e-9) -> bool:
         return x[-1] >= np.linalg.norm(x[:-1]) - tol
     if family.name == DETERMINANT:
         return bool(np.min(np.linalg.eigvalsh(sdp.smat(x))) >= -tol)
-    values = _esym_values(x, family.k)
+    values = _esym_values(x, family.degree)
     scale = 1.0 + float(np.linalg.norm(x))
-    return bool(np.all(values[1:] >= -tol * scale ** np.arange(1, family.k + 1)))
+    return bool(np.all(values[1:] >= -tol * scale ** np.arange(1, values.size)))
 
 
 def hp_barrier_oracle(family: HpFamily) -> BarrierOracle:
@@ -185,41 +177,39 @@ def hp_barrier_oracle(family: HpFamily) -> BarrierOracle:
         return _lorentz_oracle(family.d)
     if family.name == DETERMINANT:
         return sdp.det_barrier_oracle(family.degree)
-    return _esym_oracle(family.d, family.k)
-
-
-def _interior_guard(d: int, name: str, interior: Callable[[np.ndarray], bool]):
-    """Check returning ``e`` as a float vector; NotInterior off the open cone."""
-
-    def guard(e):
-        e = _check_dim(d, e)
-        if not interior(e):
-            raise NotInterior(f"point outside the open {name} cone")
-        return e
-
-    return guard
+    return _esym_oracle(family.d, family.degree)
 
 
 def _product_oracle(d: int) -> BarrierOracle:
     """Barrier ``-sum ln e_i`` of the orthant: H(e) = diag(e)^-2."""
-    guard = _interior_guard(d, PRODUCT, lambda e: np.all(e > 0.0))
+    def point(e):
+        # The cache makes what it keeps read-only: a copy of e, not the caller's.
+        e = _check_dim(d, e)
+        if not np.all(e > 0.0):
+            raise NotInterior(f"point outside the open {PRODUCT} cone")
+        return e.copy(), 1.0 / e
+
+    point = point_cache(point)
 
     def value(e):
+        e, _ = point(e)
         # np.prod underflows to 0 for large d, and math.log(0) raises.
-        return -math.log(np.prod(guard(e)))
+        return -math.log(np.prod(e))
 
     def gradient(e):
-        return -1.0 / guard(e)
+        _, inv_e = point(e)
+        return -inv_e
 
     def hessian_apply(e, v):
-        return np.asarray(v, dtype=float) / guard(e) ** 2
+        e, _ = point(e)
+        return np.asarray(v, dtype=float) / e**2
 
     def direction_power_sums(e, x):
-        return power_sums(np.asarray(x, dtype=float) / guard(e))
+        e, _ = point(e)
+        return power_sums(_check_dim(d, x) / e)
 
     def hessian_factor(e):
-        e = guard(e)
-        inv_e = 1.0 / e
+        e, inv_e = point(e)
 
         # Scaling the rows of v.T scales each column of a block.
         def apply_L(v):
@@ -393,10 +383,16 @@ def _lorentz_oracle(d: int) -> BarrierOracle:
 
 def _esym_oracle(d: int, k: int) -> BarrierOracle:
     """Barrier ``-ln e_k`` through a Hessian factor split along ``grad p / p``."""
-    guard = _interior_guard(d, ELEMENTARY_SYMMETRIC, lambda e: _esym_interior(e, k))
+    def point(e):
+        # One recurrence tests e_1..e_k > 0, which cuts out the cone in
+        # direction 1, and feeds D; e_k is kept as an array the cache can freeze.
+        e = _check_dim(d, e)
+        values = _esym_values(e, k)
+        if not np.all(values[1:] > 0.0):
+            raise NotInterior(f"point outside the open {ELEMENTARY_SYMMETRIC} cone")
+        return e.copy(), _esym_deflations(e, values), values[k:]
 
-    def p(x):
-        return float(_esym_values(x, k)[k])
+    point = point_cache(point)
 
     def split_factor(e):
         """``(T, C)`` with ``H(e) = L^T L`` for ``L = C^T T^T``.
@@ -410,9 +406,7 @@ def _esym_oracle(d: int, k: int) -> BarrierOracle:
         the boundary) has a backward error that swamps the O(1) curvature
         along e.
         """
-        e = guard(e)
-        p_e = p(e)
-        deflated = _esym_deflations(e, k)
+        e, deflated, (p_e,) = point(e)
         hp = _esym_pairs(e, deflated, k)
         ghat = deflated[:, k - 1] / p_e
         norm_g = float(np.linalg.norm(ghat))
@@ -427,15 +421,16 @@ def _esym_oracle(d: int, k: int) -> BarrierOracle:
             raise NotInterior("barrier Hessian is not positive definite")
 
     # The frame, the dual slack and the carry-over check all read the
-    # factor at a point; each point's Hessian is built once.
+    # factor at a point; each point's Hessian is built once, from its D.
     split_factor = point_cache(split_factor)
 
     def value(e):
-        return -math.log(p(guard(e)))
+        _, _, (p_e,) = point(e)
+        return -math.log(p_e)
 
     def gradient(e):
-        e = guard(e)
-        return -_esym_deflations(e, k)[:, k - 1] / p(e)
+        _, deflated, (p_e,) = point(e)
+        return -deflated[:, k - 1] / p_e
 
     def hessian_apply(e, v):
         T, C = split_factor(e)
@@ -444,7 +439,7 @@ def _esym_oracle(d: int, k: int) -> BarrierOracle:
     def direction_power_sums(e, x):
         # Newton's identities on the coefficients: no root extraction, so
         # clustered eigenvalues cost no accuracy.
-        e = guard(e)
+        e, _, _ = point(e)
         return power_sums_from_coeffs(_esym_restriction(_check_dim(d, x), e, k))
 
     def hessian_factor(e):

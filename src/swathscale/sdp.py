@@ -158,6 +158,8 @@ def det_barrier_oracle(n: int) -> BarrierOracle:
         # W = G^{-1} X G^{-T} has the eigenvalues of X in direction E.  Its
         # traces and those of its powers are read as tr W, <W, W>, <W, W^2>
         # and <W^2, W^2> with W symmetric.
+        if np.shape(x) != (d,):
+            raise DimensionMismatch(f"expected vector of length {d}, got {np.shape(x)}")
         _, G_inv, _ = factor(e)
         W = G_inv @ smat(x) @ G_inv.T
         W2 = W @ W

@@ -333,13 +333,22 @@ class TestRun:
         assert res.status is sw.RunStatus.CONVERGED and res.iterations > 1
         assert shapes == [(15, 15)]
 
-        # The esym oracle builds its split Hessian factor, and the Lorentz
-        # oracle its spectral frame, once per point.
+        # Each cache of an HP oracle builds each iterate once.  The Lorentz
+        # oracle caches its spectral frame, the product oracle e and 1/e, and
+        # the esym oracle the point's one build and the split Hessian factor
+        # read from it.
         point_cache = swathscale.hyperbolic.point_cache
-        for family in (sw.elementary_symmetric_family(8, 3), sw.second_order_family(30)):
-            builds = []
+        families = (
+            sw.elementary_symmetric_family(8, 3), sw.second_order_family(30),
+            sw.product_family(20),
+        )
+        for family, caches_per_run in zip(families, (2, 1, 1)):
+            caches = []
 
             def recording_cache(build):
+                builds = []
+                caches.append(builds)
+
                 def recorded(e):
                     builds.append(e.tobytes())
                     return build(e)
@@ -352,7 +361,9 @@ class TestRun:
             monkeypatch.undo()
             res = sw.run(oracle, inst.A, inst.b, inst.c, e, sw.SolverConfig())
             assert res.status is sw.RunStatus.CONVERGED
-            assert len(builds) == len(set(builds)) == res.iterations, family.name
+            assert len(caches) == caches_per_run, family.name
+            for builds in caches:
+                assert len(builds) == len(set(builds)) == res.iterations, family.name
 
     def test_constraint_block_stack_built_once_per_run(self, monkeypatch):
         # The run binds the constraint block once, and the SDP oracle maps it

@@ -14,6 +14,7 @@ import swathscale as sw
 import swathscale.hyperbolic
 from swathscale.errors import (
     DegenerateLeadingCoefficient,
+    DimensionMismatch,
     DomainError,
     InvariantViolation,
     NotInterior,
@@ -177,10 +178,10 @@ class TestBarrierIdentities:
         # the scalar deflation recurrence that each row and pair runs.
         hyp = swathscale.hyperbolic
         x = rng.uniform(0.5, 2.0, d)
-        D = hyp._esym_deflations(x, k)
+        e_full = hyp._esym_values(x, k)
+        D = hyp._esym_deflations(x, e_full)
         P = hyp._esym_pairs(x, D, k)
         assert np.array_equal(P, P.T) and np.all(np.diag(P) == 0.0)
-        e_full = hyp._esym_values(x, k)
         for i in range(d):
             rest = np.delete(x, i)
             row = [1.0]
@@ -204,6 +205,42 @@ class TestBarrierIdentities:
         oracle = sw.hp_barrier_oracle(fam)
         with pytest.raises(NotInterior):
             oracle.gradient(np.array([1.0, -1.0, 1.0]))
+
+    @pytest.mark.parametrize("reader", [
+        "value", "gradient", "hessian_apply", "direction_power_sums", "hessian_factor",
+    ])
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.name)
+    def test_point_readers_raise_off_cone(self, family, reader):
+        # -e lies outside the open cone of each family.  The oracle has
+        # cached e first: a miss must still test the new point.
+        oracle = sw.hp_barrier_oracle(family)
+        e = family.canonical_direction()
+        oracle.value(e)
+        second = (e,) if reader in ("hessian_apply", "direction_power_sums") else ()
+        with pytest.raises(NotInterior):
+            getattr(oracle, reader)(-e, *second)
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.name)
+    def test_cache_leaves_the_callers_point_alone(self, family, rng):
+        # The cache makes what it stores read-only; the caller's e must stay
+        # writeable, and a change in place must reach the next call.
+        oracle = sw.hp_barrier_oracle(family)
+        e = interior_point(family, rng)
+        oracle.gradient(e)
+        oracle.hessian_factor(e)
+        before = oracle.value(e)
+        assert e.flags.writeable
+        e *= 2.0
+        # -ln p is logarithmically homogeneous of degree n.
+        assert oracle.value(e) == pytest.approx(
+            before - family.degree * math.log(2.0), rel=1e-12, abs=1e-12
+        )
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.name)
+    def test_direction_of_wrong_length(self, family):
+        oracle = sw.hp_barrier_oracle(family)
+        with pytest.raises(DimensionMismatch):
+            oracle.direction_power_sums(family.canonical_direction(), np.array([0.5]))
 
 
 def lorentz_dense_hessian(x):
