@@ -63,7 +63,7 @@ from .sdp import (
     sym_dim,
 )
 from .sdpa import parse_sdpa, write_sdpa
-from .subproblem import SubproblemSolution, SubStatus, in_swath, solve_qcp
+from .subproblem import SubproblemSolution, in_swath, solve_qcp
 from .tracefile import export_trace, parse_trace, trace_footer, trace_header
 
 __version__ = "0.1.0"

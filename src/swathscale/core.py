@@ -17,7 +17,9 @@ from typing import Callable
 import numpy as np
 from scipy.linalg.lapack import dtrtri
 
-from .errors import DomainError, InvariantViolation, NotInterior, NumericalFailure
+from .errors import (
+    DimensionMismatch, DomainError, InvariantViolation, NotInterior, NumericalFailure,
+)
 
 Vector = np.ndarray
 
@@ -66,7 +68,9 @@ class BarrierOracle:
     All callables act on ambient coordinate vectors of length ``dim``.
     ``degree`` is the degree of the underlying polynomial; the barrier is
     ``-ln p``.  Every callable that reads a point must raise
-    :class:`~swathscale.errors.NotInterior` off the open cone.  The
+    :class:`~swathscale.errors.NotInterior` off the open cone, and
+    :class:`~swathscale.errors.DimensionMismatch` on a point, or a
+    ``hessian_apply`` direction, of another length.  The
     iteration needs the local frame (``hessian_factor``) and the constraint
     block mapped into it (``bind``, once per run), Hessian products, the
     first four power sums of the eigenvalues of ``x`` in direction ``e``
@@ -181,25 +185,34 @@ def gram_solve(M: np.ndarray) -> tuple[Callable[[np.ndarray], np.ndarray], float
     return solve, cond1
 
 
-def point_cache(build: Callable[[Vector], tuple]) -> Callable[[Vector], tuple]:
-    """One-entry cache of ``build(e)``, keyed on the shape and bytes of the
-    point ``e``.
+def check_dim(d: int, x: Vector) -> Vector:
+    """``x`` as a float array, which must have shape ``(d,)``."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (d,):
+        raise DimensionMismatch(f"expected vector of length {d}, got {x.shape}")
+    return x
 
-    An iteration visits each point several times (frame, dual slack,
-    step, interiority probe, carry-over check), so each oracle factors a
-    point once and reads every quantity from that factor.  A hit returns
-    exactly what a rebuild would, and a point changed in place misses.  A
-    failing build (``NotInterior``) is not stored and leaves the cached
-    entry in place.  The cached arrays are made read-only, since every
-    later caller shares them.
+
+def point_cache(d: int, build: Callable[[Vector], tuple]) -> Callable[[Vector], tuple]:
+    """One-entry cache of ``build(e)``, keyed on the bytes of the point ``e``.
+
+    Each point first goes through ``check_dim(d, e)``: every oracle reads
+    points through its cache, so this is where a point's length is checked,
+    and ``build`` sees only ``(d,)`` float arrays.  An iteration visits
+    each point several times (frame, dual slack, step, interiority probe,
+    carry-over check), so each oracle factors a point once and reads every
+    quantity from that factor.  A hit returns exactly what a rebuild would,
+    and a point changed in place misses.  A failing build (``NotInterior``)
+    is not stored and leaves the cached entry in place.  The cached arrays
+    are made read-only, since every later caller shares them.
     """
     key = None
     entry = None
 
     def cached(e):
         nonlocal key, entry
-        e = np.asarray(e, dtype=float)
-        probe = (e.shape, e.tobytes())
+        e = check_dim(d, e)
+        probe = e.tobytes()
         if probe != key:
             built = build(e)
             for arr in built:

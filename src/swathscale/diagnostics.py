@@ -23,7 +23,7 @@ from .core import (
 )
 from .errors import DomainError, NotInterior
 from .sdp import SdpInstance, det_barrier_oracle, smat, svec
-from .subproblem import SubStatus, solve_qcp
+from .subproblem import solve_qcp
 from .driver import step_poly_coeffs
 
 
@@ -50,7 +50,7 @@ def _solve_sdp_relaxation(sdp_inst: SdpInstance, E: np.ndarray, alpha: float):
     oracle = det_barrier_oracle(sdp_inst.n)
     A = sdp_inst.constraint_rows()
     sol = solve_qcp(oracle, A, sdp_inst.b, svec(sdp_inst.C), svec(E), alpha)
-    if sol.status is not SubStatus.SOLVED:
+    if sol is None:
         raise DomainError("E is not in the swath for this alpha")
     return oracle, sol
 

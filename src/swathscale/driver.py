@@ -34,7 +34,7 @@ from .errors import (
     NumericalFailure,
     StepBoundViolation,
 )
-from .subproblem import SubproblemSolution, SubStatus, solve_qcp
+from .subproblem import SubproblemSolution, solve_qcp
 
 _RATIO_SLACK = 1e-9
 
@@ -218,7 +218,7 @@ def run(
                 raise
             status = RunStatus.NUMERICAL_FAILURE
             break
-        if sol.status is not SubStatus.SOLVED:
+        if sol is None:
             status = RunStatus.NOT_IN_SWATH
             break
 
@@ -274,13 +274,9 @@ def run(
             break
         e = e_next
 
-    result = SolveResult(status=status, trace=trace, violations=violations)
-    result.final_e = e
-    if sol is not None and sol.status is SubStatus.SOLVED:
-        result.final_x = sol.x_e
-        result.final_y = sol.y_e
-        result.final_s = sol.s_e
-    return result
+    # A solve_qcp that raised leaves sol at the previous iterate's optimum.
+    x, y, s = (None,) * 3 if sol is None else (sol.x_e, sol.y_e, sol.s_e)
+    return SolveResult(status, trace, e, x, y, s, violations)
 
 
 def alpha_schedule_next(alpha: float) -> float:
@@ -325,7 +321,7 @@ def alpha_reduction_run(
     iterations = 0
     while alpha > alpha_target:
         sol = solve_qcp(oracle, A, b, c, e, alpha, block)
-        if sol.status is not SubStatus.SOLVED:
+        if sol is None:
             raise NumericalFailure(
                 f"iterate left swath({alpha}) during alpha reduction"
             )

@@ -21,6 +21,7 @@ from .core import (
     RANK_DEFICIENT,
     BarrierOracle,
     check_constraints,
+    check_dim,
     check_start,
     gram_factor,
     point_cache,
@@ -81,13 +82,6 @@ def elementary_symmetric_family(d: int, k: int) -> HpFamily:
     return HpFamily(ELEMENTARY_SYMMETRIC, d, k)
 
 
-def _check_dim(d: int, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (d,):
-        raise DimensionMismatch(f"expected vector of length {d}, got {x.shape}")
-    return x
-
-
 def _minkowski(u: np.ndarray, v: np.ndarray) -> float:
     # On Python floats, which round as numpy scalars do at less cost per call;
     # ndarray.dot is np.dot without its dispatch.
@@ -142,7 +136,7 @@ def _esym_restriction(x: np.ndarray, e: np.ndarray, k: int) -> np.ndarray:
 
 def eval_p(family: HpFamily, x: np.ndarray) -> float:
     """Value of the family's polynomial at x."""
-    x = _check_dim(family.d, x)
+    x = check_dim(family.d, x)
     if family.name == PRODUCT:
         return float(np.prod(x))
     if family.name == SECOND_ORDER:
@@ -154,7 +148,7 @@ def eval_p(family: HpFamily, x: np.ndarray) -> float:
 
 def is_member(family: HpFamily, x: np.ndarray, tol: float = 1e-9) -> bool:
     """Membership in the closed cone, by the family-native test."""
-    x = _check_dim(family.d, x)
+    x = check_dim(family.d, x)
     if family.name == PRODUCT:
         return bool(np.all(x >= -tol))
     if family.name == SECOND_ORDER:
@@ -184,12 +178,11 @@ def _product_oracle(d: int) -> BarrierOracle:
     """Barrier ``-sum ln e_i`` of the orthant: H(e) = diag(e)^-2."""
     def point(e):
         # The cache makes what it keeps read-only: a copy of e, not the caller's.
-        e = _check_dim(d, e)
         if not np.all(e > 0.0):
             raise NotInterior(f"point outside the open {PRODUCT} cone")
         return e.copy(), 1.0 / e
 
-    point = point_cache(point)
+    point = point_cache(d, point)
 
     def value(e):
         e, _ = point(e)
@@ -202,11 +195,11 @@ def _product_oracle(d: int) -> BarrierOracle:
 
     def hessian_apply(e, v):
         e, _ = point(e)
-        return np.asarray(v, dtype=float) / e**2
+        return check_dim(d, v) / e**2
 
     def direction_power_sums(e, x):
         e, _ = point(e)
-        return power_sums(_check_dim(d, x) / e)
+        return power_sums(check_dim(d, x) / e)
 
     def hessian_factor(e):
         e, inv_e = point(e)
@@ -248,7 +241,6 @@ def _lorentz_oracle(d: int) -> BarrierOracle:
         ``H(e)^p = a_p I + B W_p`` with ``a_p = mu_iso^p`` and the ``(2, d)``
         ``W_p = diag(mu_B^p - a_p) B^T``.
         """
-        e = _check_dim(d, e)
         t, u = float(e[-1]), e[:-1]
         r = math.sqrt(float(u.dot(u)))
         if not t > r:
@@ -272,7 +264,7 @@ def _lorentz_oracle(d: int) -> BarrierOracle:
 
     # The relaxation's frame, the dual slack, the carry-over check and the
     # interiority probe read H at a point; each point's frame is built once.
-    frame = point_cache(frame)
+    frame = point_cache(d, frame)
     HESSIAN, ROOT, INV_ROOT = range(3)
 
     def spectral_apply(frame_e, v, power):
@@ -300,11 +292,11 @@ def _lorentz_oracle(d: int) -> BarrierOracle:
         return -(2.0 * Je) / _minkowski(e, e)
 
     def hessian_apply(e, v):
-        return spectral_apply(frame(e), v, HESSIAN)
+        return spectral_apply(frame(e), check_dim(d, v), HESSIAN)
 
     def direction_power_sums(e, x):
         # Newton's identities on the restricted quadratic, as for e_k.
-        return power_sums_from_coeffs(_lorentz_restriction(_check_dim(d, x), point(e)))
+        return power_sums_from_coeffs(_lorentz_restriction(check_dim(d, x), point(e)))
 
     def hessian_factor(e):
         # Symmetric square root from the closed eigendecomposition;
@@ -386,13 +378,12 @@ def _esym_oracle(d: int, k: int) -> BarrierOracle:
     def point(e):
         # One recurrence tests e_1..e_k > 0, which cuts out the cone in
         # direction 1, and feeds D; e_k is kept as an array the cache can freeze.
-        e = _check_dim(d, e)
         values = _esym_values(e, k)
         if not np.all(values[1:] > 0.0):
             raise NotInterior(f"point outside the open {ELEMENTARY_SYMMETRIC} cone")
         return e.copy(), _esym_deflations(e, values), values[k:]
 
-    point = point_cache(point)
+    point = point_cache(d, point)
 
     def split_factor(e):
         """``(T, C)`` with ``H(e) = L^T L`` for ``L = C^T T^T``.
@@ -422,7 +413,7 @@ def _esym_oracle(d: int, k: int) -> BarrierOracle:
 
     # The frame, the dual slack and the carry-over check all read the
     # factor at a point; each point's Hessian is built once, from its D.
-    split_factor = point_cache(split_factor)
+    split_factor = point_cache(d, split_factor)
 
     def value(e):
         _, _, (p_e,) = point(e)
@@ -434,13 +425,13 @@ def _esym_oracle(d: int, k: int) -> BarrierOracle:
 
     def hessian_apply(e, v):
         T, C = split_factor(e)
-        return T @ (C @ (C.T @ (T.T @ np.asarray(v, dtype=float))))
+        return T @ (C @ (C.T @ (T.T @ check_dim(d, v))))
 
     def direction_power_sums(e, x):
         # Newton's identities on the coefficients: no root extraction, so
         # clustered eigenvalues cost no accuracy.
         e, _, _ = point(e)
-        return power_sums_from_coeffs(_esym_restriction(_check_dim(d, x), e, k))
+        return power_sums_from_coeffs(_esym_restriction(check_dim(d, x), e, k))
 
     def hessian_factor(e):
         T, C = split_factor(e)
@@ -475,8 +466,8 @@ def restricted_coeffs(family: HpFamily, x: np.ndarray, e: np.ndarray) -> np.ndar
     product of coordinates is e_d) the exact recurrence of
     ``_esym_restriction``.
     """
-    x = _check_dim(family.d, x)
-    e = _check_dim(family.d, e)
+    x = check_dim(family.d, x)
+    e = check_dim(family.d, e)
     if eval_p(family, e) <= 0.0:
         raise NotInterior("restriction direction must have positive polynomial value")
     if family.name == SECOND_ORDER:

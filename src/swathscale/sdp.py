@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dtrtri
 
-from .core import BarrierOracle, check_constraints, gram_solve, point_cache
+from .core import BarrierOracle, check_constraints, check_dim, gram_solve, point_cache
 from .errors import DimensionMismatch, NotInterior
 
 _SQRT2 = np.sqrt(2.0)
@@ -140,7 +140,7 @@ def det_barrier_oracle(n: int) -> BarrierOracle:
             raise NotInterior("matrix is not strictly positive definite")
         return G, G_inv, G_inv.T @ G_inv
 
-    factor = point_cache(build)
+    factor = point_cache(d, build)
 
     def value(e):
         G, _, _ = factor(e)
@@ -152,16 +152,14 @@ def det_barrier_oracle(n: int) -> BarrierOracle:
 
     def hessian_apply(e, v):
         _, _, Einv = factor(e)
-        return svec(Einv @ smat(v) @ Einv)
+        return svec(Einv @ smat(check_dim(d, v)) @ Einv)
 
     def direction_power_sums(e, x):
         # W = G^{-1} X G^{-T} has the eigenvalues of X in direction E.  Its
         # traces and those of its powers are read as tr W, <W, W>, <W, W^2>
         # and <W^2, W^2> with W symmetric.
-        if np.shape(x) != (d,):
-            raise DimensionMismatch(f"expected vector of length {d}, got {np.shape(x)}")
         _, G_inv, _ = factor(e)
-        W = G_inv @ smat(x) @ G_inv.T
+        W = G_inv @ smat(check_dim(d, x)) @ G_inv.T
         W2 = W @ W
         return (
             float(np.trace(W)), float(np.vdot(W, W)),

@@ -10,7 +10,6 @@ dual pair is recovered in closed form.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -21,23 +20,20 @@ from .core import BarrierOracle
 from .errors import DimensionMismatch, DomainError, NumericalFailure
 
 
-class SubStatus(enum.Enum):
-    SOLVED = "solved"
-    NOT_IN_SWATH = "not_in_swath"
-
-
 @dataclass
 class SubproblemSolution:
-    x_e: np.ndarray | None
-    y_e: np.ndarray | None
-    s_e: np.ndarray | None
-    lambda_mult: float | None
-    gap: float | None
-    status: SubStatus
+    """The relaxation's optimum ``x_e``, its dual pair ``(y_e, s_e)``, the
+    multiplier of its cone constraint, and the gap ``<c, e - x_e>``."""
+
+    x_e: np.ndarray
+    y_e: np.ndarray
+    s_e: np.ndarray
+    lambda_mult: float
+    gap: float
     # Read in the local frame w = L x_e: <e, x_e>_e = <L e, w> and
     # ||x_e||_e^2 = ||w||^2, so the step needs no second factorization.
-    e_dot_x: float | None = None
-    x_norm_sq: float | None = None
+    e_dot_x: float
+    x_norm_sq: float
 
 
 def _stable_quadratic_roots(qa: float, qb: float, qc: float) -> list[float]:
@@ -126,15 +122,15 @@ def solve_qcp(
     e: np.ndarray,
     alpha: float,
     block: Callable[[np.ndarray], tuple] | None = None,
-) -> SubproblemSolution:
+) -> SubproblemSolution | None:
     """Optimal primal/dual pair of the quadratic-cone relaxation at e.
 
     ``block`` is ``oracle.bind(A)``, which maps a point to the frame's
     constraint block, a solve with its Gram matrix and an estimate of the
     block's condition number: a run binds its constraint block once and
     hands the map to every call, and a call without it binds ``A``.
-    Returns status NOT_IN_SWATH when the conic section has no minimizer
-    (the relaxation is unbounded); raises NumericalFailure when the
+    Returns None when the conic section has no minimizer (the relaxation
+    is unbounded: e is not in the swath); raises NumericalFailure when the
     constraint map is rank-deficient at e or its refined solve does not
     converge.
     """
@@ -187,7 +183,7 @@ def solve_qcp(
     roots = _stable_quadratic_roots(rho2 * fg**2 + beta0**2 * gg, 2.0 * fg * q, D * q)
     kappas = [kap for kap in roots if kap > 0.0 and D + kap * fg > 0.0]
     if not kappas:
-        return SubproblemSolution(None, None, None, None, None, SubStatus.NOT_IN_SWATH)
+        return None
     # One root qualifies in exact arithmetic; should rounding admit two,
     # the lower objective is the minimizer.
     kappa = min(kappas, key=lambda kap: (fg - kap * gg) / (D + kap * fg))
@@ -195,7 +191,7 @@ def solve_qcp(
     x = solve_L(w)
     gap = float(c.dot(e - x))
     if gap <= 0.0:
-        return SubproblemSolution(None, None, None, None, None, SubStatus.NOT_IN_SWATH)
+        return None
 
     # Pairing the stationarity equation with x and with e gives the
     # multiplier identity lambda * gap = -(n - alpha^2) <e, x>_e.  The dual
@@ -208,8 +204,7 @@ def solve_qcp(
     y_e = Z[:, 2] - scale * (Z[:, 1] - (alpha**2 / ip) * Z[:, 0])
     s_e = scale * oracle.hessian_apply(e, e - (alpha**2 / ip) * x)
     return SubproblemSolution(
-        x, y_e, s_e, lam, gap, SubStatus.SOLVED,
-        e_dot_x=ip, x_norm_sq=float(w.dot(w)),
+        x, y_e, s_e, lam, gap, e_dot_x=ip, x_norm_sq=float(w.dot(w))
     )
 
 
@@ -222,4 +217,4 @@ def in_swath(
     alpha: float,
 ) -> bool:
     """True iff the quadratic-cone relaxation at e attains its optimum."""
-    return solve_qcp(oracle, A, b, c, e, alpha).status is SubStatus.SOLVED
+    return solve_qcp(oracle, A, b, c, e, alpha) is not None

@@ -8,7 +8,7 @@ import pytest
 
 import swathscale as sw
 from swathscale.core import point_cache
-from swathscale.errors import DomainError, NotInterior
+from swathscale.errors import DimensionMismatch, DomainError, NotInterior
 
 from conftest import make_sdp
 
@@ -137,7 +137,7 @@ class TestScheduleConstants:
 
 class TestPointCache:
     @staticmethod
-    def reciprocal_cache():
+    def reciprocal_cache(d):
         """A cached ``e -> (1 / e,)`` on the open orthant, with its builds."""
         builds = []
 
@@ -147,10 +147,10 @@ class TestPointCache:
                 raise NotInterior("outside the orthant")
             return (1.0 / e,)
 
-        return point_cache(build), builds
+        return point_cache(d, build), builds
 
     def test_equal_bytes_hit_and_mutation_misses(self):
-        cached, builds = self.reciprocal_cache()
+        cached, builds = self.reciprocal_cache(3)
         e = np.array([1.0, 2.0, 4.0])
         first = cached(e)
         assert cached(e.copy()) is first
@@ -161,7 +161,7 @@ class TestPointCache:
         np.testing.assert_array_equal(second[0], [1.0, 0.125, 0.25])
 
     def test_failed_build_keeps_the_cached_entry(self):
-        cached, builds = self.reciprocal_cache()
+        cached, builds = self.reciprocal_cache(2)
         e = np.array([1.0, 2.0])
         entry = cached(e)
         with pytest.raises(NotInterior):
@@ -169,8 +169,15 @@ class TestPointCache:
         assert cached(e) is entry
         assert len(builds) == 2
 
+    @pytest.mark.parametrize("e", [np.ones(2), np.ones(4), np.ones((3, 1))])
+    def test_wrong_shape_raises_before_the_build(self, e):
+        cached, builds = self.reciprocal_cache(3)
+        with pytest.raises(DimensionMismatch):
+            cached(e)
+        assert builds == []
+
     def test_cached_arrays_are_read_only(self):
-        cached, _ = self.reciprocal_cache()
+        cached, _ = self.reciprocal_cache(2)
         (inv,) = cached(np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             inv[0] = 0.0

@@ -14,6 +14,7 @@ import swathscale.sdp
 from swathscale.errors import (
     ConvexityViolation,
     DomainError,
+    NumericalFailure,
     StepBoundViolation,
 )
 
@@ -345,7 +346,7 @@ class TestRun:
         for family, caches_per_run in zip(families, (2, 1, 1)):
             caches = []
 
-            def recording_cache(build):
+            def recording_cache(d, build):
                 builds = []
                 caches.append(builds)
 
@@ -353,7 +354,7 @@ class TestRun:
                     builds.append(e.tobytes())
                     return build(e)
 
-                return point_cache(recorded)
+                return point_cache(d, recorded)
 
             inst, e = sw.gen_hp_instance(family, family.d // 2, 1.0, 0)
             monkeypatch.setattr(swathscale.hyperbolic, "point_cache", recording_cache)
@@ -539,6 +540,14 @@ class TestAlphaSchedule:
         e_fin, iters = sw.alpha_reduction_run(oracle, A, b, c, e, 0.9, 0.3)
         assert iters <= sw.alpha_reduction_bound(0.9, 0.3)
         assert sw.in_swath(oracle, A, b, c, e_fin, 0.3)
+
+    def test_reduction_off_the_swath_is_numerical_failure(self):
+        # min -x0 s.t. x1 + x2 = 2 over the orthant: the relaxation recedes
+        # at e0, so the first step has no optimum to move toward.
+        oracle = sw.hp_barrier_oracle(sw.product_family(3))
+        A, b, c = np.array([[0.0, 1.0, 1.0]]), np.array([2.0]), np.array([-1.0, 0.0, 0.0])
+        with pytest.raises(NumericalFailure, match="left swath"):
+            sw.alpha_reduction_run(oracle, A, b, c, np.ones(3), 0.9, 0.3)
 
     def test_reduction_domain(self):
         oracle, A, b, c, e, _, _ = make_sdp(4, seed=5)

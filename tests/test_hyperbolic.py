@@ -1,5 +1,6 @@
 """Hyperbolic families: polynomial oracles, eigenvalues, barrier identities."""
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -38,6 +39,17 @@ def interior_point(family, rng, radius=0.4):
     w = rng.standard_normal(family.d)
     norm = math.sqrt(float(np.dot(w, oracle.hessian_apply(e, w))))
     return e + (radius / norm) * w
+
+
+@pytest.mark.parametrize("make, args", [
+    (sw.product_family, (1,)),
+    (sw.second_order_family, (1,)),
+    (sw.determinant_family, (1,)),
+    (sw.elementary_symmetric_family, (3, 4)),
+], ids=["product", "second_order", "determinant", "elementary_symmetric"])
+def test_family_constructor_rejects_degenerate_parameters(make, args):
+    with pytest.raises(DomainError):
+        make(*args)
 
 
 class TestEvalP:
@@ -239,8 +251,28 @@ class TestBarrierIdentities:
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.name)
     def test_direction_of_wrong_length(self, family):
         oracle = sw.hp_barrier_oracle(family)
+        e = family.canonical_direction()
         with pytest.raises(DimensionMismatch):
-            oracle.direction_power_sums(family.canonical_direction(), np.array([0.5]))
+            oracle.direction_power_sums(e, np.array([0.5]))
+        with pytest.raises(DimensionMismatch):
+            oracle.hessian_apply(e, np.array([0.5]))
+
+    @pytest.mark.parametrize("reader", [
+        "value", "gradient", "hessian_apply", "direction_power_sums", "hessian_factor",
+    ])
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.name)
+    def test_point_readers_check_the_length(self, family, reader):
+        # A point one size short.  For the determinant family that is the
+        # identity of one order less, whose triangular length smat accepts.
+        oracle = sw.hp_barrier_oracle(family)
+        e = family.canonical_direction()
+        if family.name == "determinant":
+            short = sw.svec(np.eye(family.degree - 1))
+        else:
+            short = e[:-1]
+        second = (e,) if reader in ("hessian_apply", "direction_power_sums") else ()
+        with pytest.raises(DimensionMismatch):
+            getattr(oracle, reader)(short, *second)
 
 
 def lorentz_dense_hessian(x):
@@ -473,6 +505,13 @@ class TestHyperbolicitySampling:
         )
         assert report.failures == 0
 
+    def test_needs_a_trial(self):
+        family = sw.product_family(3)
+        with pytest.raises(DomainError, match="trials"):
+            sw.hyperbolicity_sample_check(
+                family, family.canonical_direction(), trials=0, seed=7
+            )
+
 
 class TestEsymSplitFrame:
     def test_frame_and_weak_duality_at_last_iterate(self):
@@ -509,6 +548,15 @@ class TestHpInstanceValidate:
         monkeypatch.setattr(np.random, "default_rng", no_draws)
         with pytest.raises(InvariantViolation, match="mu"):
             sw.gen_hp_instance(family, 3, mu, 0)
+
+    @pytest.mark.parametrize("field, message", [
+        ("e0", "inconsistent with ambient dim"), ("b", "b length"),
+    ])
+    def test_rejects_inconsistent_shapes(self, field, message):
+        inst, _ = sw.gen_hp_instance(sw.product_family(6), 3, 1.0, 0)
+        inst = dataclasses.replace(inst, **{field: getattr(inst, field)[:-1]})
+        with pytest.raises(DimensionMismatch, match=message):
+            inst.validate()
 
     def test_rejects_infeasible_start(self):
         inst, _ = sw.gen_hp_instance(sw.product_family(6), 3, 1.0, 0)

@@ -529,9 +529,16 @@ class TestTracefile:
         res, header = self.run_result()
         text = sw.export_trace(res, header, "csv")
         lines = text.splitlines()
-        lines[len(header) + 1] += ",extra"
-        with pytest.raises(ParseError):
+        # A number, so that the cell parses and the width check is what fails.
+        lines[len(header) + 1] += ",1.5"
+        with pytest.raises(ParseError, match="trace row width mismatch") as err:
             sw.parse_trace("\n".join(lines))
+        assert err.value.line == len(header) + 2
+        with pytest.raises(ParseError, match="bad metadata line in trace") as err:
+            sw.parse_trace("# a=[1\nk,gap\n")
+        assert err.value.line == 1
+        with pytest.raises(ParseError, match="bad trace JSON"):
+            sw.parse_trace("{")
 
     def test_cell_that_is_not_a_number_names_its_line(self):
         with pytest.raises(ParseError) as err:
@@ -824,6 +831,13 @@ class TestCli:
         r = CliRunner().invoke(main, ["solve", str(path)])
         assert r.exit_code == 4 and isinstance(r.exception, SystemExit)
         assert f"error: line 3: {TOO_LARGE}" in r.output
+
+    def test_unknown_suffix_is_parse_error(self, tmp_path):
+        path = tmp_path / "inst.txt"
+        path.write_text("{}")
+        r = CliRunner().invoke(main, ["solve", str(path)])
+        assert r.exit_code == 4 and isinstance(r.exception, SystemExit)
+        assert "unrecognized instance suffix" in r.output
 
     def test_malformed_instance_is_parse_error(self, tmp_path):
         path = tmp_path / "bad.dat-s"

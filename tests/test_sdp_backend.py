@@ -101,6 +101,10 @@ class TestDetBarrierOracle:
             assert np.allclose(oracle.hessian_solve(e, g), -e, atol=1e-9)
             assert np.dot(g, e) == pytest.approx(-5.0, rel=1e-10)
 
+    def test_order_below_two_raises(self):
+        with pytest.raises(DimensionMismatch, match="matrix order"):
+            sw.det_barrier_oracle(1)
+
     def test_not_interior_raises(self):
         oracle = sw.det_barrier_oracle(3)
         e = sw.svec(np.diag([1.0, 1.0, -0.5]))
@@ -137,6 +141,15 @@ class TestSdpInstanceValidate:
     def test_good_instance_passes(self):
         inst, _ = sw.gen_central_path_sdp(4, 6, 1.0, 0)
         inst.validate()
+
+    @pytest.mark.parametrize("constraints, b, message", [
+        ([np.eye(3)], np.ones(1), "match C's order"),
+        ([np.eye(2)], np.ones(2), "b length"),
+    ], ids=["constraint-order", "b-length"])
+    def test_rejects_inconsistent_shapes(self, constraints, b, message):
+        inst = sw.SdpInstance(C=np.diag([1.0, 2.0]), constraints=constraints, b=b)
+        with pytest.raises(DimensionMismatch, match=message):
+            inst.validate()
 
     def test_rejects_zero_b(self):
         inst = sw.SdpInstance(

@@ -113,7 +113,7 @@ class TestKktIdentities:
         oracle, A, b, c, e, alpha = kkt_input(seed)
         n = oracle.degree
         sol = sw.solve_qcp(oracle, A, b, c, e, alpha)
-        assert sol.status is sw.SubStatus.SOLVED
+        assert sol is not None
         gap = sol.gap
         assert gap > 0
         # <e, s_e> = gap
@@ -172,7 +172,7 @@ class TestStatusAndErrors:
         sol = sw.solve_qcp(
             oracle, inst.constraint_rows(), inst.b, c, sw.svec(E0), 0.5
         )
-        assert sol.status is sw.SubStatus.NOT_IN_SWATH
+        assert sol is None
         assert not sw.in_swath(
             oracle, inst.constraint_rows(), inst.b, c, sw.svec(E0), 0.5
         )
