@@ -70,8 +70,8 @@ class BarrierOracle:
     ``-ln p``.  Every callable that reads a point must raise
     :class:`~swathscale.errors.NotInterior` off the open cone, and
     :class:`~swathscale.errors.DimensionMismatch` on a point, or a
-    ``hessian_apply`` direction, of another length.  The
-    iteration needs the local frame (``hessian_factor``) and the constraint
+    ``hessian_apply`` or ``hessian_solve`` direction, of another length.
+    The iteration needs the local frame (``hessian_factor``) and the constraint
     block mapped into it (``bind``, once per run), Hessian products, the
     first four power sums of the eigenvalues of ``x`` in direction ``e``
     (``direction_power_sums``), and ``value`` as an interiority probe.
@@ -147,7 +147,7 @@ class BarrierOracle:
 
             def hessian_solve(e, w):
                 _, solve_Lt, solve_L = factor(e)
-                return solve_L(solve_Lt(w))
+                return solve_L(solve_Lt(check_dim(self.dim, w)))
 
             object.__setattr__(self, "hessian_solve", hessian_solve)
 

@@ -73,6 +73,8 @@ class SolverConfig:
 
 @dataclass
 class IterationRecord:
+    """One iteration of a run; a trace row is its fields, in this order."""
+
     k: int
     alpha: float
     gap: float
@@ -80,7 +82,11 @@ class IterationRecord:
     x_norm_e: float
     primal_obj: float
     dual_obj: float
-    qtilde: tuple[float, float, float]
+    # Coefficients of the step quadratic a t^2 + b t + c; zero at the
+    # converged iterate, which takes no step.
+    qtilde_a: float
+    qtilde_b: float
+    qtilde_c: float
     wallclock: float
 
 
@@ -219,7 +225,11 @@ def run(
             status = RunStatus.NUMERICAL_FAILURE
             break
         if sol is None:
-            status = RunStatus.NOT_IN_SWATH
+            # Every later iterate e' is in the swath: the carry-over check
+            # puts the last dual slack in K_e'(beta)*, and beta < alpha puts
+            # K_e'(beta)* inside K_e'(alpha)*.  So after the start only
+            # rounding loses the relaxation's optimum.
+            status = RunStatus.NOT_IN_SWATH if k == 0 else RunStatus.NUMERICAL_FAILURE
             break
 
         gap = sol.gap
@@ -262,13 +272,9 @@ def run(
             if carried is not Membership.INTERIOR:
                 violations["carryover"] += 1
 
-        trace.append(
-            IterationRecord(
-                k=k, alpha=alpha, gap=gap, t=t, x_norm_e=x_norm,
-                primal_obj=primal, dual_obj=dual, qtilde=coeffs,
-                wallclock=time.perf_counter() - start,
-            )
-        )
+        trace.append(IterationRecord(
+            k, alpha, gap, t, x_norm, primal, dual, *coeffs, time.perf_counter() - start
+        ))
         if converged:
             status = RunStatus.CONVERGED
             break

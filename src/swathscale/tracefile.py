@@ -8,27 +8,14 @@ brackets, and a CSV metadata line is ``# key=<JSON value>``.
 
 from __future__ import annotations
 
+import enum
 import json
+from dataclasses import fields
 
 from .core import schedule_constants
-from .driver import SolveResult, SolverConfig
-from .errors import ParseError
+from .driver import IterationRecord, SolveResult, SolverConfig
+from .errors import DomainError, ParseError
 from .hpjson import _document, _rows
-
-# The columns of a trace row, in the order export_trace lists a record's values.
-_ROW_FIELDS = (
-    "k",
-    "alpha",
-    "gap",
-    "t",
-    "x_norm_e",
-    "primal_obj",
-    "dual_obj",
-    "qtilde_a",
-    "qtilde_b",
-    "qtilde_c",
-    "wallclock",
-)
 
 
 def trace_header(
@@ -48,10 +35,8 @@ def trace_header(
         "n": n,
         "m": m,
         "config": {
-            "alpha": config.alpha,
-            "gap_tol": config.gap_tol,
-            "max_iters": config.max_iters,
-            "step_mode": config.step_mode.value,
+            key: value.value if isinstance(value, enum.Enum) else value
+            for key, value in vars(config).items()
         },
     }
 
@@ -67,23 +52,23 @@ def trace_footer(result: SolveResult) -> dict:
 
 
 def export_trace(result: SolveResult, header: dict, fmt: str = "csv") -> str:
-    """Render a run as text; fmt is "csv" or "json"."""
-    values = [
-        [rec.k, rec.alpha, rec.gap, rec.t, rec.x_norm_e, rec.primal_obj, rec.dual_obj,
-         *rec.qtilde, rec.wallclock]
-        for rec in result.trace
-    ]
+    """Render a run as text; fmt is "csv" or "json".
+
+    A row is an :class:`IterationRecord`'s fields in declaration order: the
+    JSON row is its field dict and the CSV row its values.
+    """
+    rows = [vars(rec) for rec in result.trace]
     if fmt == "json":
         return _document({
             "header": json.dumps(header),
-            "rows": _rows([dict(zip(_ROW_FIELDS, row)) for row in values]),
+            "rows": _rows(rows),
             "footer": json.dumps(trace_footer(result)),
         })
     if fmt != "csv":
-        raise ValueError(f"unknown trace format {fmt!r}")
+        raise DomainError(f"unknown trace format {fmt!r}")
     lines = [f"# {key}={json.dumps(value)}" for key, value in header.items()]
-    lines.append(",".join(_ROW_FIELDS))
-    lines += [json.dumps(row, separators=(",", ":"))[1:-1] for row in values]
+    lines.append(",".join(field.name for field in fields(IterationRecord)))
+    lines += [json.dumps([*row.values()], separators=(",", ":"))[1:-1] for row in rows]
     lines += [f"# {key}={json.dumps(value)}" for key, value in trace_footer(result).items()]
     return "\n".join(lines) + "\n"
 

@@ -193,6 +193,20 @@ class TestRun:
         )
         assert res.status is sw.RunStatus.NOT_IN_SWATH
 
+    def test_late_missing_optimum_is_numerical_failure(self):
+        # The carry-over check keeps every later iterate in the swath, so a
+        # relaxation without an optimum after the start is rounding.  This
+        # Lorentz run loses it at iterate 28 with no violation counted.
+        family = sw.second_order_family(5)
+        inst, e0 = sw.gen_hp_instance(family, 2, 1.0, 0)
+        res = sw.run(
+            sw.hp_barrier_oracle(family), inst.A, inst.b, inst.c, e0,
+            sw.SolverConfig(gap_tol=1e-12),
+        )
+        assert res.status is sw.RunStatus.NUMERICAL_FAILURE
+        assert res.iterations == 28
+        assert res.violations == {"primal": 0, "dual": 0, "ratio": 0, "carryover": 0}
+
     def test_drifted_iterate_is_numerical_failure(self, monkeypatch):
         # The third iterate leaves A e = b by 1e-6 relative, past the
         # relaxation's 1e-8 feasibility check: the run ends with a status.
@@ -219,12 +233,68 @@ class TestRun:
         with pytest.raises(DomainError):
             sw.run(oracle, A, b, c, e_nan, sw.SolverConfig())
 
+    # Each guarantee counter, driven by one injected fault into a run that
+    # counts no violation unfaulted.
+    def test_stalled_step_counts_a_primal_violation(self, monkeypatch):
+        # The third step returns its start point, so the next primal
+        # objective equals the last one.  At that unmoved point the dual
+        # slack lies on the boundary of K_e(alpha)*, not inside K_e(beta)*,
+        # so the carry-over check fails once as well.
+        oracle, A, b, c, e, _, _ = make_sdp(5, seed=0)
+        step, calls = swathscale.driver.next_iterate, [0]
+
+        def stalled(e, x, t):
+            calls[0] += 1
+            return e.copy() if calls[0] == 3 else step(e, x, t)
+
+        monkeypatch.setattr(swathscale.driver, "next_iterate", stalled)
+        res = sw.run(oracle, A, b, c, e, sw.SolverConfig())
+        assert res.violations == {"primal": 1, "dual": 0, "ratio": 0, "carryover": 1}
+        assert res.status is sw.RunStatus.CONVERGED
+
+    def test_lowered_dual_counts_a_dual_violation(self, monkeypatch):
+        # The fourth relaxation's y_e moves so that b.y drops by 1; nothing
+        # but the recorded dual objective reads y_e.
+        oracle, A, b, c, e, _, _ = make_sdp(5, seed=0)
+        solve, calls = swathscale.driver.solve_qcp, [0]
+
+        def lowered(*args):
+            sol = solve(*args)
+            calls[0] += 1
+            if calls[0] == 4:
+                sol = dataclasses.replace(sol, y_e=sol.y_e - b / (b @ b))
+            return sol
+
+        monkeypatch.setattr(swathscale.driver, "solve_qcp", lowered)
+        res = sw.run(oracle, A, b, c, e, sw.SolverConfig())
+        assert res.violations == {"primal": 0, "dual": 1, "ratio": 0, "carryover": 0}
+        assert res.status is sw.RunStatus.CONVERGED
+
+    def test_held_gap_counts_a_ratio_violation(self, monkeypatch):
+        # The third and fourth relaxations report the second one's gap, so
+        # two consecutive gap ratios are 1; nothing but the record, the
+        # ratio check and the convergence test reads the gap.
+        oracle, A, b, c, e, _, _ = make_sdp(5, seed=0)
+        solve, gaps = swathscale.driver.solve_qcp, []
+
+        def held(*args):
+            sol = solve(*args)
+            gaps.append(sol.gap)
+            if len(gaps) in (3, 4):
+                sol = dataclasses.replace(sol, gap=gaps[1])
+            return sol
+
+        monkeypatch.setattr(swathscale.driver, "solve_qcp", held)
+        res = sw.run(oracle, A, b, c, e, sw.SolverConfig())
+        assert res.violations == {"primal": 0, "dual": 0, "ratio": 1, "carryover": 0}
+        assert res.status is sw.RunStatus.CONVERGED
+
     def test_trace_records_are_consistent(self):
         oracle, A, b, c, e, _, _ = make_sdp(4, seed=3)
         res = sw.run(oracle, A, b, c, e, sw.SolverConfig())
         for rec in res.trace[:-1]:
             assert rec.gap > 0 and rec.t > 0 and rec.x_norm_e > 0
-            a, bq, cq = rec.qtilde
+            a, bq, cq = rec.qtilde_a, rec.qtilde_b, rec.qtilde_c
             assert a > 0
             # the recorded step is the quadratic's minimizer
             assert rec.t == pytest.approx(-bq / (2 * a), rel=1e-9)

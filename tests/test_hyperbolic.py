@@ -256,6 +256,8 @@ class TestBarrierIdentities:
             oracle.direction_power_sums(e, np.array([0.5]))
         with pytest.raises(DimensionMismatch):
             oracle.hessian_apply(e, np.array([0.5]))
+        with pytest.raises(DimensionMismatch):
+            oracle.hessian_solve(e, np.array([0.5]))
 
     @pytest.mark.parametrize("reader", [
         "value", "gradient", "hessian_apply", "direction_power_sums", "hessian_factor",
@@ -557,6 +559,10 @@ class TestHpInstanceValidate:
         inst = dataclasses.replace(inst, **{field: getattr(inst, field)[:-1]})
         with pytest.raises(DimensionMismatch, match=message):
             inst.validate()
+
+    def test_generator_rejects_m_out_of_range(self):
+        with pytest.raises(InvariantViolation, match="need 1 <= m <= 3"):
+            sw.gen_hp_instance(sw.product_family(4), 4)
 
     def test_rejects_infeasible_start(self):
         inst, _ = sw.gen_hp_instance(sw.product_family(6), 3, 1.0, 0)

@@ -17,7 +17,9 @@ import swathscale.cli
 import swathscale.generate
 import swathscale.hyperbolic
 from swathscale.cli import _load_problem, main
-from swathscale.errors import InvariantViolation, ParseError, RetryExhausted
+from swathscale.errors import (
+    DomainError, InvariantViolation, ParseError, RetryExhausted,
+)
 
 from conftest import ESYM_TINY_LEADING
 
@@ -239,6 +241,17 @@ class TestSdpaBulk:
         for M, back in zip([inst.C, *inst.constraints], [again.C, *again.constraints]):
             # A -0.0 entry is not written, so it reads back as +0.0.
             assert back.tobytes() == (M + 0.0).tobytes()
+
+    def test_write_falls_back_to_one_block_on_stale_sizes(self):
+        # Block sizes that no longer sum to the order give one dense block.
+        inst, _ = sw.gen_central_path_sdp(3, 2, 1.0, 0)
+        inst.metadata["block_sizes"] = [2, 2]
+        text = sw.write_sdpa(inst)
+        assert text.splitlines()[2] == "3"
+        back = sw.parse_sdpa(text)
+        assert back.metadata["block_sizes"] == [3]
+        for M, N in zip([inst.C, *inst.constraints], [back.C, *back.constraints]):
+            assert np.array_equal(M, N)
 
     def test_write_rejects_off_diagonal_in_diagonal_block(self):
         C = np.diag([1.0, 2.0, 3.0])
@@ -519,9 +532,14 @@ class TestTracefile:
         for row, rec in zip(doc["rows"], res.trace):
             assert row["k"] == rec.k
             assert row["gap"] == rec.gap  # exact float equality through text
-            assert row["qtilde_a"] == rec.qtilde[0]
+            assert row["qtilde_a"] == rec.qtilde_a
         assert doc["footer"]["status"] == res.status.value
         assert doc["header"]["alpha"] == 0.5
+
+    def test_unknown_format_is_domain_error(self):
+        res, header = self.run_result()
+        with pytest.raises(DomainError, match="unknown trace format 'xml'"):
+            sw.export_trace(res, header, "xml")
 
     def test_parse_errors(self):
         with pytest.raises(ParseError):
@@ -588,7 +606,7 @@ class TestTracefile:
         footer = sw.trace_footer(res)
         values = [
             [rec.k, rec.alpha, rec.gap, rec.t, rec.x_norm_e, rec.primal_obj,
-             rec.dual_obj, *rec.qtilde, rec.wallclock]
+             rec.dual_obj, rec.qtilde_a, rec.qtilde_b, rec.qtilde_c, rec.wallclock]
             for rec in res.trace
         ]
         fields = ("k", "alpha", "gap", "t", "x_norm_e", "primal_obj", "dual_obj",

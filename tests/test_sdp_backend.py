@@ -151,6 +151,12 @@ class TestSdpInstanceValidate:
         with pytest.raises(DimensionMismatch, match=message):
             inst.validate()
 
+    def test_generator_rejects_m_out_of_range(self):
+        # An order-3 matrix has 6 free entries; m = 6 would leave C in the
+        # constraints' span.
+        with pytest.raises(InvariantViolation, match="need 1 <= m <= 5"):
+            sw.gen_central_path_sdp(3, 6)
+
     def test_rejects_zero_b(self):
         inst = sw.SdpInstance(
             C=np.diag([1.0, 2.0]), constraints=[np.eye(2)], b=np.zeros(1)
