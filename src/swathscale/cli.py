@@ -3,17 +3,28 @@
 Instance files are auto-detected by suffix: ``.dat-s`` is sparse SDPA
 (with an optional ``<stem>.start.json`` sidecar carrying the interior
 start matrix), ``.json`` is the hyperbolic-program schema; a ``--trace``
-path ending in ``.json`` gets a JSON trace, any other a CSV trace.  Exit
-codes: 0 success, 2 start point outside the swath or an unbounded
-program, 3 numerical failure or iteration limit, 4 parse/input error,
-including a usage error, a path that cannot be read or written and an
-instance that fails the checks in ``core``, which are the same for both
-formats (dependent constraints, a start point off ``A e0 = b`` or
-outside the open cone).
+path ending in ``.json`` gets a JSON trace, any other a CSV trace.
+
+Exit codes, one rule for every command:
+
+- 0: success.
+- 1: ``validate`` ran and a check failed.
+- 2: the run ended ``not_in_swath`` (a start point outside the swath, or
+  an unbounded program), ``reduce-alpha`` ended outside the target swath,
+  or a typed error other than those of code 3 was raised once the solve
+  (or ``validate``'s checks) started.
+- 3: the run ended ``numerical_failure`` or ``max_iters``, or a
+  ``NumericalFailure`` or ``RetryExhausted`` was raised at any stage.
+- 4: a usage error, an ``OSError`` at any stage (a path that cannot be
+  read or written), or any other typed error before the solve starts: an
+  option out of range, or an instance that fails the checks in ``core``,
+  which are the same for both formats (dependent constraints, a start
+  point off ``A e0 = b`` or outside the open cone).
 """
 
 from __future__ import annotations
 
+import contextlib
 import pathlib
 import sys
 
@@ -31,10 +42,7 @@ from .driver import (
     run,
 )
 from .errors import (
-    DimensionMismatch,
     DomainError,
-    InvariantViolation,
-    NotInterior,
     NumericalFailure,
     ParseError,
     RetryExhausted,
@@ -48,8 +56,6 @@ from .subproblem import in_swath
 _EXIT_NOT_IN_SWATH = 2
 _EXIT_NUMERICAL = 3
 _EXIT_PARSE = 4
-# Errors of the options or of the instance file or path, raised before any iteration.
-_INPUT_ERRORS = (DimensionMismatch, DomainError, InvariantViolation, ParseError, OSError)
 
 _STATUS_EXIT = {
     RunStatus.CONVERGED: 0,
@@ -102,6 +108,24 @@ def _fail(exc: Exception, code: int):
     sys.exit(code)
 
 
+@contextlib.contextmanager
+def _exit_codes(solving: bool):
+    """Map an error of one stage of a command to its exit code.
+
+    ``solving`` is false while the options and the instance are read, and
+    true from the solve (or ``validate``'s checks) on.  The module
+    docstring states the rule.
+    """
+    try:
+        yield
+    except OSError as exc:
+        _fail(exc, _EXIT_PARSE)
+    except (NumericalFailure, RetryExhausted) as exc:
+        _fail(exc, _EXIT_NUMERICAL)
+    except SwathscaleError as exc:
+        _fail(exc, _EXIT_NOT_IN_SWATH if solving else _EXIT_PARSE)
+
+
 class _Group(click.Group):
     """Ends a usage error, which click exits with 2, with the input-error code."""
 
@@ -139,7 +163,7 @@ def main():
 @click.option("--trace", "trace_path", type=click.Path(path_type=pathlib.Path))
 def solve(file, alpha, tol, max_iters, step, trace_path):
     """Run the solver on an instance file."""
-    try:
+    with _exit_codes(solving=False):
         config = SolverConfig(
             alpha=alpha,
             gap_tol=tol,
@@ -152,24 +176,14 @@ def solve(file, alpha, tol, max_iters, step, trace_path):
             # contents, so an unwritable path fails before the solve.
             with trace_path.open("a"):
                 pass
-    except _INPUT_ERRORS as exc:
-        _fail(exc, _EXIT_PARSE)
-    try:
+    with _exit_codes(solving=True):
         result = run(oracle, A, b, c, e0, config)
-    except NumericalFailure as exc:
-        _fail(exc, _EXIT_NUMERICAL)
-    except (DomainError, NotInterior) as exc:
-        _fail(exc, _EXIT_NOT_IN_SWATH)
-
-    if trace_path is not None:
-        header = tracefile.trace_header(
-            meta["id"], meta["backend"], config, meta["n"], meta["m"]
-        )
-        fmt = "json" if trace_path.suffix == ".json" else "csv"
-        try:
+        if trace_path is not None:
+            header = tracefile.trace_header(
+                meta["id"], meta["backend"], config, meta["n"], meta["m"]
+            )
+            fmt = "json" if trace_path.suffix == ".json" else "csv"
             trace_path.write_text(tracefile.export_trace(result, header, fmt))
-        except OSError as exc:
-            _fail(exc, _EXIT_PARSE)
 
     footer = tracefile.trace_footer(result)
     click.echo(
@@ -200,7 +214,7 @@ def solve(file, alpha, tol, max_iters, step, trace_path):
 @click.option("--out", type=click.Path(path_type=pathlib.Path), required=True)
 def generate_cmd(kind, n, m, family, k, mu, seed, out):
     """Write a random solvable instance plus its interior start point."""
-    try:
+    with _exit_codes(solving=False):
         if kind == "sdp":
             inst, E0 = generate.gen_central_path_sdp(n, m, mu, seed)
             stem = out.name[: -len(".dat-s")] if out.name.endswith(".dat-s") else out.name
@@ -219,10 +233,6 @@ def generate_cmd(kind, n, m, family, k, mu, seed, out):
                 hpjson.write_hp_json(inst, metadata={"mu": mu, "seed": seed})
             )
             click.echo(f"wrote {inst_path}")
-    except (NumericalFailure, RetryExhausted) as exc:
-        _fail(exc, _EXIT_NUMERICAL)
-    except (SwathscaleError, OSError) as exc:
-        _fail(exc, _EXIT_PARSE)
 
 
 main.add_command(generate_cmd, name="generate")
@@ -234,20 +244,14 @@ main.add_command(generate_cmd, name="generate")
 @click.option("--target", type=float, required=True)
 def reduce_alpha(file, alpha0, target):
     """Shrink the cone parameter on the fixed-step schedule."""
-    try:
+    with _exit_codes(solving=False):
         bound = alpha_reduction_bound(alpha0, target)
         oracle, A, b, c, e0, _ = _load_problem(file)
-    except _INPUT_ERRORS as exc:
-        _fail(exc, _EXIT_PARSE)
-    try:
+    with _exit_codes(solving=True):
         e_final, iterations = alpha_reduction_run(
             oracle, A, b, c, e0, alpha0, target
         )
         ok = in_swath(oracle, A, b, c, e_final, target)
-    except NumericalFailure as exc:
-        _fail(exc, _EXIT_NUMERICAL)
-    except (DomainError, NotInterior) as exc:
-        _fail(exc, _EXIT_NOT_IN_SWATH)
     click.echo(f"iterations={iterations} bound={bound} in_swath(target)={ok}")
     sys.exit(0 if ok else _EXIT_NOT_IN_SWATH)
 
@@ -263,16 +267,14 @@ def reduce_alpha(file, alpha0, target):
 @click.option("--alpha", type=float, default=0.5, show_default=True)
 def validate(file, checks, alpha):
     """Run the per-iteration diagnostic oracles at the start point."""
-    try:
+    with _exit_codes(solving=False):
         SolverConfig(alpha=alpha)  # rejects alpha outside (0, 1), as solve does
         oracle, A, b, c, e0, meta = _load_problem(file)
         if meta["backend"] != "sdp" and checks in ("qscale", "equiv", "bound"):
             raise DomainError("requested check applies to SDP instances only")
-    except _INPUT_ERRORS as exc:
-        _fail(exc, _EXIT_PARSE)
 
     reports = []
-    try:
+    with _exit_codes(solving=True):
         if checks in ("all", "fd"):
             reports.append(diagnostics.fd_check(oracle, e0))
         if meta["backend"] == "sdp":
@@ -292,10 +294,6 @@ def validate(file, checks, alpha):
                 )
                 grid = np.linspace(1e-3, alpha / v_norm, 20)
                 reports.append(diagnostics.decrease_bound_check(E0, X, alpha, grid))
-    except NumericalFailure as exc:
-        _fail(exc, _EXIT_NUMERICAL)
-    except SwathscaleError as exc:
-        _fail(exc, _EXIT_NOT_IN_SWATH)
 
     failed = False
     for rep in reports:

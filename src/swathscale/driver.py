@@ -28,11 +28,10 @@ from .core import (
 )
 from .errors import (
     ConvexityViolation,
-    DegenerateLeadingCoefficient,
     DomainError,
-    NotInterior,
     NumericalFailure,
     StepBoundViolation,
+    SwathscaleError,
 )
 from .subproblem import SubproblemSolution, solve_qcp
 
@@ -197,6 +196,10 @@ def run(
     decrease), ``dual`` (dual objective decreased), ``ratio`` (two-step
     contraction bound missed, minimizer mode only), ``carryover`` (dual
     slack not interior to the relaxed dual cone at the next iterate).
+
+    A ``SwathscaleError`` from the relaxation at iterate 0, other than a
+    ``NumericalFailure``, is the caller's and propagates; every other one
+    ends the run ``NUMERICAL_FAILURE``.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     block = oracle.bind(A)
@@ -214,13 +217,10 @@ def run(
     for k in range(config.max_iters):
         try:
             sol = solve_qcp(oracle, A, b, c, e, alpha, block)
-        except NumericalFailure:
-            status = RunStatus.NUMERICAL_FAILURE
-            break
-        except DomainError:
-            # At k = 0 the caller's e0 is off A e0 = b; later, an iterate
-            # has drifted off it by rounding.
-            if k == 0:
+        except SwathscaleError as exc:
+            # At k = 0 the caller's e0 may be off A e0 = b; later, an
+            # iterate has drifted off it by rounding.
+            if k == 0 and not isinstance(exc, NumericalFailure):
                 raise
             status = RunStatus.NUMERICAL_FAILURE
             break
@@ -264,9 +264,7 @@ def run(
                 carried = dual_cone_member(
                     QuadCone(oracle, e_next, consts.beta), sol.s_e
                 )
-            except (
-                NumericalFailure, NotInterior, DomainError, DegenerateLeadingCoefficient
-            ):
+            except SwathscaleError:
                 status = RunStatus.NUMERICAL_FAILURE
                 break
             if carried is not Membership.INTERIOR:

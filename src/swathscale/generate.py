@@ -30,6 +30,17 @@ def _random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
+def _check_allocatable(shape: tuple[int, ...]) -> None:
+    # The largest array the generator holds, allocated and freed before any
+    # draw.  np.empty touches no pages; numpy refuses a size past its limits.
+    try:
+        np.empty(shape)
+    except (ValueError, MemoryError) as exc:
+        raise InvariantViolation(
+            f"instance too large: cannot allocate an array of shape {shape}"
+        ) from exc
+
+
 def _random_sym(n: int, rng: np.random.Generator) -> np.ndarray:
     M = rng.standard_normal((n, n))
     return 0.5 * (M + M.T)
@@ -49,6 +60,7 @@ def gen_central_path_sdp(
         raise InvariantViolation(f"need 1 <= m <= {sym_dim(n) - 1}")
     if not (math.isfinite(mu) and mu > 0.0):
         raise InvariantViolation(f"mu={mu} must be positive and finite")
+    _check_allocatable((m, n, n))
     rng = np.random.default_rng(seed)
 
     Q = _random_orthogonal(n, rng)
@@ -110,6 +122,7 @@ def gen_hp_instance(
     d = family.d
     if not 1 <= m <= d - 1:
         raise InvariantViolation(f"need 1 <= m <= {d - 1}")
+    _check_allocatable((m, d))
     rng = np.random.default_rng(seed)
     oracle = hp_barrier_oracle(family)
 

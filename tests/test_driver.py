@@ -9,6 +9,7 @@ import scipy.linalg
 
 import swathscale as sw
 import swathscale.driver
+import swathscale.errors
 import swathscale.hyperbolic
 import swathscale.sdp
 from swathscale.errors import (
@@ -21,6 +22,26 @@ from swathscale.errors import (
 from conftest import diag2_problem, make_sdp
 
 SQRT7 = 2.6457513110645905905
+
+# Every typed error of the package, subclasses of NumericalFailure included.
+TYPED_ERRORS = [
+    obj for obj in vars(swathscale.errors).values()
+    if isinstance(obj, type) and issubclass(obj, sw.SwathscaleError)
+    and obj is not sw.SwathscaleError
+]
+
+
+def raising_on_call(fn, call, error):
+    """``fn`` with its ``call``-th call, counted from 1, raising ``error``."""
+    calls = [0]
+
+    def wrapped(*args):
+        calls[0] += 1
+        if calls[0] == call:
+            raise error("injected")
+        return fn(*args)
+
+    return wrapped
 
 
 def count_hessian_applies(oracle, monkeypatch):
@@ -232,6 +253,40 @@ class TestRun:
         e_nan[0] = np.nan
         with pytest.raises(DomainError):
             sw.run(oracle, A, b, c, e_nan, sw.SolverConfig())
+
+    # One rule for a typed error inside the run: at iterate 0 one from the
+    # relaxation, other than a NumericalFailure, is the caller's and
+    # propagates; every other one ends the run numerical_failure.
+    @pytest.mark.parametrize("error", TYPED_ERRORS, ids=lambda e: e.__name__)
+    def test_typed_error_from_the_first_relaxation(self, monkeypatch, error):
+        oracle, A, b, c, e, _, _ = make_sdp(5, seed=0)
+        monkeypatch.setattr(
+            swathscale.driver, "solve_qcp",
+            raising_on_call(swathscale.driver.solve_qcp, 1, error),
+        )
+        if not issubclass(error, NumericalFailure):
+            with pytest.raises(error):
+                sw.run(oracle, A, b, c, e, sw.SolverConfig())
+            return
+        res = sw.run(oracle, A, b, c, e, sw.SolverConfig())
+        assert res.status is sw.RunStatus.NUMERICAL_FAILURE
+        assert res.iterations == 0
+
+    @pytest.mark.parametrize("error", TYPED_ERRORS, ids=lambda e: e.__name__)
+    @pytest.mark.parametrize("target, call, iterations", [
+        ("solve_qcp", 3, 2), ("next_iterate", 1, 0),
+    ], ids=["third-relaxation", "first-step"])
+    def test_later_typed_error_is_numerical_failure(
+        self, monkeypatch, error, target, call, iterations
+    ):
+        oracle, A, b, c, e, _, _ = make_sdp(5, seed=0)
+        monkeypatch.setattr(
+            swathscale.driver, target,
+            raising_on_call(getattr(swathscale.driver, target), call, error),
+        )
+        res = sw.run(oracle, A, b, c, e, sw.SolverConfig())
+        assert res.status is sw.RunStatus.NUMERICAL_FAILURE
+        assert res.iterations == iterations
 
     # Each guarantee counter, driven by one injected fault into a run that
     # counts no violation unfaulted.

@@ -14,11 +14,13 @@ from hypothesis import strategies as st
 
 import swathscale as sw
 import swathscale.cli
+import swathscale.diagnostics
+import swathscale.errors
 import swathscale.generate
 import swathscale.hyperbolic
 from swathscale.cli import _load_problem, main
 from swathscale.errors import (
-    DomainError, InvariantViolation, ParseError, RetryExhausted,
+    DomainError, InvariantViolation, NumericalFailure, ParseError, RetryExhausted,
 )
 
 from conftest import ESYM_TINY_LEADING
@@ -43,6 +45,28 @@ NEWLINES, NEWLINE_IDS = ["\n", "\r\n", "\r"], ["lf", "crlf", "cr"]
 # line; in SDPA text none of them ends a line.
 OTHER_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 TOO_LARGE = "block sizes too large: cannot allocate"
+
+# Every typed error of the package, and OSError.
+RAISED_ERRORS = [
+    obj for obj in vars(swathscale.errors).values()
+    if isinstance(obj, type) and issubclass(obj, sw.SwathscaleError)
+    and obj is not sw.SwathscaleError
+] + [OSError]
+INSTANCE_OPTIONS = {
+    "solve": [],
+    "reduce-alpha": ["--alpha0", "0.9", "--target", "0.3"],
+    "validate": ["--checks", "fd"],
+}
+# (command, module, name rebound to raise, whether the solve has started).
+STAGES = [
+    ("solve", swathscale.cli, "_load_problem", False),
+    ("solve", swathscale.cli, "run", True),
+    ("reduce-alpha", swathscale.cli, "_load_problem", False),
+    ("reduce-alpha", swathscale.cli, "alpha_reduction_run", True),
+    ("validate", swathscale.cli, "_load_problem", False),
+    ("validate", swathscale.diagnostics, "fd_check", True),
+    ("generate", swathscale.generate, "gen_central_path_sdp", False),
+]
 
 # (mutation of file line 6, line, message); the test id is "mutation-line".
 ENTRY_ERRORS = [
@@ -1148,6 +1172,83 @@ class TestCli:
                    "--out", str(tmp_path / "x")]
         )
         assert r.exit_code == 3, r.output
+
+    @pytest.mark.parametrize("error", RAISED_ERRORS, ids=lambda e: e.__name__)
+    @pytest.mark.parametrize(
+        "command, module, name, solving", STAGES, ids=[f"{c}-{n}" for c, _, n, _ in STAGES]
+    )
+    def test_error_exit_code_rule(
+        self, tmp_path, monkeypatch, command, module, name, solving, error
+    ):
+        # One rule for every command and stage: an OSError is 4; a
+        # NumericalFailure or RetryExhausted is 3; any other typed error is
+        # 4 before the solve starts and 2 after it.
+        if error is OSError:
+            code = 4
+        elif issubclass(error, (NumericalFailure, RetryExhausted)):
+            code = 3
+        else:
+            code = 2 if solving else 4
+        inst = tmp_path / "inst.dat-s"
+        runner = CliRunner()
+        args = ["sdp", "--n", "3", "--m", "2", "--seed", "0", "--out", str(inst)]
+        if command != "generate":
+            assert runner.invoke(main, ["generate", *args]).exit_code == 0
+            args = [str(inst), *INSTANCE_OPTIONS[command]]
+
+        def failing(*args, **kwargs):
+            raise error("injected")
+
+        monkeypatch.setattr(module, name, failing)
+        r = runner.invoke(main, [command, *args])
+        assert isinstance(r.exception, SystemExit), r.exception
+        assert r.exit_code == code, r.output
+        assert "error: injected" in r.output
+        assert "Traceback" not in r.output
+
+    @pytest.mark.parametrize("args, shape", [
+        (["sdp", "--n", "10000000000"], "(1, 10000000000, 10000000000)"),
+        (["hp", "--family", "product", "--n", "10000000000000000000"],
+         "(1, 10000000000000000000)"),
+    ], ids=["sdp", "hp"])
+    def test_generate_unallocatable_instance_is_input_error(self, tmp_path, args, shape):
+        # numpy's size check refuses the array before any page is touched.
+        r = CliRunner().invoke(
+            main, ["generate", *args, "--m", "1", "--seed", "0", "--out", str(tmp_path / "x")]
+        )
+        assert isinstance(r.exception, SystemExit), r.exception
+        assert r.exit_code == 4, r.output
+        assert f"error: instance too large: cannot allocate an array of shape {shape}" in r.output
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("cls, args", [
+        (sw.SdpInstance, ["sdp", "--n", "4", "--m", "6"]),
+        (sw.HpInstance, ["hp", "--family", "product", "--n", "6", "--m", "3"]),
+    ], ids=["sdp", "hp"])
+    def test_generate_out_of_retries_exit_code(self, tmp_path, monkeypatch, cls, args):
+        def invalid(self):
+            raise InvariantViolation("injected")
+
+        monkeypatch.setattr(cls, "validate", invalid)
+        r = CliRunner().invoke(
+            main, ["generate", *args, "--seed", "0", "--out", str(tmp_path / "x")]
+        )
+        assert isinstance(r.exception, SystemExit), r.exception
+        assert r.exit_code == 3, r.output
+        assert "in 10 draws" in r.output
+
+    def test_validate_failing_check_exits_one(self, tmp_path, monkeypatch):
+        out = tmp_path / "inst.dat-s"
+        runner = CliRunner()
+        runner.invoke(
+            main, ["generate", "sdp", "--n", "3", "--m", "2", "--seed", "0", "--out", str(out)]
+        )
+        failing = swathscale.diagnostics.CheckReport("finite_difference", 1.0, 1.0, 9, 1e-5)
+        monkeypatch.setattr(swathscale.diagnostics, "fd_check", lambda *args: failing)
+        r = runner.invoke(main, ["validate", str(out), "--checks", "fd"])
+        assert isinstance(r.exception, SystemExit), r.exception
+        assert r.exit_code == 1, r.output
+        assert "finite_difference: FAIL" in r.output
 
     def test_reduce_alpha(self, tmp_path):
         runner = CliRunner()

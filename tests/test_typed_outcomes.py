@@ -2,13 +2,15 @@
 exception: near-boundary starts, ill-conditioned start matrices, and as
 many constraints as the cone allows."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import swathscale as sw
-from swathscale.errors import SwathscaleError
+from swathscale.errors import InvariantViolation, RetryExhausted, SwathscaleError
 
 from conftest import ESYM_TINY_LEADING
 
@@ -116,3 +118,36 @@ def test_product_d100_outcome_is_typed():
     inst, e0 = sw.gen_hp_instance(sw.product_family(100), 50, 1.0, 0)
     outcome = run_outcome(sw.hp_barrier_oracle(inst.family), inst.A, inst.b, inst.c, e0)
     assert outcome is None or isinstance(outcome, sw.RunStatus)
+
+
+@pytest.mark.parametrize("generate, shape", [
+    (lambda: sw.gen_central_path_sdp(10**10, 1), (1, 10**10, 10**10)),
+    (lambda: sw.gen_hp_instance(sw.product_family(10**19), 1), (1, 10**19)),
+], ids=["sdp", "hp"])
+def test_generator_refuses_an_unallocatable_instance(monkeypatch, generate, shape):
+    # Sizes past numpy's own limits (over 2**63 bytes, or a dimension past
+    # intp), refused before the first draw whatever memory the host has.
+    def no_draws(*args):
+        raise AssertionError("the generator drew before checking its size")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    message = f"instance too large: cannot allocate an array of shape {shape}"
+    with pytest.raises(InvariantViolation, match=re.escape(message)):
+        generate()
+
+
+@pytest.mark.parametrize("cls, generate", [
+    (sw.SdpInstance, lambda: sw.gen_central_path_sdp(4, 6, 1.0, 0)),
+    (sw.HpInstance, lambda: sw.gen_hp_instance(sw.product_family(6), 3, 1.0, 0)),
+], ids=["sdp", "hp"])
+def test_generator_gives_up_after_ten_draws(monkeypatch, cls, generate):
+    calls = []
+
+    def invalid(self):
+        calls.append(self)
+        raise InvariantViolation("injected")
+
+    monkeypatch.setattr(cls, "validate", invalid)
+    with pytest.raises(RetryExhausted, match="in 10 draws"):
+        generate()
+    assert len(calls) == 10
