@@ -19,8 +19,6 @@ from .driver import (
     StepMode,
     alpha_reduction_bound,
     alpha_reduction_run,
-    alpha_schedule_next,
-    duality_gap,
     next_iterate,
     run,
     step_length,
@@ -63,7 +61,7 @@ from .sdp import (
     sym_dim,
 )
 from .sdpa import parse_sdpa, write_sdpa
-from .subproblem import SubproblemSolution, in_swath, solve_qcp
+from .subproblem import SubproblemSolution, solve_qcp
 from .tracefile import export_trace, parse_trace, trace_footer, trace_header
 
 __version__ = "0.1.0"

@@ -31,7 +31,7 @@ import sys
 import click
 import numpy as np
 
-from . import diagnostics, generate, hpjson, sdpa, tracefile
+from . import diagnostics, generate, hpjson, hyperbolic, sdpa, tracefile
 from .core import check_start, schedule_constants
 from .driver import (
     RunStatus,
@@ -49,9 +49,9 @@ from .errors import (
     SwathscaleError,
 )
 from .hyperbolic import DETERMINANT, ELEMENTARY_SYMMETRIC, PRODUCT, SECOND_ORDER
-from .sdp import det_barrier_oracle, smat, svec, sym_dim
+from .sdp import SdpInstance, det_barrier_oracle, smat, svec
 from .sdpa import parse_sdpa
-from .subproblem import in_swath
+from .subproblem import solve_qcp
 
 _EXIT_NOT_IN_SWATH = 2
 _EXIT_NUMERICAL = 3
@@ -73,7 +73,8 @@ def _start_sidecar(path: pathlib.Path) -> pathlib.Path:
 def _load_problem(path: pathlib.Path):
     """Return (oracle, A, b, c, e0, meta) for either instance format.
 
-    For SDPA files ``meta["instance"]`` is the parsed ``SdpInstance``.
+    For an SDPA file, and for a determinant-family JSON file (an SDP on
+    ``svec`` coordinates), ``meta["instance"]`` is the ``SdpInstance``.
     """
     text = path.read_text()
     if path.name.endswith(".dat-s"):
@@ -99,6 +100,8 @@ def _load_problem(path: pathlib.Path):
             "m": inst.A.shape[0],
             "id": path.name,
         }
+        if inst.family.name == DETERMINANT:
+            meta["instance"] = SdpInstance(smat(inst.c), list(smat(inst.A)), inst.b)
         return inst.oracle, inst.A, inst.b, inst.c, inst.e0, meta
     raise ParseError(f"unrecognized instance suffix on {path.name}")
 
@@ -224,7 +227,7 @@ def generate_cmd(kind, n, m, family, k, mu, seed, out):
             click.echo(f"wrote {inst_path} and {_start_sidecar(inst_path)}")
         else:
             if family == DETERMINANT:
-                fam = hpjson.family_from_tag(family, sym_dim(n))
+                fam = hyperbolic.determinant_family(n)
             else:
                 fam = hpjson.family_from_tag(family, n, k)
             inst, _ = generate.gen_hp_instance(fam, m, mu, seed)
@@ -251,7 +254,7 @@ def reduce_alpha(file, alpha0, target):
         e_final, iterations = alpha_reduction_run(
             oracle, A, b, c, e0, alpha0, target
         )
-        ok = in_swath(oracle, A, b, c, e_final, target)
+        ok = solve_qcp(oracle, A, b, c, e_final, target) is not None
     click.echo(f"iterations={iterations} bound={bound} in_swath(target)={ok}")
     sys.exit(0 if ok else _EXIT_NOT_IN_SWATH)
 
@@ -270,14 +273,14 @@ def validate(file, checks, alpha):
     with _exit_codes(solving=False):
         SolverConfig(alpha=alpha)  # rejects alpha outside (0, 1), as solve does
         oracle, A, b, c, e0, meta = _load_problem(file)
-        if meta["backend"] != "sdp" and checks in ("qscale", "equiv", "bound"):
+        if "instance" not in meta and checks in ("qscale", "equiv", "bound"):
             raise DomainError("requested check applies to SDP instances only")
 
     reports = []
     with _exit_codes(solving=True):
         if checks in ("all", "fd"):
             reports.append(diagnostics.fd_check(oracle, e0))
-        if meta["backend"] == "sdp":
+        if "instance" in meta:
             inst = meta["instance"]
             E0 = smat(e0)
             if checks in ("all", "qscale"):

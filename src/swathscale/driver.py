@@ -156,11 +156,6 @@ def next_iterate(e: np.ndarray, x_e: np.ndarray, t: float) -> np.ndarray:
     return (e + t * x_e) / (1.0 + t)
 
 
-def duality_gap(c: np.ndarray, e: np.ndarray, x_e: np.ndarray) -> float:
-    """``<c, e - x_e>``: the primal objective drop that is a duality gap."""
-    return float(np.dot(c, e - x_e))
-
-
 def _step_from_solution(
     oracle: BarrierOracle,
     e: np.ndarray,
@@ -283,11 +278,6 @@ def run(
     return SolveResult(status, trace, e, x, y, s, violations)
 
 
-def alpha_schedule_next(alpha: float) -> float:
-    """One reduction step: ``alpha * sqrt((1 + alpha) / 2)``."""
-    return alpha * math.sqrt((1.0 + alpha) / 2.0)
-
-
 def _check_reduction_domain(alpha0: float, alpha_target: float) -> None:
     if not 0.0 < alpha_target < alpha0 < 1.0:
         raise DomainError("need 0 < alpha_target < alpha0 < 1")
@@ -312,7 +302,8 @@ def alpha_reduction_run(
     alpha0: float,
     alpha_target: float,
 ) -> tuple[np.ndarray, int]:
-    """Fixed-step iteration with the shrinking alpha schedule.
+    """Fixed-step iteration with the shrinking alpha schedule: each step
+    takes alpha to the ``beta`` of :func:`~swathscale.core.schedule_constants`.
 
     Returns the point reached once the schedule value drops to the
     target, together with the number of steps taken.
@@ -332,6 +323,6 @@ def alpha_reduction_run(
         x_norm = math.sqrt(max(sol.x_norm_sq, 0.0))
         t = 0.5 * alpha / x_norm
         e = next_iterate(e, sol.x_e, t)
-        alpha = alpha_schedule_next(alpha)
+        alpha = schedule_constants(alpha, oracle.degree).beta
         iterations += 1
     return e, iterations

@@ -71,6 +71,14 @@ def _pass_count(cond: float) -> int:
     blocks, so where ``u cond(X)^2`` nears 1 the passes may stop
     contracting; :func:`_refined_solve` reports a last pass that did not
     contract.
+
+    The floor of three passes carries accuracy.  Stopping once the
+    geometric estimate of the next pass's move fell below ``u`` of the
+    first move, which in practice is after two passes, changed the
+    status, iterations or violations of 90 of 144 runs (the n=40 SDP and
+    d=200 Lorentz benchmark pools and small Lorentz and product
+    instances, at gap ratios 1e-8 to 1e-12), and at 1e-8 the third pass
+    still moves the least-norm column by up to 3.2e-12 of its first step.
     """
     log_u = math.log(_UNIT_ROUNDOFF)
     log_rate = min(math.log(0.5), log_u + 2.0 * math.log(cond))
@@ -206,15 +214,3 @@ def solve_qcp(
     return SubproblemSolution(
         x, y_e, s_e, lam, gap, e_dot_x=ip, x_norm_sq=float(w.dot(w))
     )
-
-
-def in_swath(
-    oracle: BarrierOracle,
-    A: np.ndarray,
-    b: np.ndarray,
-    c: np.ndarray,
-    e: np.ndarray,
-    alpha: float,
-) -> bool:
-    """True iff the quadratic-cone relaxation at e attains its optimum."""
-    return solve_qcp(oracle, A, b, c, e, alpha) is not None

@@ -141,9 +141,9 @@ def test_criterion_04_swath_and_carryover(suite1):
     for n in SUITE1_SIZES:
         inst, E0 = sw.gen_central_path_sdp(n, 2 * n, 1.0, 0)
         oracle = sw.det_barrier_oracle(n)
-        ok = ok and sw.in_swath(
+        ok = ok and sw.solve_qcp(
             oracle, inst.constraint_rows(), inst.b, sw.svec(inst.C), sw.svec(E0), 0.5
-        )
+        ) is not None
     record_criterion(4, "every iterate in the swath; dual slack carries over", ok)
     assert ok
 
@@ -265,7 +265,7 @@ def test_criterion_11_alpha_reduction():
             e_fin, iters = sw.alpha_reduction_run(
                 oracle, A, inst.b, c, sw.svec(E0), alpha0, target
             )
-            if iters > bound or not sw.in_swath(oracle, A, inst.b, c, e_fin, target):
+            if iters > bound or sw.solve_qcp(oracle, A, inst.b, c, e_fin, target) is None:
                 ok = False
     record_criterion(
         11, "alpha reduction reaches target within bound, in swath", ok

@@ -641,16 +641,17 @@ class TestRun:
 
 
 class TestAlphaSchedule:
+    # alpha_reduction_run takes alpha to schedule_constants(alpha, n).beta.
     def test_schedule_next_value(self):
         # [TRIVIAL] 0.5 * sqrt(0.75)
-        assert sw.alpha_schedule_next(0.5) == pytest.approx(
+        assert sw.schedule_constants(0.5, 2).beta == pytest.approx(
             0.5 * math.sqrt(0.75), rel=1e-14
         )
 
     def test_schedule_decreases(self):
         a = 0.9
         for _ in range(50):
-            nxt = sw.alpha_schedule_next(a)
+            nxt = sw.schedule_constants(a, 2).beta
             assert nxt < a
             a = nxt
 
@@ -664,7 +665,7 @@ class TestAlphaSchedule:
         oracle, A, b, c, e, _, _ = make_sdp(4, seed=5)
         e_fin, iters = sw.alpha_reduction_run(oracle, A, b, c, e, 0.9, 0.3)
         assert iters <= sw.alpha_reduction_bound(0.9, 0.3)
-        assert sw.in_swath(oracle, A, b, c, e_fin, 0.3)
+        assert sw.solve_qcp(oracle, A, b, c, e_fin, 0.3) is not None
 
     def test_reduction_off_the_swath_is_numerical_failure(self):
         # min -x0 s.t. x1 + x2 = 2 over the orthant: the relaxation recedes
@@ -693,7 +694,7 @@ class TestDualityGap:
     def test_matches_subproblem_gap(self):
         oracle, A, b, c, e, _, _ = make_sdp(4, seed=6)
         sol = sw.solve_qcp(oracle, A, b, c, e, 0.5)
-        assert sw.duality_gap(c, e, sol.x_e) == pytest.approx(sol.gap, rel=1e-12)
+        assert float(np.dot(c, e - sol.x_e)) == pytest.approx(sol.gap, rel=1e-12)
         # strong duality: gap equals primal minus dual objective
         assert sol.gap == pytest.approx(
             float(np.dot(c, e)) - float(np.dot(b, sol.y_e)), rel=1e-8

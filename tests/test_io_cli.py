@@ -1088,46 +1088,8 @@ class TestCli:
         if kind in ("hp-start-not-interior", "sdpa-start-not-pd"):
             assert "start point is not interior" in r.output
 
-    @pytest.mark.parametrize(
-        "error, code",
-        [
-            (sw.NumericalFailure("factor lost"), 3),
-            (sw.DomainError("power sums off the boundary"), 2),
-            (sw.NotInterior("iterate left the cone"), 2),
-        ],
-        ids=["numerical", "domain", "not-interior"],
-    )
-    @pytest.mark.parametrize(
-        "command, target, options",
-        [
-            ("solve", "run", []),
-            ("reduce-alpha", "alpha_reduction_run", ["--alpha0", "0.9", "--target", "0.3"]),
-        ],
-        ids=["solve", "reduce-alpha"],
-    )
-    def test_run_error_exit_code(
-        self, tmp_path, monkeypatch, command, target, options, error, code
-    ):
-        # An error raised by the run, after the input checks pass, maps to
-        # the documented exit code with one error line.
-        def failing(*args, **kwargs):
-            raise error
-
-        inst = tmp_path / "inst.dat-s"
-        runner = CliRunner()
-        runner.invoke(
-            main, ["generate", "sdp", "--n", "3", "--m", "2", "--seed", "0", "--out", str(inst)]
-        )
-        monkeypatch.setattr(swathscale.cli, target, failing)
-        r = runner.invoke(main, [command, str(inst), *options])
-        assert isinstance(r.exception, SystemExit), r.exception
-        assert r.exit_code == code, r.output
-        assert f"error: {error}" in r.output
-        assert "Traceback" not in r.output
-
-    @pytest.mark.parametrize("check", ["qscale", "equiv", "bound"])
-    @pytest.mark.parametrize("family, n", [("second_order", "6"), ("determinant", "3")])
-    def test_sdp_only_check_on_hp_file_is_input_error(self, tmp_path, family, n, check):
+    @staticmethod
+    def validate_hp(tmp_path, family, n, check):
         runner = CliRunner()
         out = tmp_path / "hp.json"
         r = runner.invoke(
@@ -1136,9 +1098,24 @@ class TestCli:
              "--out", str(out)],
         )
         assert r.exit_code == 0, r.output
-        r = runner.invoke(main, ["validate", str(out), "--checks", check])
+        return runner.invoke(main, ["validate", str(out), "--checks", check])
+
+    @pytest.mark.parametrize("check", ["qscale", "equiv", "bound"])
+    @pytest.mark.parametrize("family, n", [("second_order", "6")])
+    def test_sdp_only_check_on_hp_file_is_input_error(self, tmp_path, family, n, check):
+        r = self.validate_hp(tmp_path, family, n, check)
         assert r.exit_code == 4, r.output
         assert "error: requested check applies to SDP instances only" in r.output
+
+    @pytest.mark.parametrize("check", ["qscale", "equiv", "bound", "all"])
+    def test_sdp_check_on_determinant_file_passes(self, tmp_path, check):
+        # The determinant family is an SDP on svec coordinates, so every
+        # check runs on its SdpInstance.
+        r = self.validate_hp(tmp_path, "determinant", "3", check)
+        assert r.exit_code == 0, r.output
+        lines = r.output.splitlines()
+        assert len(lines) == (4 if check == "all" else 1), r.output
+        assert all(": pass (" in line for line in lines), r.output
 
     @pytest.mark.parametrize(
         "args, message",
@@ -1152,8 +1129,17 @@ class TestCli:
             # A non-finite mu is rejected before any draw, not after ten.
             (["hp", "--family", "product", "--n", "5", "--m", "2", "--mu", "nan"], "error:"),
             (["sdp", "--n", "4", "--m", "3", "--mu", "inf"], "error:"),
+            # --n is the determinant family's matrix order, which must be at
+            # least 2, although the dimension n(n + 1)/2 is positive at -3, -4.
+            (["hp", "--family", "determinant", "--n", "-4", "--m", "1"],
+             "error: determinant family needs order >= 2"),
+            (["hp", "--family", "determinant", "--n", "-3", "--m", "1"],
+             "error: determinant family needs order >= 2"),
         ],
-        ids=["order-1", "order-negative", "esym-without-k", "hp-mu-nan", "sdp-mu-inf"],
+        ids=[
+            "order-1", "order-negative", "esym-without-k", "hp-mu-nan", "sdp-mu-inf",
+            "det-order-minus-4", "det-order-minus-3",
+        ],
     )
     def test_generate_input_error_exit_code(self, tmp_path, args, message):
         r = CliRunner().invoke(
@@ -1161,17 +1147,7 @@ class TestCli:
         )
         assert r.exit_code == 4, r.output
         assert message in r.output
-
-    def test_generate_retry_exhausted_exit_code(self, tmp_path, monkeypatch):
-        def exhausted(*args, **kwargs):
-            raise RetryExhausted("no independent constraint set found")
-
-        monkeypatch.setattr(swathscale.generate, "gen_central_path_sdp", exhausted)
-        r = CliRunner().invoke(
-            main, ["generate", "sdp", "--n", "4", "--m", "6", "--seed", "0",
-                   "--out", str(tmp_path / "x")]
-        )
-        assert r.exit_code == 3, r.output
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("error", RAISED_ERRORS, ids=lambda e: e.__name__)
     @pytest.mark.parametrize(

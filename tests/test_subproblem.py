@@ -173,14 +173,11 @@ class TestStatusAndErrors:
             oracle, inst.constraint_rows(), inst.b, c, sw.svec(E0), 0.5
         )
         assert sol is None
-        assert not sw.in_swath(
-            oracle, inst.constraint_rows(), inst.b, c, sw.svec(E0), 0.5
-        )
 
     def test_in_swath_for_planted_instance(self):
         oracle, A, b, c, e, _, _ = make_sdp(4, seed=2)
         for alpha in (0.1, 0.5, 0.9):
-            assert sw.in_swath(oracle, A, b, c, e, alpha)
+            assert sw.solve_qcp(oracle, A, b, c, e, alpha) is not None
 
     def test_alpha_domain(self):
         oracle, A, b, c, e, _, _ = make_sdp(3, m=3, seed=0)
