@@ -1088,6 +1088,43 @@ class TestCli:
         if kind in ("hp-start-not-interior", "sdpa-start-not-pd"):
             assert "start point is not interior" in r.output
 
+    @pytest.mark.parametrize(
+        "error, code",
+        [
+            (sw.NumericalFailure("factor lost"), 3),
+            (sw.DomainError("power sums off the boundary"), 2),
+            (sw.NotInterior("iterate left the cone"), 2),
+        ],
+        ids=["numerical", "domain", "not-interior"],
+    )
+    @pytest.mark.parametrize(
+        "command, target, options",
+        [
+            ("solve", "run", []),
+            ("reduce-alpha", "alpha_reduction_run", ["--alpha0", "0.9", "--target", "0.3"]),
+        ],
+        ids=["solve", "reduce-alpha"],
+    )
+    def test_run_error_exit_code(
+        self, tmp_path, monkeypatch, command, target, options, error, code
+    ):
+        # An error raised by the run, after the input checks pass, maps to
+        # the documented exit code with one error line.
+        def failing(*args, **kwargs):
+            raise error
+
+        inst = tmp_path / "inst.dat-s"
+        runner = CliRunner()
+        runner.invoke(
+            main, ["generate", "sdp", "--n", "3", "--m", "2", "--seed", "0", "--out", str(inst)]
+        )
+        monkeypatch.setattr(swathscale.cli, target, failing)
+        r = runner.invoke(main, [command, str(inst), *options])
+        assert isinstance(r.exception, SystemExit), r.exception
+        assert r.exit_code == code, r.output
+        assert f"error: {error}" in r.output
+        assert "Traceback" not in r.output
+
     @staticmethod
     def validate_hp(tmp_path, family, n, check):
         runner = CliRunner()
@@ -1148,6 +1185,17 @@ class TestCli:
         assert r.exit_code == 4, r.output
         assert message in r.output
         assert not list(tmp_path.iterdir())
+
+    def test_generate_retry_exhausted_exit_code(self, tmp_path, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise RetryExhausted("no independent constraint set found")
+
+        monkeypatch.setattr(swathscale.generate, "gen_central_path_sdp", exhausted)
+        r = CliRunner().invoke(
+            main, ["generate", "sdp", "--n", "4", "--m", "6", "--seed", "0",
+                   "--out", str(tmp_path / "x")]
+        )
+        assert r.exit_code == 3, r.output
 
     @pytest.mark.parametrize("error", RAISED_ERRORS, ids=lambda e: e.__name__)
     @pytest.mark.parametrize(
