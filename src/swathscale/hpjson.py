@@ -6,7 +6,10 @@ The schema is::
      "c": [...], "A": [[...]], "b": [...], "e0": [...],
      "metadata": {...}}
 
-Floats survive a write/parse cycle bit-exactly (shortest-repr JSON).
+Every JSON read and write here and in :mod:`tracefile` goes through one
+codec pair, ``_dumps`` and ``_loads``, which runs on ``orjson``.  A float is
+written in its shortest round-trip spelling (``0.00001``, ``1e16``), so a
+write/parse cycle keeps it bit-exactly, through this reader or any other.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import json
 
 import numpy as np
+import orjson
 
 from .errors import ParseError
 from .hyperbolic import (
@@ -45,9 +49,39 @@ def family_from_tag(name: str, d: int, k: int | None = None) -> HpFamily:
     raise ParseError(f"unknown family tag {name!r}")
 
 
+def _dumps(value) -> str:
+    """``value`` as compact JSON text, in ASCII.
+
+    orjson writes NaN and ±Infinity as ``null`` and non-ASCII text raw, and
+    it refuses integers beyond 64 bits, keys that are not strings and numpy
+    scalars.  Those values go through ``json``, which writes ``NaN``,
+    ``Infinity`` and ``\\u`` escapes, as the trace and instance files always
+    have.  A ``None`` takes that path too.
+    """
+    try:
+        text = orjson.dumps(value).decode()
+        if "null" not in text and text.isascii():
+            return text
+    except orjson.JSONEncodeError:
+        pass
+    return json.dumps(value, separators=(",", ":"))
+
+
+def _loads(text: str):
+    """The value of JSON text.  orjson refuses the ``NaN`` and ``Infinity``
+    tokens, which ``json`` reads; any text orjson refuses goes to ``json``,
+    which reads it or raises its own error with its own message.  One value
+    differs from ``json.loads``: orjson reads an integer literal beyond 64
+    bits as a float."""
+    try:
+        return orjson.loads(text)
+    except orjson.JSONDecodeError:
+        return json.loads(text)
+
+
 def read_hp_json(text: str) -> HpInstance:
     try:
-        doc = json.loads(text)
+        doc = _loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad instance JSON: {exc}")
     try:
@@ -72,17 +106,18 @@ def read_hp_json(text: str) -> HpInstance:
 
 
 # The writers, here and in tracefile, put one field, and one matrix or trace
-# row, on a line.  Each piece is encoded without indentation, which json does
-# in C; indent=2 falls back to the pure-Python encoder, which took 1.7 times
-# as long on a d=200, m=100 instance.
+# row, on a line.  Each piece is encoded by _dumps without indentation:
+# json's indent=2 runs its pure-Python encoder, which took 1.7 times as long
+# as its C encoder on a d=200, m=100 instance, and orjson's indent option
+# puts every matrix entry on a line of its own.
 def _rows(rows: list) -> str:
     """A list as a JSON array, one item per line."""
-    return "[\n" + ",\n".join("    " + json.dumps(row) for row in rows) + "\n  ]"
+    return "[\n" + ",\n".join("    " + _dumps(row) for row in rows) + "\n  ]"
 
 
 def _document(fields: dict[str, str]) -> str:
     """A JSON object from already-encoded field values, one field per line."""
-    body = ",\n".join(f"  {json.dumps(key)}: {text}" for key, text in fields.items())
+    body = ",\n".join(f"  {_dumps(key)}: {text}" for key, text in fields.items())
     return "{\n" + body + "\n}\n"
 
 
@@ -91,19 +126,19 @@ def write_hp_json(inst: HpInstance, metadata: dict | None = None) -> str:
     if inst.family.name == ELEMENTARY_SYMMETRIC:
         fam["k"] = inst.family.degree
     return _document({
-        "family": json.dumps(fam),
-        "c": json.dumps(inst.c.tolist()),
+        "family": _dumps(fam),
+        "c": _dumps(inst.c.tolist()),
         "A": _rows(inst.A.tolist()),
-        "b": json.dumps(inst.b.tolist()),
-        "e0": json.dumps(inst.e0.tolist()),
-        "metadata": json.dumps(metadata or {}),
+        "b": _dumps(inst.b.tolist()),
+        "e0": _dumps(inst.e0.tolist()),
+        "metadata": _dumps(metadata or {}),
     })
 
 
 def read_start_point(text: str) -> np.ndarray:
     """Start matrix from a sidecar JSON document {"E0": [[...]]}."""
     try:
-        doc = json.loads(text)
+        doc = _loads(text)
         E0 = np.array(doc["E0"], dtype=float)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed start-point document: {exc}")

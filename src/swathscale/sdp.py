@@ -26,8 +26,7 @@ def sym_dim(n: int) -> int:
 
 
 def mat_order(d: int) -> int:
-    n = (math.isqrt(8 * d + 1) - 1) // 2
-    if sym_dim(n) != d:
+    if d < 0 or sym_dim(n := (math.isqrt(8 * d + 1) - 1) // 2) != d:
         raise DimensionMismatch(f"{d} is not a symmetric-matrix coordinate length")
     return n
 

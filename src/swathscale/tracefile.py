@@ -1,9 +1,11 @@
 """Trace serialization: per-iteration records to CSV or JSON and back.
 
-Both formats write every value as JSON does, with floats in Python's
-shortest round-trip repr, so a parse of the exported text reproduces every
-field bit-exactly.  A CSV row is the JSON array of its values without the
-brackets, and a CSV metadata line is ``# key=<JSON value>``.
+Both formats write every value as compact JSON, through the codec pair of
+:mod:`hpjson`: floats in their shortest round-trip spelling and a
+non-finite float as ``NaN`` or ``Infinity``, so a parse of the exported text
+reproduces every field bit-exactly.  A CSV row is the JSON array of its
+values without the brackets, and a CSV metadata line is
+``# key=<JSON value>``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import fields
 from .core import schedule_constants
 from .driver import IterationRecord, SolveResult, SolverConfig
 from .errors import DomainError, ParseError
-from .hpjson import _document, _rows
+from .hpjson import _document, _dumps, _loads, _rows
 
 
 def trace_header(
@@ -60,16 +62,16 @@ def export_trace(result: SolveResult, header: dict, fmt: str = "csv") -> str:
     rows = [vars(rec) for rec in result.trace]
     if fmt == "json":
         return _document({
-            "header": json.dumps(header),
+            "header": _dumps(header),
             "rows": _rows(rows),
-            "footer": json.dumps(trace_footer(result)),
+            "footer": _dumps(trace_footer(result)),
         })
     if fmt != "csv":
         raise DomainError(f"unknown trace format {fmt!r}")
-    lines = [f"# {key}={json.dumps(value)}" for key, value in header.items()]
+    lines = [f"# {key}={_dumps(value)}" for key, value in header.items()]
     lines.append(",".join(field.name for field in fields(IterationRecord)))
-    lines += [json.dumps([*row.values()], separators=(",", ":"))[1:-1] for row in rows]
-    lines += [f"# {key}={json.dumps(value)}" for key, value in trace_footer(result).items()]
+    lines += [_dumps([*row.values()])[1:-1] for row in rows]
+    lines += [f"# {key}={_dumps(value)}" for key, value in trace_footer(result).items()]
     return "\n".join(lines) + "\n"
 
 
@@ -84,7 +86,7 @@ def parse_trace(text: str) -> dict:
     row cell is a number."""
     if text.lstrip().startswith("{"):
         try:
-            doc = json.loads(text)
+            doc = _loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad trace JSON: {exc}")
         doc_rows = doc.get("rows")
@@ -108,7 +110,7 @@ def parse_trace(text: str) -> dict:
         if line.startswith("#"):
             key, _, rhs = line[1:].partition("=")
             try:
-                value = json.loads(rhs)
+                value = _loads(rhs)
             except json.JSONDecodeError:
                 raise ParseError("bad metadata line in trace", line=lineno)
             (footer if columns is not None else header)[key.strip()] = value
@@ -117,7 +119,7 @@ def parse_trace(text: str) -> dict:
             columns = line.split(",")
             continue
         try:
-            cells = json.loads(f"[{line}]")
+            cells = _loads(f"[{line}]")
         except json.JSONDecodeError:
             raise ParseError("bad value in trace row", line=lineno)
         if not _numbers(cells):

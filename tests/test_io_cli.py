@@ -9,7 +9,7 @@ import random
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import swathscale as sw
@@ -22,6 +22,7 @@ from swathscale.cli import _load_problem, main
 from swathscale.errors import (
     DomainError, InvariantViolation, NumericalFailure, ParseError, RetryExhausted,
 )
+from swathscale.hpjson import _dumps, _loads
 
 from conftest import ESYM_TINY_LEADING
 
@@ -500,10 +501,14 @@ class TestHpJson:
         for key in ("c", "A", "b", "e0"):
             assert np.array_equal(np.array(doc[key]), getattr(inst, key))
         assert doc["metadata"] == {"tag": 1}
-        # One row of A per line.
+        # One row of A per line, bit for bit.
         lines = text.splitlines()
         for row in inst.A:
-            assert sum(line.strip().rstrip(",") == json.dumps(row.tolist()) for line in lines) == 1
+            assert sum(
+                line.strip().startswith("[")
+                and json.loads(line.strip().rstrip(",")) == row.tolist()
+                for line in lines
+            ) == 1
         again = sw.read_hp_json(text)
         assert again.family == inst.family
         assert np.array_equal(again.c, inst.c)
@@ -535,6 +540,107 @@ class TestHpJson:
         assert np.array_equal(np.array(json.loads(text)["E0"]), E0)
         again = sw.read_start_point(text)
         assert np.allclose(again, E0, atol=0)
+
+
+def same_json(a, b) -> bool:
+    """a and b are the same JSON value, each float bit for bit (a NaN is
+    the same as any NaN)."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return a.hex() == b.hex()
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(same_json, a, b))
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(same_json(a[key], b[key]) for key in a)
+    return a == b
+
+
+def ints_fit_64_bits(value) -> bool:
+    if type(value) is int:
+        return -(2**63) <= value < 2**64
+    if isinstance(value, list):
+        return all(map(ints_fit_64_bits, value))
+    if isinstance(value, dict):
+        return all(map(ints_fit_64_bits, value.values()))
+    return True
+
+
+_JSON_TEXT = st.text(st.characters(exclude_categories=()), max_size=8)
+_JSON_FLOATS = st.floats() | st.sampled_from([
+    -0.0, 5e-324, -2.2250738585072014e-308, 1e-05, 1e16, 1.7976931348623157e308,
+    math.nan, math.inf, -math.inf,
+])
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | _JSON_FLOATS | _JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(_JSON_TEXT, inner, max_size=5),
+    max_leaves=20,
+)
+
+
+class TestJsonCodec:
+    """The codec pair that every instance, start-point and trace file goes
+    through: orjson, with json for what orjson does not write or read."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON_VALUES)
+    def test_dumps_reads_back_through_json(self, value):
+        text = _dumps(value)
+        assert text.isascii()
+        assert same_json(json.loads(text), value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON_VALUES)
+    def test_loads_reads_json_text_as_json_does(self, value):
+        assume(ints_fit_64_bits(value))
+        text = json.dumps(value)
+        assert same_json(_loads(text), json.loads(text))
+
+    def test_integer_beyond_64_bits_reads_as_float(self):
+        # The one value _loads reads unlike json.loads.  An array entry
+        # becomes the same float64 either way; a family parameter that large
+        # is no integer, an input error (kind "hp-huge-d" of
+        # TestCli::test_invalid_instance_is_input_error).
+        big = 123456789012345678901234567890
+        text = f"[{big}]"
+        assert json.loads(text) == [big]
+        assert same_json(_loads(text), [float(big)])
+        entries = [np.array(value, dtype=float) for value in (_loads(text), json.loads(text))]
+        assert entries[0].tobytes() == entries[1].tobytes()
+
+    @pytest.mark.parametrize("text", ["{", "[1,", "\ufeff[1]"], ids=["object", "array", "bom"])
+    def test_malformed_text_raises_as_json_does(self, text):
+        with pytest.raises(json.JSONDecodeError) as want:
+            json.loads(text)
+        with pytest.raises(json.JSONDecodeError) as got:
+            _loads(text)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+    def test_earlier_layout_reads_as_the_new_text(self):
+        # HP JSON as json.dumps wrote it: a space after each "," and ":",
+        # and Python's float repr (1e-05, 1e+16).
+        earlier = (
+            '{\n'
+            '  "family": {"name": "product", "d": 3},\n'
+            '  "c": [1e-05, 2.5, 7.0],\n'
+            '  "A": [\n'
+            '    [1.0, 1.0, 1.0],\n'
+            '    [0.1, -2.0, 3e-310]\n'
+            '  ],\n'
+            '  "b": [1.0000000000000002e+16, -1.9],\n'
+            '  "e0": [1.0, 1.0, 1e+16],\n'
+            '  "metadata": {"mu": 1.0, "seed": 0}\n'
+            '}\n'
+        )
+        inst = sw.read_hp_json(earlier)
+        text = sw.write_hp_json(inst)
+        assert "0.00001" in text and "1e16" in text and ", " not in text
+        again = sw.read_hp_json(text)
+        for key in ("c", "A", "b", "e0"):
+            want = np.array(json.loads(earlier)[key], dtype=float)
+            for arr in (getattr(inst, key), getattr(again, key)):
+                assert arr.shape == want.shape and arr.tobytes() == want.tobytes()
 
 
 class TestTracefile:
@@ -800,9 +906,11 @@ class TestCli:
         assert r.exit_code == 0, r.output
         assert "Usage:" in r.output
 
-    def test_unbounded_program_is_not_in_swath_at_iterate_zero(self, tmp_path):
-        # min -x0 s.t. x1 + x2 = 2 over the orthant, and min -X11 s.t.
-        # X22 = 1 over 2x2 PSD matrices: the relaxation recedes at e0.
+    @staticmethod
+    def write_unbounded_programs(tmp_path):
+        """min -x0 s.t. x1 + x2 = 2 over the orthant, as HP JSON, and min -X11
+        s.t. X22 = 1 over 2x2 PSD matrices, as SDPA: the relaxation recedes
+        at e0."""
         hp = tmp_path / "unbounded.json"
         hp.write_text(json.dumps({
             "family": {"name": "product", "d": 3},
@@ -814,10 +922,26 @@ class TestCli:
             C=np.diag([-1.0, 0.0]), constraints=[np.diag([0.0, 1.0])], b=np.array([1.0]),
         )))
         (tmp_path / "unbounded.start.json").write_text(sw.write_start_point(np.eye(2)))
-        for path in (hp, sdpa):
+        return hp, sdpa
+
+    def test_unbounded_program_is_not_in_swath_at_iterate_zero(self, tmp_path):
+        for path in self.write_unbounded_programs(tmp_path):
             r = CliRunner().invoke(main, ["solve", str(path)])
             assert r.exit_code == 2, r.output
             assert "status=not_in_swath iterations=0 " in r.output
+
+    @pytest.mark.parametrize("suffix", ["json", "csv"])
+    def test_trace_without_records_writes_nan(self, tmp_path, suffix):
+        # A run with no records has a NaN final_gap, which orjson would
+        # write as null; the trace writes NaN, and reads it back.
+        hp, _ = self.write_unbounded_programs(tmp_path)
+        trace = tmp_path / f"t.{suffix}"
+        r = CliRunner().invoke(main, ["solve", str(hp), "--trace", str(trace)])
+        assert r.exit_code == 2, r.output
+        text = trace.read_text()
+        assert "final_gap" in text and "NaN" in text and "null" not in text
+        doc = sw.parse_trace(text)
+        assert doc["rows"] == [] and math.isnan(doc["footer"]["final_gap"])
 
     def test_solve_hp_instance(self, tmp_path, monkeypatch):
         runner = CliRunner()
@@ -1012,6 +1136,11 @@ class TestCli:
                 doc["family"]["d"] = 6.5  # int() would truncate it to the true 6
             elif kind == "hp-fractional-k":
                 doc["family"]["k"] = 2.5
+            elif kind == "hp-det-negative-d":
+                doc["family"] = {"name": "determinant", "d": -3}
+            elif kind == "hp-huge-d":
+                # Beyond 64 bits, which the JSON reader takes for a float.
+                doc["family"]["d"] = 123456789012345678901234567890
             elif kind == "hp-missing-c":
                 del doc["c"]
             path = tmp_path / "bad.json"
@@ -1054,7 +1183,7 @@ class TestCli:
             "hp-fractional-d", "hp-fractional-k", "sdpa-nan", "sdpa-inf", "sidecar-nan",
             "hp-det-near-dependent", "hp-lorentz-near-dependent",
             "hp-nan-e0", "hp-start-not-interior", "hp-missing-c", "sidecar-no-E0",
-            "sidecar-not-square", "sidecar-wrong-order",
+            "sidecar-not-square", "sidecar-wrong-order", "hp-det-negative-d", "hp-huge-d",
         ],
     )
     @pytest.mark.parametrize(
@@ -1077,6 +1206,8 @@ class TestCli:
             "sidecar-no-E0": "malformed start-point document",
             "sidecar-not-square": "start point must be a square matrix",
             "sidecar-wrong-order": "start matrix order does not match the instance",
+            "hp-det-negative-d": "-3 is not a symmetric-matrix coordinate length",
+            "hp-huge-d": "family d and k must be integers",
         }.get(kind, "")
         assert message in r.output
         if "nan" in kind or "inf" in kind:

@@ -40,8 +40,9 @@ class TestVectorization:
     def test_dims(self):
         assert sw.sym_dim(4) == 10
         assert sw.mat_order(10) == 4
-        with pytest.raises(DimensionMismatch):
-            sw.mat_order(11)
+        for d in (11, -1, -3):
+            with pytest.raises(DimensionMismatch, match=f"^{d} is not a symmetric"):
+                sw.mat_order(d)
 
     @given(n=st.integers(2, 10**6))
     def test_mat_order_inverts_sym_dim(self, n):
